@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .geometry import (
     E1,
@@ -77,11 +75,6 @@ def directional_k1_upper(dom: ConvexDomain, h1: Direction, h2: Direction) -> Bou
     )
 
 
-def k1_upper_bound(dom: ConvexDomain) -> BoundReport:
-    """The x-vs-y case: 2 * (vertical extent) / (horizontal extent)."""
-    return directional_k1_upper(dom, E1, E2)
-
-
 def k1_certificate(dom: ConvexDomain, h1: Direction, h2: Direction) -> Chord | None:
     """Chord parallel to h2 joining both h1-parallel support sets, if any.
 
@@ -106,7 +99,7 @@ def k1_certificate(dom: ConvexDomain, h1: Direction, h2: Direction) -> Chord | N
     return chord(dom, n2, s_star)
 
 
-def uniform_k1_upper(dom: ConvexDomain, ortho_tol: float = 1e-4) -> BoundReport:
+def uniform_k1_upper(dom: ConvexDomain) -> BoundReport:
     """Direction-free bound 2 w_max / w_min, with the orthogonality test.
 
     The bound holds for every direction pair.  When a minimal-width
@@ -119,7 +112,7 @@ def uniform_k1_upper(dom: ConvexDomain, ortho_tol: float = 1e-4) -> BoundReport:
     # away against w_max
     theta = we.h_min.angle()
     w_perp = width(dom, Direction.from_angle(theta + 0.5 * math.pi))
-    orthogonal = abs(w_perp - we.w_max) <= ortho_tol * max(we.w_max, 1.0)
+    orthogonal = abs(w_perp - we.w_max) <= 1e-4 * max(we.w_max, 1.0)
     cert = None
     if orthogonal:
         cert = k1_certificate(dom, Direction.from_angle(theta + 0.5 * math.pi),
@@ -172,18 +165,21 @@ def _p_rayleigh_quotient(v: np.ndarray, h: float, p: float) -> float:
     return float((np.abs(v) ** p).sum() * h) / float((q ** p).sum() * h)
 
 
-@lru_cache(maxsize=64)
 def poincare_constant(p: float, n: int = 2000) -> float:
     """Best constant C_p with int |v|^p <= C_p int |v'|^p on (0,1), v(0)=v(1)=0.
 
-    Minimizes the discrete p-Rayleigh quotient on a uniform grid by
-    iterative reweighting: cell weights |v'|^(p-2) and node weights
-    |v|^(p-2) reduce each step to one symmetric tridiagonal solve (an
-    inverse-power step on the weighted pencil).  The weights are smoothed
-    by an annealed regularizer and floored to keep the stiffness
-    positive-definite for large p, the iterate is symmetrized about the
-    midpoint (the minimizer is even) and damped by min(1, 2/p).  Returns
-    the true p-quotient of the converged profile.  C_2 = 1/pi^2.
+    Maximizes the discrete p-Rayleigh quotient on a uniform grid of n cells
+    by inverse iteration (Biezuner, Ercole & Martins, J. Funct. Anal. 2009).
+    With phi(s) = |s|^(p-2) s, each step solves
+    phi(q_{i-1}) - phi(q_i) = h phi(v_i) for the cell slopes q of the next
+    iterate.  The fluxes phi(q) are an offset minus a cumulative sum, and
+    for a symmetric iterate the zero-mean condition on q fixes the offset
+    at half the total, so every step is exact: no linear solve and no
+    root-find.  Iterates are symmetrized about the midpoint (the maximizer
+    is even) and scaled to maximum 1.  Stops when the quotient changes by
+    less than 1e-15 relative; raises RuntimeError if that does not happen
+    within the iteration cap, and ValueError if the converged quotient
+    underflows (p beyond about 1000).  C_2 = 1/pi^2.
     """
     p = float(p)
     if not 1.0 < p < math.inf:
@@ -192,40 +188,25 @@ def poincare_constant(p: float, n: int = 2000) -> float:
     if n < 16:
         raise ValueError("grid too coarse")
     h = 1.0 / n
-    x = np.linspace(0.0, 1.0, n + 1)
-    v = np.sin(math.pi * x)[1:-1]
-    theta = min(1.0, 2.0 / p)
-    r_prev = None
-    stall = 0
-    for k in range(1 if p == 2.0 else 400):
-        vp = np.concatenate([[0.0], v, [0.0]])
-        q = np.diff(vp) / h
-        qs = float(np.abs(q).max())
-        delta = max(1e-9, 0.7 ** k * 1e-2) * qs
-        wd = (q * q + delta * delta) ** (0.5 * (p - 2.0))
-        wd = np.maximum(wd, 1e-10 * wd.max())
-        dm = delta * float(np.abs(v).max()) / qs
-        wm = (v * v + dm * dm) ** (0.5 * (p - 2.0))
-        wm = np.maximum(wm, 1e-10 * wm.max())
-        ab = np.zeros((2, n - 1))
-        ab[0, 1:] = -wd[1:-1] / h
-        ab[1, :] = (wd[:-1] + wd[1:]) / h
-        vn = solveh_banded(ab, wm * h * v, lower=False)
-        vn = 0.5 * (vn + vn[::-1])
-        vn = vn / np.abs(vn).max()
-        if vn[n // 2] < 0:
-            vn = -vn
-        v = (1.0 - theta) * v + theta * vn
-        v = v / np.abs(v).max()
+    v = np.sin(math.pi * np.arange(1, n) / n)
+    r_prev = math.nan
+    for _ in range(100):                # 1-9 steps for p in [1.0001, 200]
+        # exact symmetry makes the fluxes below exactly antisymmetric, so a
+        # flux that should vanish is 0 and not a rounding residue that
+        # |a|^(1/(p-1)) would blow up for large p
+        v = 0.5 * (v + v[::-1])
+        v = v / v.max()
         r = _p_rayleigh_quotient(v, h, p)
-        if r_prev is not None and abs(r - r_prev) <= 1e-14 * r:
-            stall += 1
-            if stall >= 3 and delta <= 1.1e-9 * qs:
-                break
-        else:
-            stall = 0
+        if abs(r - r_prev) <= 1e-15 * r:
+            if r < np.finfo(float).tiny:
+                raise ValueError(f"C_p underflows at p={p}")
+            return r
         r_prev = r
-    return _p_rayleigh_quotient(v, h, p)
+        s = np.concatenate([[0.0], np.cumsum(v ** (p - 1.0))])
+        a = (s[::-1] - s) / s[-1]          # fluxes phi(q), scaled to [-1, 1]
+        q = np.sign(a) * np.abs(a) ** (1.0 / (p - 1.0))
+        v = np.cumsum(q)[:-1]
+    raise RuntimeError(f"poincare_constant did not converge for p={p}, n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +233,7 @@ def affine_normalize(dom: ConvexDomain):
     return image, lin, shift
 
 
-def kp_upper_bound(dom: ConvexDomain, p: float, n_grid: int = 2000) -> BoundReport:
+def kp_upper_bound(dom: ConvexDomain, p: float) -> BoundReport:
     """Upper bound for sup ||u_x||_p / ||u_y||_p over concave functions,
     1 < p < inf.
 
@@ -267,7 +248,7 @@ def kp_upper_bound(dom: ConvexDomain, p: float, n_grid: int = 2000) -> BoundRepo
     w_x = float(B[0] - A[0])
     image, lin, shift = affine_normalize(dom)
     m_img = max_boundary_slope(image)
-    cp = poincare_constant(p, n_grid)
+    cp = poincare_constant(p)
     if math.isinf(m_img):
         value = math.inf
     else:

@@ -43,7 +43,6 @@ class MaxProfile:
     h: Direction
     offsets: np.ndarray      # positions along the scan normal
     values: np.ndarray       # chord maxima m_h(t)
-    argmax_points: np.ndarray
     M: float                 # global maximum of the function
     z: np.ndarray            # a point where M is attained
 
@@ -234,12 +233,11 @@ def max_profile(u: ConcaveFunction, h: Direction, n_lines: int = 16) -> MaxProfi
     c, d = float(proj.min()), float(proj.max())
     ts = np.linspace(c, d, n_lines)
     P0, P1, valid = chords_batch(u.domain, normal, ts)
-    ms, lam = chord_maxima(u, P0, P1)
+    ms, _ = chord_maxima(u, P0, P1)
     ms = np.where(valid, ms, 0.0)
-    pts = P0 + lam[:, None] * (P1 - P0)
     k = int(np.argmax(u.vert_values))
-    return MaxProfile(h=h, offsets=ts, values=ms, argmax_points=pts,
-                      M=float(u.vert_values[k]), z=u.verts[k].copy())
+    return MaxProfile(h=h, offsets=ts, values=ms, M=float(u.vert_values[k]),
+                      z=u.verts[k].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +245,7 @@ def max_profile(u: ConcaveFunction, h: Direction, n_lines: int = 16) -> MaxProfi
 # ---------------------------------------------------------------------------
 
 
-def _merge_upper_facets(points3, hull, domain):
+def _merge_upper_facets(points3, hull):
     """Group coplanar upper-hull simplices and re-triangulate each group by
     a fan from its lowest-index vertex, so the facet set is reproducible."""
     eqs = hull.equations
@@ -339,7 +337,7 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
     except QhullError as exc:
         raise ValueError(f"degenerate envelope input: {exc}") from exc
 
-    tris, planes = _merge_upper_facets(points3, hull, dom)
+    tris, planes = _merge_upper_facets(points3, hull)
     used = np.unique(tris.ravel())
     remap = -np.ones(len(points3), dtype=np.int64)
     remap[used] = np.arange(len(used))

@@ -234,14 +234,6 @@ class Chord:
 
 
 @dataclass(frozen=True)
-class TangentCone:
-    """Cone of inward directions at a polygon vertex."""
-
-    vertex: np.ndarray
-    edge_dirs: tuple  # two unit vectors toward the adjacent vertices
-
-
-@dataclass(frozen=True)
 class WidthExtremes:
     w_max: float
     w_min: float
@@ -501,16 +493,6 @@ def max_boundary_slope(dom: ConvexDomain) -> float:
     """
     info = vertical_support_classification(dom)
     return float(max(abs(s) for s in info.slopes))
-
-
-def tangent_cone(dom: ConvexDomain, i: int) -> TangentCone:
-    v = dom.vertices
-    nv = dom.n
-    d1 = v[(i + 1) % nv] - v[i]
-    d2 = v[(i - 1) % nv] - v[i]
-    d1 = d1 / np.hypot(*d1)
-    d2 = d2 / np.hypot(*d2)
-    return TangentCone(vertex=v[i], edge_dirs=(d1, d2))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concave import ConcaveFunction, chord_maxima, plane_values
-from .geometry import Direction, chords_batch
+from .geometry import Direction, chord, chords_batch
 
 
 @dataclass(frozen=True)
@@ -149,10 +149,10 @@ def line_integral_abs_dh(u: ConcaveFunction, h: Direction, t: float) -> float:
     the chord-max identity it is used to cross-check.
     """
     normal = h.perp().as_array()
-    ch = _chord_or_none(u, normal, t)
+    ch = chord(u.domain, normal, t)
     if ch is None:
         return 0.0
-    a, b = ch
+    a, b = ch.a, ch.b
     d = b - a
     L = float(np.hypot(*d))
     if L <= u.domain.tol:
@@ -167,15 +167,6 @@ def line_integral_abs_dh(u: ConcaveFunction, h: Direction, t: float) -> float:
     va = float(plane_values(u, a[None, :]).min())
     vb = float(plane_values(u, b[None, :]).min())
     return total + va + vb
-
-
-def _chord_or_none(u, normal, t):
-    from .geometry import chord
-
-    ch = chord(u.domain, normal, t)
-    if ch is None:
-        return None
-    return ch.a, ch.b
 
 
 def _triangle_line_overlap(tri: np.ndarray, a: np.ndarray, d: np.ndarray):
@@ -213,8 +204,3 @@ def norm_ratio(u: ConcaveFunction, h1: Direction, h2: Direction, p) -> float:
             raise ValueError("both directional norms vanish; ratio undefined")
         return math.inf
     return num / den
-
-
-def ratio(u: ConcaveFunction, p, h1: Direction, h2: Direction) -> float:
-    """Convenience reordering of :func:`norm_ratio` (p first)."""
-    return norm_ratio(u, h1, h2, p)

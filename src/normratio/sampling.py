@@ -25,24 +25,22 @@ def random_direction(rng: np.random.Generator) -> Direction:
     return Direction.from_angle(rng.uniform(0.0, 2.0 * np.pi))
 
 
-def random_convex_polygon(rng: np.random.Generator, max_vertices: int = 12,
-                          scale: float = 1.0) -> ConvexDomain:
+def random_convex_polygon(rng: np.random.Generator) -> ConvexDomain:
     """Convex hull of a random cloud, anisotropically stretched and rotated.
 
-    Vertex count is at most max_vertices; thin or tiny hulls are rejected
-    and resampled so downstream tolerance assumptions hold.
+    Vertex count is at most 12; thin or tiny hulls are rejected and
+    resampled so downstream tolerance assumptions hold.
     """
-    if max_vertices < 3:
-        raise ValueError("need at least 3 vertices")
     from scipy.spatial import ConvexHull
 
+    max_vertices = 12
     for _ in range(100):
         m = int(rng.integers(4, max_vertices + 4))
         pts = rng.standard_normal((m, 2))
         stretch = np.array([rng.uniform(0.5, 1.8), rng.uniform(0.5, 1.8)])
         ang = rng.uniform(0.0, np.pi)
         R = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
-        pts = (pts * stretch) @ R.T * scale
+        pts = (pts * stretch) @ R.T
         hull = ConvexHull(pts)
         verts = pts[hull.vertices]
         if len(verts) > max_vertices:
@@ -53,18 +51,17 @@ def random_convex_polygon(rng: np.random.Generator, max_vertices: int = 12,
             dom = ConvexDomain(verts)
         except ValueError:
             continue
-        if dom.area < 0.05 * scale * scale:
+        if dom.area < 0.05:
             continue
         return dom
     raise RuntimeError("failed to sample a usable convex polygon")
 
 
 def random_interior_points(rng: np.random.Generator, dom: ConvexDomain,
-                           k: int, margin: float | None = None) -> np.ndarray:
-    """k points uniform over the domain shrunk by `margin` from the boundary
-    (default: ten geometry tolerances), by rejection from the bounding box."""
-    if margin is None:
-        margin = 10.0 * dom.tol
+                           k: int) -> np.ndarray:
+    """k points uniform over the domain shrunk by ten geometry tolerances
+    from the boundary, by rejection from the bounding box."""
+    margin = 10.0 * dom.tol
     v = dom.vertices
     lo = v.min(axis=0)
     hi = v.max(axis=0)
@@ -83,11 +80,11 @@ def random_interior_points(rng: np.random.Generator, dom: ConvexDomain,
     return out
 
 
-def random_envelope_descriptor(rng: np.random.Generator, dom: ConvexDomain,
-                               max_constraints: int = 5) -> dict:
-    """Descriptor of an envelope over 1..max_constraints random interior
-    heights in [0.2, 1]; build it with concave.build_function."""
-    k = int(rng.integers(1, max_constraints + 1))
+def random_envelope_descriptor(rng: np.random.Generator,
+                               dom: ConvexDomain) -> dict:
+    """Descriptor of an envelope over 1..5 random interior heights in
+    [0.2, 1]; build it with concave.build_function."""
+    k = int(rng.integers(1, 6))
     pts = random_interior_points(rng, dom, k)
     hts = rng.uniform(0.2, 1.0, size=k)
     return {"kind": "envelope",
@@ -95,8 +92,8 @@ def random_envelope_descriptor(rng: np.random.Generator, dom: ConvexDomain,
                             for p, h in zip(pts, hts)]}
 
 
-def random_envelope(rng: np.random.Generator, dom: ConvexDomain,
-                    max_constraints: int = 5) -> ConcaveFunction:
-    """Envelope over 1..max_constraints random interior heights in [0.2, 1]."""
-    desc = random_envelope_descriptor(rng, dom, max_constraints)
+def random_envelope(rng: np.random.Generator,
+                    dom: ConvexDomain) -> ConcaveFunction:
+    """Envelope over 1..5 random interior heights in [0.2, 1]."""
+    desc = random_envelope_descriptor(rng, dom)
     return concave_envelope(dom, [((x, y), h) for x, y, h in desc["constraints"]])

@@ -127,9 +127,9 @@ def vertical_omega_anchor(dom: ConvexDomain) -> np.ndarray:
     return best[1]
 
 
-def _aligned_vertex_pairs(dom: ConvexDomain, h2: Direction, limit: int,
-                          max_sin: float = 0.2):
-    """Vertex pairs whose segment is nearly parallel to h2, best first."""
+def _aligned_vertex_pairs(dom: ConvexDomain, h2: Direction, limit: int):
+    """Vertex pairs whose segment is within sin = 0.2 of parallel to h2,
+    best first."""
     if limit <= 0:
         return []
     v = dom.vertices
@@ -140,7 +140,7 @@ def _aligned_vertex_pairs(dom: ConvexDomain, h2: Direction, limit: int,
     ok = lengths > dom.tol
     sin = np.full(len(ii), np.inf)
     sin[ok] = np.abs(cross2(seg[ok], h2.as_array())) / lengths[ok]
-    keep = sin <= max_sin
+    keep = sin <= 0.2
     order = np.lexsort((jj[keep], ii[keep], sin[keep]))
     ii, jj = ii[keep][order], jj[keep][order]
     return list(zip(ii[:limit].tolist(), jj[:limit].tolist()))
@@ -312,11 +312,10 @@ def omega_schedule_ratios(dom: ConvexDomain, p, h1: Direction = E1,
 
 
 def phi_eps_schedule_ratios(dom: ConvexDomain, p, phi: float = math.pi / 6,
-                            eps_list=EPS_SCHEDULE, h1: Direction = E1,
-                            h2: Direction = E2) -> list[dict]:
-    """Ratio along the cap-sampling family for each eps in the schedule."""
+                            h1: Direction = E1, h2: Direction = E2) -> list[dict]:
+    """Ratio along the cap-sampling family for each eps in EPS_SCHEDULE."""
     rows = []
-    for eps in eps_list:
+    for eps in EPS_SCHEDULE:
         try:
             fn, sample = family_u_phi_eps(dom, phi, float(eps))
             n1 = norms.lp_directional_norm(fn, h1, p).value

@@ -9,7 +9,6 @@ def rng():
     return keyed_rng(20240817)
 
 
-def corpus_domains(seed, count, **kw):
+def corpus_domains(seed, count):
     """Deterministic list of random convex polygons for property loops."""
-    return [random_convex_polygon(keyed_rng(seed, k), **kw)
-            for k in range(count)]
+    return [random_convex_polygon(keyed_rng(seed, k)) for k in range(count)]

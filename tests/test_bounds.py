@@ -110,6 +110,21 @@ def test_minimax_sup_products():
 def test_poincare_p2_closed_form():
     c = poincare_constant(2.0, 2000)
     assert c == pytest.approx(1.0 / math.pi ** 2, rel=1e-6)
+    # the discrete p = 2 maximum is the inverse of the smallest eigenvalue
+    # of the second-difference matrix, 4 n^2 sin^2(pi / 2n)
+    for n in (16, 400, 2000):
+        exact = 1.0 / (4.0 * n * n * math.sin(math.pi / (2 * n)) ** 2)
+        assert poincare_constant(2.0, n) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [100.0, 200.0])
+def test_poincare_not_below_tent_at_large_p(p):
+    # C_p is a supremum, so no admissible profile may exceed it; the tent
+    # is near-optimal as p grows
+    n = 16
+    x = np.arange(1, n) / n
+    tent = _p_rayleigh_quotient(np.minimum(x, 1.0 - x), 1.0 / n, p)
+    assert poincare_constant(p, n) >= tent
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])

@@ -22,7 +22,6 @@ from normratio import (
     linear_extremal_triangle,
     lp_directional_norm,
     norm_ratio,
-    ratio,
     scanline_l1_norm,
     sup_directional_norm,
     tent_function,
@@ -202,11 +201,9 @@ def _affine_sheet(gx, gy, z0):
     )
 
 
-def test_ratio_argument_order_and_degenerate_branches():
-    u = tent_function(square(), [(0.5, 0.0), (0.5, 1.0)])
-    assert ratio(u, 1, E1, E2) == norm_ratio(u, E1, E2, 1)
+def test_norm_ratio_degenerate_branches():
     flat = _affine_sheet(0.0, -1.0, 1.0)
     assert norm_ratio(flat, E2, E1, 1) == math.inf
-    assert ratio(flat, 1, E1, E2) == 0.0
+    assert norm_ratio(flat, E1, E2, 1) == 0.0
     with pytest.raises(ValueError, match="vanish"):
-        ratio(_affine_sheet(0.0, 0.0, 0.0), 1, E1, E2)
+        norm_ratio(_affine_sheet(0.0, 0.0, 0.0), E1, E2, 1)
