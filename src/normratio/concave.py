@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -69,8 +70,13 @@ class ConcaveFunction:
         self.facet_areas = 0.5 * np.abs(
             cross2(tri_pts[:, 1] - tri_pts[:, 0], tri_pts[:, 2] - tri_pts[:, 0])
         )
-        bd = np.abs(domain.signed_boundary_distance(self.verts)) <= 10 * domain.tol
-        self.facet_on_boundary = bd[self.tris].any(axis=1)
+
+    @cached_property
+    def facet_on_boundary(self) -> np.ndarray:
+        """Facets with a vertex on the domain boundary."""
+        dom = self.domain
+        bd = np.abs(dom.signed_boundary_distance(self.verts)) <= 10 * dom.tol
+        return bd[self.tris].any(axis=1)
 
     @property
     def n_facets(self) -> int:
@@ -247,7 +253,12 @@ def max_profile(u: ConcaveFunction, h: Direction, n_lines: int = 16) -> MaxProfi
 
 def _merge_upper_facets(points3, hull):
     """Group coplanar upper-hull simplices and re-triangulate each group by
-    a fan from its lowest-index vertex, so the facet set is reproducible."""
+    a fan from its lowest-index vertex, so the facet set is reproducible.
+
+    Groups come out in the order of their lowest member simplex.  A simplex
+    with no coplanar neighbour is a group of its own and is emitted directly;
+    only the others go through the flood fill.
+    """
     eqs = hull.equations
     upper = eqs[:, 2] > 1e-9
     upper_idx = np.nonzero(upper)[0]
@@ -257,38 +268,42 @@ def _merge_upper_facets(points3, hull):
     pos[upper_idx] = np.arange(len(upper_idx))
 
     simpl = hull.simplices[upper_idx]
-    neigh = hull.neighbors[upper_idx]
     eq_u = eqs[upper_idx]
+    nbr = pos[hull.neighbors[upper_idx]]                  # (n_up, 3), -1: none
+    other = eq_u[np.maximum(nbr, 0)]                      # (n_up, 3, 4)
+    # coplanar[f, k]: neighbour k of f lies in f's plane (tolerance set by f)
+    coplanar = ((nbr >= 0)
+                & (np.abs(eq_u[:, None, :3] - other[:, :, :3]).max(axis=2) <= 1e-9)
+                & (np.abs(eq_u[:, None, 3] - other[:, :, 3])
+                   <= 1e-9 * (1.0 + np.abs(eq_u[:, None, 3]))))
+    # the relation is not symmetric, so a facet flagged only by its
+    # neighbour can still be pulled into that neighbour's group
+    linked = coplanar.any(axis=1)
+    linked[nbr[coplanar]] = True
+    planes_u = -eq_u[:, [0, 1, 3]] / eq_u[:, 2:3]
 
-    def coplanar(i, j):
-        return (np.abs(eq_u[i, :3] - eq_u[j, :3]).max() <= 1e-9
-                and abs(eq_u[i, 3] - eq_u[j, 3]) <= 1e-9 * (1.0 + abs(eq_u[i, 3])))
+    alone = np.nonzero(~linked)[0]
+    tris_alone = np.sort(simpl[alone], axis=1)
+    p = points3[tris_alone, :2]
+    flip = cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) < 0
+    tris_alone[flip] = tris_alone[flip][:, [0, 2, 1]]
 
     n_up = len(upper_idx)
     group = -np.ones(n_up, dtype=np.int64)
-    n_groups = 0
-    for start in range(n_up):
+    keys, tris, planes = [alone], [tris_alone], [planes_u[alone]]
+    for start in np.nonzero(linked)[0]:
         if group[start] >= 0:
             continue
         stack = [start]
-        group[start] = n_groups
+        group[start] = start
         while stack:
             f = stack.pop()
-            for nb in neigh[f]:
-                g = pos[nb] if nb >= 0 else -1
-                if g >= 0 and group[g] < 0 and coplanar(f, g):
-                    group[g] = n_groups
+            for k in range(3):
+                g = nbr[f, k]
+                if coplanar[f, k] and group[g] < 0:
+                    group[g] = start
                     stack.append(g)
-        n_groups += 1
-
-    tris = []
-    planes = []
-    for gid in range(n_groups):
-        members = np.nonzero(group == gid)[0]
-        k = int(members[0])
-        nx, ny, nz, off = eq_u[k]
-        plane = (-nx / nz, -ny / nz, -off / nz)
-        vids = np.unique(simpl[members].ravel())
+        vids = np.unique(simpl[group == start].ravel())
         if len(vids) == 3:
             order = vids
         else:
@@ -298,14 +313,39 @@ def _merge_upper_facets(points3, hull):
             order = vids[np.argsort(ang, kind="stable")]
             start_pos = int(np.argmin(order))
             order = np.roll(order, -start_pos)
+        fan = []
         for a in range(1, len(order) - 1):
             t = [order[0], order[a], order[a + 1]]
-            p = points3[t, :2]
-            if cross2(p[1] - p[0], p[2] - p[0]) < 0:
+            q = points3[t, :2]
+            if cross2(q[1] - q[0], q[2] - q[0]) < 0:
                 t = [t[0], t[2], t[1]]
-            tris.append(t)
-            planes.append(plane)
-    return np.array(tris, dtype=np.int64), np.array(planes, dtype=float)
+            fan.append(t)
+        keys.append(np.full(len(fan), start))
+        tris.append(np.array(fan, dtype=np.int64))
+        planes.append(np.tile(planes_u[start], (len(fan), 1)))
+    order = np.argsort(np.concatenate(keys), kind="stable")
+    return np.concatenate(tris)[order], np.concatenate(planes)[order]
+
+
+def _cone(dom: ConvexDomain, apex: np.ndarray, height: float):
+    """Single-apex envelope in closed form: facet e is the triangle over
+    edge e with its top at the apex, on the plane vanishing along edge e.
+
+    The slack n_e . (v_e - apex) is taken from the difference rather than
+    as the edge offset minus n_e . apex, which cancels for apexes near the
+    boundary.
+    """
+    v = dom.vertices
+    normals = dom.edge_normals()
+    n = len(v)
+    scale = height / np.einsum("ij,ij->i", normals, v - apex)
+    planes = np.column_stack([-scale[:, None] * normals,
+                              scale * np.einsum("ij,ij->i", normals, v)])
+    e = np.arange(n)
+    tris = np.column_stack([e, (e + 1) % n, np.full(n, n)])
+    vert_values = np.zeros(n + 1)
+    vert_values[n] = height
+    return np.vstack([v, apex]), vert_values, tris, planes
 
 
 def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
@@ -315,7 +355,9 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
 
     constraints: iterable of ((x, y), height) with strictly interior points
     and positive heights.  Constraints that end up below the hull of the
-    others are strictly exceeded rather than active.
+    others are strictly exceeded rather than active.  One constraint gives
+    a cone, built in closed form; more go through qhull and a merge of
+    coplanar facets.
     """
     cons = [((float(p[0]), float(p[1])), float(h)) for p, h in constraints]
     if not cons:
@@ -327,25 +369,28 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
     if np.any(dom.signed_boundary_distance(pts) <= dom.tol):
         raise ValueError("constraint points must lie strictly inside the domain")
 
-    nb = dom.n
-    points3 = np.zeros((nb + len(cons), 3))
-    points3[:nb, :2] = dom.vertices
-    points3[nb:, :2] = pts
-    points3[nb:, 2] = hts
-    try:
-        hull = ConvexHull(points3, qhull_options="Qt")
-    except QhullError as exc:
-        raise ValueError(f"degenerate envelope input: {exc}") from exc
-
-    tris, planes = _merge_upper_facets(points3, hull)
-    used = np.unique(tris.ravel())
-    remap = -np.ones(len(points3), dtype=np.int64)
-    remap[used] = np.arange(len(used))
+    if len(cons) == 1:
+        verts, vert_values, tris, planes = _cone(dom, pts[0], hts[0])
+    else:
+        nb = dom.n
+        points3 = np.zeros((nb + len(cons), 3))
+        points3[:nb, :2] = dom.vertices
+        points3[nb:, :2] = pts
+        points3[nb:, 2] = hts
+        try:
+            hull = ConvexHull(points3, qhull_options="Qt")
+        except QhullError as exc:
+            raise ValueError(f"degenerate envelope input: {exc}") from exc
+        tris, planes = _merge_upper_facets(points3, hull)
+        used = np.unique(tris.ravel())
+        remap = -np.ones(len(points3), dtype=np.int64)
+        remap[used] = np.arange(len(used))
+        verts, vert_values, tris = points3[used, :2], points3[used, 2], remap[tris]
     fn = ConcaveFunction(
         domain=dom,
-        verts=points3[used, :2],
-        vert_values=points3[used, 2],
-        tris=remap[tris],
+        verts=verts,
+        vert_values=vert_values,
+        tris=tris,
         planes=planes,
         mode=CLASSICAL,
         trace=(),
@@ -368,62 +413,66 @@ def _clip_halfplane(poly: np.ndarray, n: np.ndarray, c: float, keep_positive: bo
     s = poly @ n - c
     if not keep_positive:
         s = -s
-    out = []
-    m = len(poly)
-    for i in range(m):
-        j = (i + 1) % m
-        si, sj = s[i], s[j]
-        if si >= -tol:
-            out.append(poly[i])
-        if (si > tol and sj < -tol) or (si < -tol and sj > tol):
-            lam = si / (si - sj)
-            out.append(poly[i] + lam * (poly[j] - poly[i]))
+    s_next = np.roll(s, -1)
+    cross = ((s > tol) & (s_next < -tol)) | ((s < -tol) & (s_next > tol))
+    lam = s / np.where(cross, s - s_next, 1.0)
+    # each vertex is followed by the crossing point on its outgoing edge
+    cand = np.stack([poly, poly + lam[:, None] * (np.roll(poly, -1, axis=0) - poly)],
+                    axis=1)
+    out = cand[np.column_stack([s >= -tol, cross])]
     if len(out) < 3:
         return np.empty((0, 2))
-    arr = [out[0]]
-    for q in out[1:]:
-        if np.hypot(*(q - arr[-1])) > tol:
-            arr.append(q)
-    while len(arr) > 1 and np.hypot(*(arr[-1] - arr[0])) <= tol:
-        arr.pop()
-    return np.array(arr) if len(arr) >= 3 else np.empty((0, 2))
+    out = out[np.concatenate([[True], np.hypot(*np.diff(out, axis=0).T) > tol])]
+    while len(out) > 1 and np.hypot(*(out[-1] - out[0])) <= tol:
+        out = out[:-1]
+    return out if len(out) >= 3 else np.empty((0, 2))
 
 
-def _fan_triangulate(poly: np.ndarray, offset: int):
+def _fan_triangulate(poly: np.ndarray, offset: int) -> np.ndarray:
     """Fan triangles from the lexicographically smallest vertex."""
     k = int(np.lexsort((poly[:, 1], poly[:, 0]))[0])
     order = np.roll(np.arange(len(poly)), -k) + offset
-    return [[order[0], order[a], order[a + 1]] for a in range(1, len(poly) - 1)]
+    return np.column_stack([np.full(len(poly) - 2, order[0]), order[1:-1], order[2:]])
 
 
 def _polygon_area(poly: np.ndarray) -> float:
     if len(poly) < 3:
         return 0.0
-    return 0.5 * float(cross2(poly, np.roll(poly, -1, axis=0)).sum())
+    rel = poly - poly[0]
+    return 0.5 * float(cross2(rel, np.roll(rel, -1, axis=0)).sum())
 
 
 def _boundary_trace(dom: ConvexDomain, planes: np.ndarray, split_line=None):
-    """Trace segments of min-of-planes restricted to each domain edge."""
-    segs = []
+    """Trace segments of min-of-planes restricted to each domain edge.
+
+    Products are stacked one row per point, which rounds as a product on a
+    single point does: each knot value is bit-identical to plane_values on
+    that knot alone, where one batched product may round differently.
+    """
     A, B = dom.edges()
-    for e in range(dom.n):
-        a, b = A[e], B[e]
-        knots = [0.0, 1.0]
-        if split_line is not None:
-            n, c = split_line
-            sa = a @ n - c
-            sb = b @ n - c
-            if (sa > 0) != (sb > 0) and abs(sa - sb) > 0:
-                lam = sa / (sa - sb)
-                if 1e-12 < lam < 1 - 1e-12:
-                    knots = [0.0, lam, 1.0]
-        for i in range(len(knots) - 1):
-            p = a + knots[i] * (b - a)
-            q = a + knots[i + 1] * (b - a)
-            vp = float((np.array([p]) @ planes[:, :2].T + planes[:, 2]).min())
-            vq = float((np.array([q]) @ planes[:, :2].T + planes[:, 2]).min())
-            segs.append(TraceSegment(a=p, b=q, va=vp, vb=vq, edge_index=e))
-    return segs
+    n = dom.n
+    knots = np.zeros((n, 3))
+    knots[:, 2] = 1.0
+    used = np.zeros((n, 3), dtype=bool)
+    used[:, [0, 2]] = True
+    if split_line is not None:
+        nrm, c = split_line
+        sa = (A[:, None, :] @ nrm)[:, 0] - c
+        sb = (B[:, None, :] @ nrm)[:, 0] - c
+        cross = ((sa > 0) != (sb > 0)) & (np.abs(sa - sb) > 0)
+        lam = sa[cross] / (sa[cross] - sb[cross])
+        inner = (1e-12 < lam) & (lam < 1 - 1e-12)
+        split = np.nonzero(cross)[0][inner]
+        knots[split, 1] = lam[inner]
+        used[split, 1] = True
+    edge = np.broadcast_to(np.arange(n)[:, None], (n, 3))[used]
+    t = knots[used]
+    pts = A[edge] + t[:, None] * (B - A)[edge]
+    vals = ((pts[:, None, :] @ planes[:, :2].T)[:, 0, :]
+            + planes[:, 2]).min(axis=1).tolist()
+    return [TraceSegment(a=pts[i], b=pts[i + 1], va=vals[i], vb=vals[i + 1],
+                         edge_index=int(edge[i]))
+            for i in np.nonzero(edge[:-1] == edge[1:])[0]]
 
 
 def tent_function(dom: ConvexDomain, segment, height: float = 1.0) -> ConcaveFunction:
@@ -452,8 +501,8 @@ def tent_function(dom: ConvexDomain, segment, height: float = 1.0) -> ConcaveFun
     tol = dom.tol
 
     verts_list = []
-    tris = []
-    planes = []
+    fans = []
+    sides = []
     for keep_positive, present in ((False, s0 - smin > 10 * tol),
                                    (True, smax - s0 > 10 * tol)):
         if not present:
@@ -468,20 +517,20 @@ def tent_function(dom: ConvexDomain, segment, height: float = 1.0) -> ConcaveFun
             g = height / (s0 - smin) * n
             z0 = -height * smin / (s0 - smin)
         offset = sum(len(v) for v in verts_list)
-        tris.extend(_fan_triangulate(poly, offset))
-        planes.extend([(g[0], g[1], z0)] * max(len(poly) - 2, 0))
+        fans.append(_fan_triangulate(poly, offset))
+        sides.append((g[0], g[1], z0))
         verts_list.append(poly)
-    if not tris:
+    if not fans:
         raise ValueError("tent segment does not meet the domain interior")
 
     verts = np.vstack(verts_list)
-    planes = np.array(planes)
-    pv = verts @ planes[:, :2].T + planes[:, 2]
-    vert_values = pv.min(axis=1)
-    trace = _boundary_trace(dom, planes, split_line=(n, s0))
+    sides = np.array(sides)
+    planes = np.repeat(sides, [len(f) for f in fans], axis=0)
+    vert_values = (verts @ sides[:, :2].T + sides[:, 2]).min(axis=1)
+    trace = _boundary_trace(dom, sides, split_line=(n, s0))
     return ConcaveFunction(
         domain=dom, verts=verts, vert_values=vert_values,
-        tris=np.array(tris, dtype=np.int64), planes=planes,
+        tris=np.vstack(fans), planes=planes,
         mode=DISTRIBUTIONAL, trace=trace,
         descriptor={"kind": "tent",
                     "segment": [[float(p[0]), float(p[1])],
@@ -703,10 +752,11 @@ def check_concavity(u: ConcaveFunction, tol: float = 1e-8) -> bool:
     tri_pts = u.verts[u.tris]
     cents = tri_pts.mean(axis=1)
     vals = plane_values(u, cents)
-    own = np.einsum("ij,ij->i", cents, u.planes[:, :2]) + u.planes[:, 2]
+    # the own plane is read from the same product as the others, so that a
+    # plane is never compared with a differently rounded copy of itself
+    own = vals[np.arange(len(vals)), np.arange(len(vals))]
     scale = 1.0 + np.abs(u.vert_values).max()
-    return bool(np.all(vals.min(axis=1) >= own - tol * scale)
-                and np.all(own <= vals.min(axis=1) + tol * scale))
+    return bool(np.all(vals.min(axis=1) >= own - tol * scale))
 
 
 def check_vertex_consistency(u: ConcaveFunction, tol: float = 1e-8) -> bool:

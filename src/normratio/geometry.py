@@ -158,7 +158,8 @@ class ConvexDomain:
 
     @property
     def area(self) -> float:
-        v = self._verts
+        # relative to the first vertex: raw coordinates cancel off the origin
+        v = self._verts - self._verts[0]
         return 0.5 * float(cross2(v, np.roll(v, -1, axis=0)).sum())
 
     def edges(self):

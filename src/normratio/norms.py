@@ -50,14 +50,13 @@ def _jump_mass(u: ConcaveFunction, h: Direction) -> float:
     """
     if not u.trace:
         return 0.0
-    normals = u.domain.edge_normals()
-    harr = h.as_array()
-    total = 0.0
-    for seg in u.trace:
-        w = abs(float(normals[seg.edge_index] @ harr))
-        # trace is linear and nonnegative on the segment
-        total += w * seg.length * 0.5 * (seg.va + seg.vb)
-    return total
+    edge = np.array([seg.edge_index for seg in u.trace])
+    ends = np.array([(seg.a, seg.b) for seg in u.trace])      # (S, 2, 2)
+    mean = 0.5 * np.array([seg.va + seg.vb for seg in u.trace])
+    w = np.abs(u.domain.edge_normals()[edge] @ h.as_array())
+    length = np.hypot(*(ends[:, 1] - ends[:, 0]).T)
+    # trace is linear and nonnegative on each segment
+    return float(w * length @ mean)
 
 
 def lp_directional_norm(u: ConcaveFunction, h: Direction, p) -> NormReport:

@@ -33,7 +33,13 @@ from normratio.concave import (
     check_partition,
     check_vertex_consistency,
 )
-from normratio.sampling import keyed_rng, random_envelope, random_interior_points
+from normratio.norms import lp_directional_norm
+from normratio.sampling import (
+    keyed_rng,
+    random_envelope,
+    random_envelope_descriptor,
+    random_interior_points,
+)
 
 from conftest import corpus_domains
 
@@ -72,6 +78,65 @@ def test_dominated_constraint_changes_nothing():
     both = concave_envelope(dom, [((0.5, 0.5), 1.0), ((0.55, 0.5), 0.2)])
     pts = random_interior_points(keyed_rng(7101), dom, 200)
     assert evaluate(both, pts) == pytest.approx(evaluate(base, pts), abs=1e-12)
+
+
+def _facet_planes(u):
+    """Facet planes keyed by the sorted vertex triple of the facet."""
+    return {tuple(sorted(map(int, t))): plane for t, plane in zip(u.tris, u.planes)}
+
+
+def test_cone_matches_qhull_oracle():
+    # A second constraint at half the cone's height, between the apex and
+    # the centroid, is inactive but sends the same function through qhull
+    # and the coplanar merge instead of the closed-form cone.
+    domains = corpus_domains(7110, 150) + [disc(128), disc(512)]
+    dirs = (E1, E2, Direction.from_angle(0.7))
+    for k, dom in enumerate(domains):
+        centroid = dom.vertices.mean(axis=0)
+        for apex in random_interior_points(keyed_rng(7110, k), dom, 5):
+            cone = concave_envelope(dom, [(apex, 1.0)])
+            below = 0.5 * (apex + centroid)
+            hull = concave_envelope(
+                dom, [(apex, 1.0), (below, 0.5 * evaluate(cone, below))])
+            assert np.array_equal(cone.verts, hull.verts), f"case {k}"
+            assert np.array_equal(cone.vert_values, hull.vert_values), f"case {k}"
+            a, b = _facet_planes(cone), _facet_planes(hull)
+            assert a.keys() == b.keys(), f"case {k}"
+            for key, plane in a.items():
+                scale = np.abs(b[key]).max()
+                assert np.abs(plane - b[key]).max() <= 1e-11 * scale, f"case {k}"
+            for h in dirs:
+                for p in (1, 2, 3.5, math.inf):
+                    assert lp_directional_norm(cone, h, p).value == pytest.approx(
+                        lp_directional_norm(hull, h, p).value, rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("dom", [disc(64), square()], ids=["disc64", "square"])
+def test_plateau_is_one_fan_from_its_lowest_vertex(dom):
+    u, _ = family_u_phi_eps(dom, math.pi / 6, 0.05)
+    flat = np.abs(u.planes - [0.0, 0.0, 1.0]).max(axis=1) <= 1e-9
+    plateau = u.tris[flat]
+    vids = np.unique(plateau)
+    assert len(vids) > 3
+    assert len(plateau) == len(vids) - 2
+    assert np.all(plateau[:, 0] == vids[0])
+    assert check_partition(u) and check_concavity(u)
+
+
+@pytest.mark.parametrize("offset", [1e4, 1e6])
+def test_translated_envelopes_build(offset):
+    # areas are taken relative to a vertex, so the cover check does not
+    # cancel away from the origin
+    shift = np.array([offset, -0.7 * offset])
+    for k, dom in enumerate(corpus_domains(7111, 150)):
+        rng = keyed_rng(7111, k)
+        single = [[*random_interior_points(rng, dom, 1)[0], 1.0]]
+        multi = random_envelope_descriptor(rng, dom)["constraints"]
+        moved = ConvexDomain(dom.vertices + shift)
+        for cons in (single, multi):
+            u = concave_envelope(moved, [(np.array([x, y]) + shift, h)
+                                         for x, y, h in cons])
+            assert check_partition(u) and check_concavity(u), f"case {k}"
 
 
 def test_envelope_peak_equals_top_constraint():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from normratio import (
     E1,
     E2,
+    Direction,
     concave_envelope,
     diamond,
     disc,
@@ -29,6 +30,7 @@ from normratio import (
     square,
 )
 from normratio.concave import CLASSICAL, ConcaveFunction
+from normratio.norms import _jump_mass
 from normratio.sampling import keyed_rng, random_envelope
 
 from conftest import corpus_domains
@@ -122,6 +124,20 @@ def test_scanline_matches_facet_sum_on_corpus():
             # the report's split reuses the sheet mass, so it must agree
             assert scan.jump_part == pytest.approx(exact.jump_part,
                                                    abs=1e-12)
+
+
+def test_jump_mass_matches_segment_loop():
+    # reference: the boundary sheet summed one trace segment at a time
+    dom = disc(512)
+    tents = [tent_function(dom, [dom.vertices[3], dom.vertices[290]]),
+             tent_function(square(), [(0.0, 0.3), (1.0, 0.9)]),
+             linear_extremal_triangle(triangle(0, 0, 2, 0, 1, 1))]
+    for h in (E1, E2, Direction.from_angle(0.3)):
+        for u in tents:
+            normals = u.domain.edge_normals()
+            loop = sum(abs(float(normals[s.edge_index] @ h.as_array()))
+                       * s.length * 0.5 * (s.va + s.vb) for s in u.trace)
+            assert _jump_mass(u, h) == pytest.approx(loop, rel=1e-13, abs=0)
 
 
 def test_line_integral_equals_twice_chord_max():
