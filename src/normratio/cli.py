@@ -134,8 +134,6 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("--cases", type=int, default=verify.DEFAULT_CASES)
     s.add_argument("--seed", type=int, default=42)
     s.add_argument("--tol", type=float, default=None)
-    s.add_argument("--n-lines", type=int, default=None, dest="n_lines",
-                   help="scan-line count for the oracle-l1 suite")
     s.add_argument("--replay", metavar="FILE",
                    help="re-run the case from a serialized counterexample")
 
@@ -310,14 +308,6 @@ def cmd_estimate(args):
 
 
 def cmd_verify(args):
-    if args.n_lines is not None:
-        if args.replay:
-            raise CliInputError("--n-lines cannot be combined with --replay")
-        if args.suite is None:
-            raise CliInputError("--n-lines needs --suite (only suites with "
-                                "a scan-line oracle accept it)")
-        if args.n_lines < 16:
-            raise CliInputError("--n-lines must be at least 16")
     if args.replay:
         try:
             with open(args.replay) as f:
@@ -331,7 +321,7 @@ def cmd_verify(args):
     else:
         names = [args.suite] if args.suite else list(verify.SUITES)
         results = [verify.run_suite(n, cases=args.cases, seed=args.seed,
-                                    tol=args.tol, n_lines=args.n_lines)
+                                    tol=args.tol)
                    for n in names]
         if args.trace:
             for r in results:

@@ -224,6 +224,33 @@ def chord_maxima(u: ConcaveFunction, P0: np.ndarray, P1: np.ndarray):
     return m, tstar
 
 
+def chord_max_hull(u: ConcaveFunction, normal) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints (t, m) of the full-chord maximum profile,
+    m(t) = max{u(x) : x . normal = t}.
+
+    The hypograph of u is a convex polytope whose top vertices are the
+    lifted mesh vertices, and those include every domain vertex.  Its
+    projection onto (x . normal, z) is bounded above by the upper hull of
+    the projected vertices (v . normal, u(v)), so m is that hull: a concave
+    polyline over the whole projection range, found by one monotone chain
+    (Andrew 1979).  It reads vertex values only, never facet planes.
+    """
+    t = u.verts @ np.asarray(normal, dtype=float)
+    order = np.lexsort((u.vert_values, t))
+    t, z = t[order], u.vert_values[order]
+    # at equal t only the highest point can lie on the hull
+    top = np.append(t[1:] != t[:-1], True)
+    ht, hz = [], []
+    for ti, zi in zip(t[top].tolist(), z[top].tolist()):
+        while len(ht) >= 2 and ((ht[-1] - ht[-2]) * (zi - hz[-2])
+                                >= (hz[-1] - hz[-2]) * (ti - ht[-2])):
+            ht.pop()
+            hz.pop()
+        ht.append(ti)
+        hz.append(zi)
+    return np.array(ht), np.array(hz)
+
+
 def max_profile(u: ConcaveFunction, h: Direction, n_lines: int = 16) -> MaxProfile:
     """Chord maxima along n_lines parallel lines in direction h.
 
@@ -340,7 +367,7 @@ def _cone(dom: ConvexDomain, apex: np.ndarray, height: float):
     n = len(v)
     scale = height / np.einsum("ij,ij->i", normals, v - apex)
     planes = np.column_stack([-scale[:, None] * normals,
-                              scale * np.einsum("ij,ij->i", normals, v)])
+                              scale * dom.edge_offsets()])
     e = np.arange(n)
     tris = np.column_stack([e, (e + 1) % n, np.full(n, n)])
     vert_values = np.zeros(n + 1)
@@ -570,18 +597,23 @@ def linear_extremal_triangle(dom: ConvexDomain) -> ConcaveFunction:
 
 
 def _locate_boundary_edge(dom: ConvexDomain, pt: np.ndarray) -> int:
+    """Edge nearest to a boundary point; a later edge wins a tie only when
+    it is closer by more than 1e-15, which picks the first of the two edges
+    at a vertex.  The rule is sequential (argmin does not reproduce it), so
+    it runs over the distances, which are computed in one array expression.
+    """
     A, B = dom.edges()
-    best = (math.inf, -1)
-    for e in range(dom.n):
-        ab = B[e] - A[e]
-        L2 = float(ab @ ab)
-        lam = float(np.clip((pt - A[e]) @ ab / L2, 0.0, 1.0))
-        dist = float(np.hypot(*(A[e] + lam * ab - pt)))
-        if dist < best[0] - 1e-15:
-            best = (dist, e)
-    if best[0] > 10 * dom.tol:
+    ab = B - A
+    lam = np.clip(np.einsum("ij,ij->i", pt - A, ab)
+                  / np.einsum("ij,ij->i", ab, ab), 0.0, 1.0)
+    dist = np.hypot(*(A + lam[:, None] * ab - pt).T)
+    best, edge = math.inf, -1
+    for e, d in enumerate(dist.tolist()):
+        if d < best - 1e-15:
+            best, edge = d, e
+    if best > 10 * dom.tol:
         raise ValueError("anchor must lie on the boundary")
-    return best[1]
+    return edge
 
 
 def family_u_omega(dom: ConvexDomain, anchor, omega: float) -> ConcaveFunction:
@@ -657,7 +689,7 @@ def family_u_phi_eps(dom: ConvexDomain, phi: float, eps: float):
 
     normals = dom.edge_normals()
     alphas = np.arctan2(normals[:, 1], normals[:, 0])
-    offsets = np.einsum("ij,ij->i", dom.vertices, normals)
+    offsets = dom.edge_offsets()
     lines = [(normals[k], offsets[k]) for k in np.nonzero(np.abs(alphas) >= phi)[0]]
     for ang in (phi, -phi):
         n = np.array([math.cos(ang), math.sin(ang)])

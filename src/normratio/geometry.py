@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Coincidence / collinearity tolerance.  Inputs are rescaled to an O(1)
-# bounding box before the tolerance is applied, so it acts relatively.
+# Coincidence / collinearity tolerance.  Inputs are not rescaled: a domain
+# uses tol = EPS_GEOM * max(diam, 1), which is relative to the diameter only
+# for domains at least 1 across and absolute below that.
 EPS_GEOM = 1e-9
 
 # Edges steeper than this count as vertical for the angular classification.
@@ -115,7 +116,7 @@ class ConvexDomain:
     convex beyond what coincident/collinear collapse can repair.
     """
 
-    __slots__ = ("_verts", "_tol")
+    __slots__ = ("_verts", "_tol", "_normals", "_offsets")
 
     def __init__(self, vertices):
         pts = np.asarray(vertices, dtype=float)
@@ -141,6 +142,14 @@ class ConvexDomain:
         pts.setflags(write=False)
         self._verts = pts
         self._tol = tol
+        e = np.roll(pts, -1, axis=0) - pts
+        normals = np.stack([e[:, 1], -e[:, 0]], axis=1)
+        normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
+        offsets = np.einsum("ij,ij->i", pts, normals)
+        normals.setflags(write=False)
+        offsets.setflags(write=False)
+        self._normals = normals
+        self._offsets = offsets
 
     # -- basic accessors -------------------------------------------------
 
@@ -171,10 +180,12 @@ class ConvexDomain:
         return b - a
 
     def edge_normals(self) -> np.ndarray:
-        """Outward unit normals, one per edge."""
-        e = self.edge_vectors()
-        n = np.stack([e[:, 1], -e[:, 0]], axis=1)
-        return n / np.hypot(n[:, 0], n[:, 1])[:, None]
+        """Outward unit normals, one per edge (read-only)."""
+        return self._normals
+
+    def edge_offsets(self) -> np.ndarray:
+        """Support values v_e . n_e of the edge lines (read-only)."""
+        return self._offsets
 
     def __eq__(self, other):
         return isinstance(other, ConvexDomain) and np.array_equal(
@@ -196,9 +207,7 @@ class ConvexDomain:
         edge half-planes, which is exact for interior points.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        normals = self.edge_normals()
-        offsets = np.einsum("ij,ij->i", self._verts, normals)
-        slack = offsets[None, :] - pts @ normals.T
+        slack = self._offsets[None, :] - pts @ self._normals.T
         return slack.min(axis=1)
 
     def contains(self, pts, tol: float | None = None) -> np.ndarray:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concave import ConcaveFunction, chord_maxima, plane_values
-from .geometry import Direction, chord, chords_batch
+from .concave import ConcaveFunction, chord_max_hull, plane_values
+from .geometry import Direction, chord
 
 
 @dataclass(frozen=True)
@@ -108,31 +108,18 @@ def sup_directional_norm(u: ConcaveFunction, h: Direction) -> NormReport:
                       attained_on_boundary=on_bd)
 
 
-def scanline_l1_norm(u: ConcaveFunction, h: Direction,
-                     n_lines: int = 129) -> NormReport:
+def scanline_l1_norm(u: ConcaveFunction, h: Direction) -> NormReport:
     """||d_h u||_1 via per-line maxima: the derivative's total variation
     along a line parallel to h equals twice the chord maximum (boundary
     jumps included), so the norm is the integral of 2 m_h(t) over offsets.
 
-    The chord-max profile is piecewise linear with breakpoints at vertex
-    projections; those are merged into the offset grid, which makes the
-    trapezoid rule exact up to roundoff.  The reported value is computed
-    from chord maxima alone (independent of the facet sums); only the
-    ac/jump split in the report reuses the boundary-sheet mass.
+    The chord-max profile m_h is the upper hull of the projected graph
+    vertices (see :func:`chord_max_hull`), a polyline, so the trapezoid rule
+    over its breakpoints is exact up to roundoff.  The reported value reads
+    vertex values alone (independent of the facet sums); only the ac/jump
+    split in the report reuses the boundary-sheet mass.
     """
-    if n_lines < 16:
-        raise ValueError("n_lines must be at least 16")
-    normal = h.perp().as_array()
-    proj = u.domain.vertices @ normal
-    c, d = float(proj.min()), float(proj.max())
-    knots = np.concatenate([np.linspace(c, d, max(int(n_lines), 2)),
-                            u.verts @ normal])
-    knots = np.unique(np.clip(knots, c, d))
-    keep = np.concatenate([[True], np.diff(knots) > 1e-13 * (1.0 + abs(d - c))])
-    ts = knots[keep]
-    P0, P1, valid = chords_batch(u.domain, normal, ts)
-    ms, _ = chord_maxima(u, P0, P1)
-    ms = np.where(valid, ms, 0.0)
+    ts, ms = chord_max_hull(u, h.perp().as_array())
     value = float(np.trapezoid(2.0 * ms, ts))
     jump = _jump_mass(u, h)
     return NormReport(value=value, p=1.0, h=h, ac_part=value - jump,

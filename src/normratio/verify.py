@@ -14,7 +14,6 @@ name, ``run_all`` executes the registry in order.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,7 +25,7 @@ from .bounds import affine_normalize, directional_k1_upper
 from .concave import (
     CLASSICAL,
     build_function,
-    chord_maxima,
+    chord_max_hull,
     check_concavity,
     check_partition,
     check_vertex_consistency,
@@ -198,8 +197,8 @@ def _suite_line_mass(case: Case, tol: float):
     """Per line: the one-dimensional |d_h u| mass equals twice the chord max.
 
     The left side clips facets against the line and adds the endpoint
-    trace masses; the right side maximizes the restriction by iterating
-    active-plane crossings.  Entirely independent code paths.
+    trace masses; the right side reads the chord maximum off the upper hull
+    of the projected graph vertices.  Entirely independent code paths.
     """
     checks, bad = 0, []
     rng = case.rng(2)
@@ -209,12 +208,13 @@ def _suite_line_mass(case: Case, tol: float):
             n = h.perp().as_array()
             proj = case.domain.vertices @ n
             lo, hi = float(proj.min()), float(proj.max())
+            hull_t, hull_m = chord_max_hull(u, n)
             for frac in rng.uniform(0.05, 0.95, size=3):
                 t = lo + (hi - lo) * float(frac)
                 ch = chord(case.domain, n, t)
                 if ch is None or ch.length <= 100 * case.domain.tol:
                     continue
-                m = float(chord_maxima(u, ch.a[None, :], ch.b[None, :])[0][0])
+                m = float(np.interp(t, hull_t, hull_m))
                 li = norms.line_integral_abs_dh(u, h, t)
                 checks += 1
                 if abs(li - 2.0 * m) > tol * (1.0 + 2.0 * abs(m)):
@@ -267,7 +267,7 @@ def _suite_edge_slope(case: Case, tol: float):
     edge_dirs = B - A
     edge_dirs /= np.hypot(edge_dirs[:, 0], edge_dirs[:, 1])[:, None]
     normals = case.domain.edge_normals()
-    offs = np.einsum("ij,ij->i", normals, A)
+    offs = case.domain.edge_offsets()
     tol_geom = 10 * case.domain.tol
     for desc, u in case.envelopes:
         if u.mode != CLASSICAL:
@@ -327,13 +327,14 @@ def _suite_sup_boundary(case: Case, tol: float):
     return checks, bad
 
 
-def _suite_oracle_l1(case: Case, tol: float, n_lines: int = 257):
-    """Facet-sum L1 norms against the scanline quadrature oracle."""
+def _suite_oracle_l1(case: Case, tol: float):
+    """Facet-sum L1 norms against the scan-line oracle (upper hull of the
+    projected vertices, integrated exactly)."""
     checks, bad = 0, []
     for desc, u in case.envelopes[:3]:
         for h in (E1, E2):
             exact = norms.lp_directional_norm(u, h, 1).value
-            scan = norms.scanline_l1_norm(u, h, n_lines=n_lines).value
+            scan = norms.scanline_l1_norm(u, h).value
             checks += 1
             denom = max(exact, scan, 1e-300)
             if abs(exact - scan) > tol * denom:
@@ -505,8 +506,8 @@ SUITES = {
         "sup |d_h u| is attained on a boundary-touching facet and is at "
         "most sqrt(2) times the larger axis sup"),
     "oracle-l1": SuiteSpec(
-        _suite_oracle_l1, 1e-3,
-        "facet-sum L1 norm matches the scanline quadrature"),
+        _suite_oracle_l1, 1e-11,
+        "facet-sum L1 norm matches the scan-line integral of chord maxima"),
     "shear-transport": SuiteSpec(
         _suite_shear_transport, 1e-9,
         "affine pushforward: gradient transport and norm scaling"),
@@ -526,17 +527,11 @@ SUITES = {
 
 
 def run_suite(name: str, cases: int = DEFAULT_CASES, seed: int = 42,
-              tol: float | None = None, case_indices=None,
-              n_lines: int | None = None) -> SuiteResult:
+              tol: float | None = None, case_indices=None) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
     spec = SUITES[name]
     use_tol = spec.tol if tol is None else float(tol)
-    extra = {}
-    if n_lines is not None:
-        if "n_lines" not in inspect.signature(spec.fn).parameters:
-            raise ValueError(f"suite {name!r} does not take n_lines")
-        extra["n_lines"] = int(n_lines)
     indices = list(case_indices) if case_indices is not None else range(cases)
     total_checks = 0
     failures = []
@@ -544,7 +539,7 @@ def run_suite(name: str, cases: int = DEFAULT_CASES, seed: int = 42,
     for k in indices:
         case = _case(seed, int(k))
         n_cases += 1
-        checks, bad = spec.fn(case, use_tol, **extra)
+        checks, bad = spec.fn(case, use_tol)
         total_checks += checks
         for v in bad:
             v.update({"suite": name, "case": case.index, "seed": seed,

@@ -87,13 +87,13 @@ def test_criterion_4_scanline_oracle():
         u = random_envelope(keyed_rng(2026, k), dom)
         for h in (E1, E2):
             exact = lp_directional_norm(u, h, 1).value
-            scan = scanline_l1_norm(u, h, n_lines=4096).value
+            scan = scanline_l1_norm(u, h).value
             worst = max(worst, abs(scan - exact) / exact)
     u = tent_function(disc(512), [(0.0, -1.0), (0.0, 1.0)])
     rep = lp_directional_norm(u, E1, 1)
     split_err = abs(scanline_l1_norm(u, E1).value
                     - (rep.ac_part + rep.jump_part))
-    ok = worst <= 1e-3 and split_err <= 1e-9
+    ok = worst <= 1e-11 and split_err <= 1e-9
     _report(4, ok, f"worst facet/scan-line rel gap {worst:.2e} over 100 "
                    f"instances; disc tent ac+jump split off by {split_err:.2e}")
 

@@ -179,18 +179,13 @@ def test_verify_single_suite_passes(capsys):
 
 
 def test_verify_n_lines_routing(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle-l1",
-                           "--cases", "3", "--n-lines", "64")
-    assert code == 0 and json.loads(out)["passed"] is True
-    # the flag is meaningful only for suites with a scan-line oracle
-    code, _, err = run_cli(capsys, "verify", "--suite", "theorem1",
-                           "--cases", "3", "--n-lines", "64")
-    assert code == 2 and "n_lines" in err
-    code, _, err = run_cli(capsys, "verify", "--n-lines", "64")
-    assert code == 2 and "--suite" in err
-    code, _, err = run_cli(capsys, "verify", "--suite", "oracle-l1",
-                           "--n-lines", "8")
-    assert code == 2
+    # the scan-line oracle is exact, so the line-count flag is gone and
+    # argparse rejects it as unknown
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "oracle-l1", "--cases", "3",
+              "--n-lines", "64"])
+    assert exc.value.code == 2
+    assert "--n-lines" in capsys.readouterr().err
 
 
 def test_verify_failure_writes_replayable_counterexample(

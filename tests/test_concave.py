@@ -29,10 +29,13 @@ from normratio import (
 )
 from normratio.bounds import affine_normalize
 from normratio.concave import (
+    _locate_boundary_edge,
     check_concavity,
     check_partition,
     check_vertex_consistency,
+    chord_max_hull,
 )
+from normratio.geometry import chords_batch
 from normratio.norms import lp_directional_norm
 from normratio.sampling import (
     keyed_rng,
@@ -221,6 +224,31 @@ def test_chord_maxima_flat_ridge():
     assert t[0] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_chord_max_hull_matches_chord_maxima():
+    funcs = [random_envelope(keyed_rng(7112, k), dom)
+             for k, dom in enumerate(corpus_domains(7112, 40))]
+    funcs += [family_u_phi_eps(square(), math.pi / 6, 0.05)[0],
+              family_u_phi_eps(disc(64), math.pi / 6, 0.05)[0]]
+    dom = disc(512)
+    funcs.append(tent_function(dom, [dom.vertices[3], dom.vertices[290]]))
+    # on the square, E1 and E2 give pairs of vertices equal projections
+    funcs.append(concave_envelope(square(), [((0.3, 0.6), 1.0)]))
+    for k, u in enumerate(funcs):
+        for h in (E1, E2, Direction.from_angle(0.7)):
+            normal = h.perp().as_array()
+            ht, hm = chord_max_hull(u, normal)
+            proj = u.domain.vertices @ normal
+            # the hull spans exactly the domain's projection
+            assert ht[0] == proj.min() and ht[-1] == proj.max(), f"case {k}"
+            assert np.all(np.diff(ht) > 0), f"case {k}"
+            ts = np.linspace(proj.min(), proj.max(), 101)
+            P0, P1, valid = chords_batch(u.domain, normal, ts)
+            assert valid.all()
+            m, _ = chord_maxima(u, P0, P1)
+            tol = 1e-12 * (1.0 + u.max_value)
+            assert np.abs(np.interp(ts, ht, hm) - m).max() <= tol, f"case {k}"
+
+
 def test_max_profile_of_diamond_cone():
     u = concave_envelope(diamond(), [((0.0, 0.0), 1.0)])
     prof = max_profile(u, E1, n_lines=33)
@@ -301,6 +329,34 @@ def test_u_omega_rejects_apex_outside():
         family_u_omega(square(), (0.0, 0.5), 2.0)
     with pytest.raises(ValueError):
         family_u_omega(square(), (0.0, 0.5), -0.1)
+
+
+def _locate_boundary_edge_loop(dom, pt):
+    # reference: one edge at a time, a later edge winning only when it is
+    # closer by more than 1e-15
+    px, py = map(float, pt)
+    A, B = (v.tolist() for v in dom.edges())
+    best = (math.inf, -1)
+    for e, ((ax, ay), (bx, by)) in enumerate(zip(A, B)):
+        abx, aby = bx - ax, by - ay
+        lam = ((px - ax) * abx + (py - ay) * aby) / (abx * abx + aby * aby)
+        lam = min(max(lam, 0.0), 1.0)
+        dist = math.hypot(ax + lam * abx - px, ay + lam * aby - py)
+        if dist < best[0] - 1e-15:
+            best = (dist, e)
+    if best[0] > 10 * dom.tol:
+        raise ValueError("anchor must lie on the boundary")
+    return best[1]
+
+
+def test_locate_boundary_edge_matches_loop():
+    for k, dom in enumerate(corpus_domains(7110, 150) + [disc(512)]):
+        A, B = dom.edges()
+        for pt in np.concatenate([A, 0.5 * (A + B)]):
+            assert _locate_boundary_edge(dom, pt) == \
+                _locate_boundary_edge_loop(dom, pt), f"case {k}"
+    with pytest.raises(ValueError):
+        _locate_boundary_edge(square(), np.array([0.5, 0.5]))
 
 
 def test_u_phi_eps_on_disc():

@@ -61,6 +61,20 @@ def test_rejects_degenerate_input():
         ConvexDomain([(0, 0), (2, 0), (2, 2), (1, 0.5), (0, 2)])  # reflex
 
 
+def test_edge_frame_is_stored_read_only():
+    for dom in corpus_domains(13, 20) + [disc(512), square()]:
+        e = dom.edge_vectors()
+        n = np.stack([e[:, 1], -e[:, 0]], axis=1)
+        n = n / np.hypot(n[:, 0], n[:, 1])[:, None]
+        assert np.array_equal(dom.edge_normals(), n)
+        assert np.array_equal(dom.edge_offsets(),
+                              np.einsum("ij,ij->i", dom.vertices, n))
+        with pytest.raises(ValueError):
+            dom.edge_normals()[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            dom.edge_offsets()[0] = 0.0
+
+
 def test_signed_boundary_distance_signs():
     dom = square()
     d = dom.signed_boundary_distance([(0.5, 0.5), (2.0, 0.5), (0.0, 0.5)])

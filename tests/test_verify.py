@@ -29,12 +29,12 @@ def test_unknown_suite_rejected():
         run_suite("no-such-suite")
 
 
-def test_oracle_suite_accepts_line_count():
-    res = run_suite("oracle-l1", cases=5, n_lines=64)
+def test_oracle_suite_takes_no_line_count():
+    res = run_suite("oracle-l1", cases=5)
     assert res.passed
-    # suites without a scan-line oracle refuse the option
-    with pytest.raises(ValueError):
-        run_suite("theorem1", cases=1, n_lines=64)
+    # the hull oracle is exact, so there is no line count to set
+    with pytest.raises(TypeError):
+        run_suite("oracle-l1", cases=5, n_lines=64)
 
 
 def test_forced_violation_serializes_and_replays():
