@@ -20,21 +20,7 @@ from .geometry import ConvexDomain, Direction, cross2
 
 CLASSICAL = "classical"
 DISTRIBUTIONAL = "distributional"
-
-
-@dataclass(frozen=True)
-class TraceSegment:
-    """Linear piece of the boundary trace along one domain edge."""
-
-    a: np.ndarray
-    b: np.ndarray
-    va: float
-    vb: float
-    edge_index: int
-
-    @property
-    def length(self) -> float:
-        return float(np.hypot(*(self.b - self.a)))
+PROFILE_LINES = 33          # scan lines per max_profile
 
 
 @dataclass(frozen=True)
@@ -53,7 +39,8 @@ class ConcaveFunction:
 
     mode 'classical' means the boundary trace is identically zero; in
     'distributional' mode the trace is nonzero and first-order derivative
-    norms acquire a singular (jump) part along the boundary.
+    norms acquire a singular (jump) part along the boundary.  trace[e] is
+    the mean of the boundary trace along domain edge e.
     """
 
     def __init__(self, domain, verts, vert_values, tris, planes, mode,
@@ -64,7 +51,7 @@ class ConcaveFunction:
         self.tris = np.asarray(tris, dtype=np.int64)
         self.planes = np.asarray(planes, dtype=float)
         self.mode = mode
-        self.trace = tuple(trace)
+        self.trace = np.asarray(trace, dtype=float)
         self.descriptor = dict(descriptor)
         tri_pts = self.verts[self.tris]                       # (F, 3, 2)
         self.facet_areas = 0.5 * np.abs(
@@ -132,96 +119,38 @@ def gradient_at(u: ConcaveFunction, pt) -> np.ndarray:
 
 
 def chord_maxima(u: ConcaveFunction, P0: np.ndarray, P1: np.ndarray):
-    """Exact maxima of u along many segments, via the concave structure.
+    """Exact maxima of u along many segments, in closed form.
 
-    Along a segment, u(t) is the minimum of affine functions (one per facet
-    plane), hence concave; the maximum is pinned by one ascending and one
-    descending active line whose crossing we test and refine.  Returns
-    (maxima, t_star) with t_star in [0, 1] along each segment.
+    u is affine on each facet, so along a segment it is piecewise linear
+    with breakpoints only where the segment crosses a mesh edge; the maximum
+    is at one of those crossings or at an end of the segment.  Crossings
+    are accepted with a 1e-12 slack in both parameters, so a segment through
+    a mesh vertex cannot miss it by rounding.  Returns (maxima, t_star) with
+    t_star in [0, 1] along each segment.
     """
-    G = u.planes
-    C = P0 @ G[:, :2].T + G[:, 2]            # (L, F) values at t=0
-    S = (P1 - P0) @ G[:, :2].T               # (L, F) slopes in t
+    edges = np.unique(np.sort(u.tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2),
+                              axis=1), axis=0)
+    A = u.verts[edges[:, 0]]
+    f = u.verts[edges[:, 1]] - A                       # (E, 2)
+    d = P1 - P0                                        # (L, 2)
+    w = A[None, :, :] - P0[:, None, :]                 # (L, E, 2)
+    # P0 + s d = A + mu f, solved by cross products; parallel pairs skipped
+    den = cross2(d[:, None, :], f[None, :, :])
+    par = den == 0.0
+    den = np.where(par, 1.0, den)
+    s = cross2(w, f[None, :, :]) / den
+    mu = cross2(w, d[:, None, :]) / den
+    lo, hi = -1e-12, 1.0 + 1e-12
+    hit = ~par & (s >= lo) & (s <= hi) & (mu >= lo) & (mu <= hi)
+    za, zb = u.vert_values[edges[:, 0]], u.vert_values[edges[:, 1]]
+    z = np.where(hit, za + np.clip(mu, 0.0, 1.0) * (zb - za), -np.inf)
     L = len(P0)
+    vals = np.column_stack([plane_values(u, P0).min(axis=1),
+                            plane_values(u, P1).min(axis=1), z])
+    ts = np.column_stack([np.zeros(L), np.ones(L), np.clip(s, 0.0, 1.0)])
+    k = vals.argmax(axis=1)
     rows = np.arange(L)
-    s_eps = 1e-14 * (1.0 + np.abs(S).max(axis=1))
-
-    m = np.empty(L)
-    tstar = np.empty(L)
-    done = np.zeros(L, dtype=bool)
-
-    def tie_slopes(values, slopes):
-        vmin = values.min(axis=1)
-        tie = values <= (vmin + 1e-12 * (1.0 + np.abs(vmin)))[:, None]
-        smin = np.where(tie, slopes, np.inf).min(axis=1)
-        smax = np.where(tie, slopes, -np.inf).max(axis=1)
-        amin = np.where(tie, slopes, np.inf).argmin(axis=1)
-        amax = np.where(tie, slopes, -np.inf).argmax(axis=1)
-        return vmin, smin, smax, amin, amax
-
-    v_lo, dlo, _, a_lo, _ = tie_slopes(C, S)
-    at_lo = dlo <= s_eps
-    m[at_lo] = v_lo[at_lo]
-    tstar[at_lo] = 0.0
-    done |= at_lo
-
-    Vhi = C + S
-    v_hi, _, dhi, _, b_hi = tie_slopes(Vhi, S)
-    at_hi = (~done) & (dhi >= -s_eps)
-    m[at_hi] = v_hi[at_hi]
-    tstar[at_hi] = 1.0
-    done |= at_hi
-
-    ia = a_lo.copy()
-    ib = b_hi.copy()
-    lo = np.zeros(L)
-    hi = np.ones(L)
-
-    for _ in range(300):
-        act = np.nonzero(~done)[0]
-        if len(act) == 0:
-            break
-        ca = C[act, ia[act]]
-        sa = S[act, ia[act]]
-        cb = C[act, ib[act]]
-        sb = S[act, ib[act]]
-        denom = sa - sb
-        bad = denom <= 0.0
-        tc = np.where(bad, 0.5 * (lo[act] + hi[act]), (cb - ca) / np.where(bad, 1.0, denom))
-        tc = np.clip(tc, lo[act], hi[act])
-        vc = ca + sa * tc
-        vals = C[act] + S[act] * tc[:, None]
-        gv, smin, smax, jmin, jmax = tie_slopes(vals, S[act])
-        eps_here = s_eps[act]
-        conv = gv >= vc - 1e-13 * (1.0 + np.abs(vc))
-        flat = (smin <= eps_here) & (smax >= -eps_here)
-        finish = conv | flat | bad
-        idx_fin = act[finish]
-        m[idx_fin] = gv[finish]
-        tstar[idx_fin] = tc[finish]
-        done[idx_fin] = True
-
-        go_up = (~finish) & (smin > eps_here)
-        idx_up = act[go_up]
-        ia[idx_up] = jmin[go_up]
-        lo[idx_up] = tc[go_up]
-
-        go_dn = (~finish) & (~go_up)
-        idx_dn = act[go_dn]
-        ib[idx_dn] = jmax[go_dn]
-        hi[idx_dn] = tc[go_dn]
-
-    if not np.all(done):
-        # pathological fp stragglers: dense sampling fallback
-        act = np.nonzero(~done)[0]
-        ts = np.linspace(0.0, 1.0, 2049)
-        for i in act:
-            vals = C[i][None, :] + np.outer(ts, S[i])
-            g = vals.min(axis=1)
-            k = int(np.argmax(g))
-            m[i] = g[k]
-            tstar[i] = ts[k]
-    return m, tstar
+    return vals[rows, k], ts[rows, k]
 
 
 def chord_max_hull(u: ConcaveFunction, normal) -> tuple[np.ndarray, np.ndarray]:
@@ -251,20 +180,19 @@ def chord_max_hull(u: ConcaveFunction, normal) -> tuple[np.ndarray, np.ndarray]:
     return np.array(ht), np.array(hz)
 
 
-def max_profile(u: ConcaveFunction, h: Direction, n_lines: int = 16) -> MaxProfile:
-    """Chord maxima along n_lines parallel lines in direction h.
+def max_profile(u: ConcaveFunction, h: Direction) -> MaxProfile:
+    """Chord maxima along PROFILE_LINES evenly spaced parallel lines in
+    direction h, spanning the domain.
 
     The per-chord maximum is exact for the PL function; the profile is a
     concave function of the offset.
     """
-    if n_lines < 2:
-        raise ValueError("n_lines must be at least 2")
     from .geometry import chords_batch
 
     normal = h.perp().as_array()
     proj = u.domain.vertices @ normal
     c, d = float(proj.min()), float(proj.max())
-    ts = np.linspace(c, d, n_lines)
+    ts = np.linspace(c, d, PROFILE_LINES)
     P0, P1, valid = chords_batch(u.domain, normal, ts)
     ms, _ = chord_maxima(u, P0, P1)
     ms = np.where(valid, ms, 0.0)
@@ -420,7 +348,7 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
         tris=tris,
         planes=planes,
         mode=CLASSICAL,
-        trace=(),
+        trace=np.zeros(dom.n),
         descriptor={"kind": "envelope",
                     "constraints": [[p[0], p[1], h] for p, h in cons]},
     )
@@ -470,8 +398,10 @@ def _polygon_area(poly: np.ndarray) -> float:
 
 
 def _boundary_trace(dom: ConvexDomain, planes: np.ndarray, split_line=None):
-    """Trace segments of min-of-planes restricted to each domain edge.
+    """Mean of min-of-planes along each domain edge, shape (n_edges,).
 
+    The trace is linear between the knots (edge ends, and the crossing with
+    split_line), so each piece adds dt * (va + vb) / 2 in the edge parameter.
     Products are stacked one row per point, which rounds as a product on a
     single point does: each knot value is bit-identical to plane_values on
     that knot alone, where one batched product may round differently.
@@ -496,10 +426,10 @@ def _boundary_trace(dom: ConvexDomain, planes: np.ndarray, split_line=None):
     t = knots[used]
     pts = A[edge] + t[:, None] * (B - A)[edge]
     vals = ((pts[:, None, :] @ planes[:, :2].T)[:, 0, :]
-            + planes[:, 2]).min(axis=1).tolist()
-    return [TraceSegment(a=pts[i], b=pts[i + 1], va=vals[i], vb=vals[i + 1],
-                         edge_index=int(edge[i]))
-            for i in np.nonzero(edge[:-1] == edge[1:])[0]]
+            + planes[:, 2]).min(axis=1)
+    same = edge[:-1] == edge[1:]
+    piece = np.diff(t) * 0.5 * (vals[:-1] + vals[1:])
+    return np.bincount(edge[:-1][same], weights=piece[same], minlength=n)
 
 
 def tent_function(dom: ConvexDomain, segment, height: float = 1.0) -> ConcaveFunction:
@@ -746,7 +676,8 @@ def transform_function(u: ConcaveFunction, lin: np.ndarray, shift: np.ndarray,
     """Pushforward of u under the affine map x -> lin @ x + shift.
 
     Values are preserved pointwise; gradients transform by the inverse
-    transpose of the linear part.
+    transpose of the linear part.  image is
+    ConvexDomain(u.domain.vertices @ lin.T + shift).
     """
     lin = np.asarray(lin, dtype=float)
     shift = np.asarray(shift, dtype=float)
@@ -757,11 +688,9 @@ def transform_function(u: ConcaveFunction, lin: np.ndarray, shift: np.ndarray,
     vals0 = u.vert_values[u.tris[:, 0]]
     z0_new = vals0 - np.einsum("ij,ij->i", grads_new, v0)
     planes_new = np.column_stack([grads_new, z0_new])
-    trace_new = tuple(
-        TraceSegment(a=lin @ s.a + shift, b=lin @ s.b + shift,
-                     va=s.va, vb=s.vb, edge_index=s.edge_index)
-        for s in u.trace
-    )
+    # an affine map keeps means along segments; a reflection reverses the
+    # image's vertex order, so image edge j is source edge n - 2 - j
+    trace_new = u.trace if np.linalg.det(lin) > 0 else np.roll(u.trace[::-1], -1)
     return ConcaveFunction(
         domain=image, verts=verts_new, vert_values=u.vert_values.copy(),
         tris=u.tris.copy(), planes=planes_new, mode=u.mode, trace=trace_new,

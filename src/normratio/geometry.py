@@ -368,11 +368,6 @@ def chord(dom: ConvexDomain, normal: np.ndarray, t: float) -> Chord | None:
     return Chord(t=float(t), a=a, b=b)
 
 
-def horizontal_chord(dom: ConvexDomain, y: float) -> Chord | None:
-    """Chord of the horizontal line at height y, with a.x <= b.x."""
-    return chord(dom, np.array([0.0, 1.0]), y)
-
-
 def chords_batch(dom: ConvexDomain, normal: np.ndarray, ts: np.ndarray):
     """Vectorized chords for many offsets of parallel lines.
 

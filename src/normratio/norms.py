@@ -45,18 +45,14 @@ class NormReport:
 def _jump_mass(u: ConcaveFunction, h: Direction) -> float:
     """Total variation of the singular boundary sheet in direction h.
 
-    Each trace segment carries density |trace| ds on an edge with outward
-    normal n; its contribution to d_h u is weighted by |h . n|.
+    Edge e carries the nonnegative trace with mean trace[e], so mass
+    |e| * trace[e]; its contribution to d_h u is weighted by |h . n_e|.
     """
-    if not u.trace:
+    if not u.trace.any():
         return 0.0
-    edge = np.array([seg.edge_index for seg in u.trace])
-    ends = np.array([(seg.a, seg.b) for seg in u.trace])      # (S, 2, 2)
-    mean = 0.5 * np.array([seg.va + seg.vb for seg in u.trace])
-    w = np.abs(u.domain.edge_normals()[edge] @ h.as_array())
-    length = np.hypot(*(ends[:, 1] - ends[:, 0]).T)
-    # trace is linear and nonnegative on each segment
-    return float(w * length @ mean)
+    dom = u.domain
+    w = np.abs(dom.edge_normals() @ h.as_array())
+    return float(w * np.hypot(*dom.edge_vectors().T) @ u.trace)
 
 
 def lp_directional_norm(u: ConcaveFunction, h: Direction, p) -> NormReport:

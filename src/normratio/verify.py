@@ -439,7 +439,7 @@ def _suite_profile_concavity(case: Case, tol: float):
     """Chord-max profiles are concave with peak equal to the global max."""
     checks, bad = 0, []
     for desc, u in case.envelopes[:3]:
-        prof = max_profile(u, E1, n_lines=33)
+        prof = max_profile(u, E1)
         v = prof.values
         scale = 1.0 + u.max_value
         checks += 2

@@ -224,6 +224,51 @@ def test_chord_maxima_flat_ridge():
     assert t[0] == pytest.approx(0.5, abs=1e-12)
 
 
+def _chord_max_oracle(u, P0, P1):
+    # along a segment u is the minimum of the planes' restrictions, so its
+    # maximum is at an end or where two of them cross: reads planes only
+    C = P0 @ u.planes[:, :2].T + u.planes[:, 2]
+    S = (P1 - P0) @ u.planes[:, :2].T
+    out = np.empty(len(P0))
+    for i in range(len(P0)):
+        dc = C[i][None, :] - C[i][:, None]
+        ds = S[i][:, None] - S[i][None, :]
+        t = dc[ds != 0] / ds[ds != 0]
+        t = np.concatenate([[0.0, 1.0], t[(t >= 0.0) & (t <= 1.0)]])
+        out[i] = (C[i] + np.outer(t, S[i])).min(axis=1).max()
+    return out
+
+
+def test_chord_maxima_matches_plane_crossing_oracle():
+    funcs = []
+    for k, dom in enumerate(corpus_domains(7113, 40)):
+        funcs.append(random_envelope(keyed_rng(7113, k), dom))
+        v, i = dom.vertices, dom.n // 2
+        funcs.append(tent_function(dom, [v[0], 0.5 * (v[i - 1] + v[i])]))
+    for j, n in enumerate((16, 24, 40, 48)):
+        dom = disc(n)
+        funcs.append(random_envelope(keyed_rng(7113, 100 + j), dom))
+        funcs.append(tent_function(dom, dom.vertices[[1, n // 2 + 3]]))
+    funcs = [u for u in funcs if u.n_facets <= 60]
+    assert len(funcs) >= 80 and max(u.n_facets for u in funcs) >= 40
+    for k, u in enumerate(funcs):
+        ends = random_interior_points(keyed_rng(7113, k, 1), u.domain, 40)
+        P0, P1 = ends[:20], ends[20:]
+        m, tstar = chord_maxima(u, P0, P1)
+        tol = 1e-12 * (1.0 + u.max_value)
+        assert np.abs(m - _chord_max_oracle(u, P0, P1)).max() <= tol, \
+            f"case {k}"
+        assert np.all((tstar >= 0.0) & (tstar <= 1.0))
+        at = P0 + tstar[:, None] * (P1 - P0)
+        assert np.abs(evaluate(u, at) - m).max() <= tol, f"case {k}"
+    # a segment through the apex of a cone must find the apex
+    u = concave_envelope(square(), [((0.3, 0.6), 1.0)])
+    m, tstar = chord_maxima(u, np.array([[0.1, 0.2], [0.0, 0.6]]),
+                            np.array([[0.5, 1.0], [1.0, 0.6]]))
+    assert m == pytest.approx([1.0, 1.0], abs=1e-14)
+    assert tstar == pytest.approx([0.5, 0.3], abs=1e-12)
+
+
 def test_chord_max_hull_matches_chord_maxima():
     funcs = [random_envelope(keyed_rng(7112, k), dom)
              for k, dom in enumerate(corpus_domains(7112, 40))]
@@ -251,7 +296,8 @@ def test_chord_max_hull_matches_chord_maxima():
 
 def test_max_profile_of_diamond_cone():
     u = concave_envelope(diamond(), [((0.0, 0.0), 1.0)])
-    prof = max_profile(u, E1, n_lines=33)
+    prof = max_profile(u, E1)
+    assert len(prof.offsets) == 33
     mask = np.abs(prof.offsets) < 1.0 - 1e-9
     assert prof.values[mask] == pytest.approx(1.0 - np.abs(prof.offsets[mask]),
                                               abs=1e-9)
@@ -283,8 +329,8 @@ def test_tent_with_boundary_ridge_is_distributional():
     distinct = np.unique(np.round(u.gradients(), 9), axis=0)
     assert sorted(map(tuple, distinct)) == [(-2.0, 0.0), (2.0, 0.0)]
     assert evaluate(u, (0.25, 0.77)) == pytest.approx(0.5, abs=1e-12)
-    # nonzero boundary trace along top and bottom edges
-    assert any(max(s.va, s.vb) > 0.5 for s in u.trace)
+    # mean trace 1/2 along the bottom and top edges, none on the sides
+    assert u.trace.tolist() == [0.5, 0.0, 0.5, 0.0]
 
 
 def test_one_sided_tent_degenerates_to_linear_function():
@@ -416,6 +462,28 @@ def test_transform_preserves_values():
         assert evaluate(tu, mapped) == pytest.approx(evaluate(u, pts),
                                                      abs=1e-9), f"case {k}"
         assert check_partition(tu) and check_concavity(tu)
+
+
+@pytest.mark.parametrize("lin", [[[-1.0, 0.0], [0.0, 1.0]],
+                                 [[0.0, 1.0], [1.0, 0.0]],
+                                 [[0.0, -1.0], [1.0, 0.0]]],
+                         ids=["reflect-x", "swap", "rotate"])
+def test_transform_keeps_trace_on_its_edges(lin):
+    # the mapped tent must equal the tent built directly on the image, also
+    # when the map reverses orientation and so the image's vertex order
+    lin = np.array(lin)
+    shift = np.array([0.25, -0.5])
+    disc512 = disc(512)
+    cases = [(triangle(0, 0, 3, 0, 0.5, 2), [(0.0, 0.0), (1.75, 1.0)]),
+             (disc512, [disc512.vertices[3], disc512.vertices[290]])]
+    for dom, seg in cases:
+        image = ConvexDomain(dom.vertices @ lin.T + shift)
+        tu = transform_function(tent_function(dom, seg), lin, shift, image)
+        direct = tent_function(image, np.asarray(seg) @ lin.T + shift)
+        assert tu.trace == pytest.approx(direct.trace, abs=1e-14)
+        for h in (E1, E2, Direction.from_angle(0.3)):
+            assert lp_directional_norm(tu, h, 1).value == pytest.approx(
+                lp_directional_norm(direct, h, 1).value, rel=1e-12)
 
 
 def test_checks_pass_on_random_envelopes():

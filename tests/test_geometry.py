@@ -19,7 +19,6 @@ from normratio import (
     domain_from_json,
     domain_to_json,
     extreme_x_points,
-    horizontal_chord,
     load_domain,
     max_boundary_slope,
     parallelogram,
@@ -166,14 +165,20 @@ def test_chord_basic():
     assert ch.b == pytest.approx([1.0, 0.0])
     assert ch.length == pytest.approx(2.0)
     assert chord(dom, np.array([0.0, 1.0]), 2.0) is None
+    assert chord(square(), (0, 1), 0.25).length == pytest.approx(1.0)
+    assert chord(square(), (0, 1), 3.0) is None
 
 
 def test_horizontal_chord_shorthand():
-    ch = horizontal_chord(diamond(), 0.0)
-    assert ch.a == pytest.approx([-1.0, 0.0])
-    assert ch.b == pytest.approx([1.0, 0.0])
-    assert horizontal_chord(square(), 0.25).length == pytest.approx(1.0)
-    assert horizontal_chord(square(), 3.0) is None
+    # A horizontal chord is chord() with the tuple normal (0, 1); endpoints
+    # come ordered left to right.
+    ch = chord(diamond(), (0, 1), 0.5)
+    assert ch.a == pytest.approx([-0.5, 0.5])
+    assert ch.b == pytest.approx([0.5, 0.5])
+    ch = chord(square(), (0, 1), 0.25)
+    assert ch.a == pytest.approx([0.0, 0.25])
+    assert ch.b == pytest.approx([1.0, 0.25])
+    assert chord(square(), (0, 1), -0.5) is None
 
 
 def test_chord_endpoints_on_boundary():

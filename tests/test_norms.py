@@ -29,7 +29,8 @@ from normratio import (
     triangle,
     square,
 )
-from normratio.concave import CLASSICAL, ConcaveFunction
+from normratio.concave import CLASSICAL, ConcaveFunction, plane_values
+from normratio.geometry import cross2
 from normratio.norms import _jump_mass
 from normratio.sampling import keyed_rng, random_envelope
 
@@ -126,18 +127,38 @@ def test_scanline_matches_facet_sum_on_corpus():
                                                    abs=1e-12)
 
 
+def _sheet_mass_loop(u, h, line=None):
+    # min-of-planes integrated along each edge, one edge at a time, by the
+    # trapezoid rule over the edge's ends and its crossing with the tent
+    # line, between which it is linear; never reads u.trace
+    total = 0.0
+    for a, b, n in zip(*u.domain.edges(), u.domain.edge_normals()):
+        knots = [0.0, 1.0]
+        if line is not None:
+            p, q = np.asarray(line)
+            da = float(cross2(q - p, a - p))
+            db = float(cross2(q - p, b - p))
+            if da * db < 0.0:
+                knots.insert(1, da / (da - db))
+        pts = a + np.array(knots)[:, None] * (b - a)
+        vals = plane_values(u, pts).min(axis=1)
+        total += (abs(float(n @ h.as_array())) * float(np.hypot(*(b - a)))
+                  * float(np.trapezoid(vals, knots)))
+    return total
+
+
 def test_jump_mass_matches_segment_loop():
-    # reference: the boundary sheet summed one trace segment at a time
     dom = disc(512)
     tents = [tent_function(dom, [dom.vertices[3], dom.vertices[290]]),
              tent_function(square(), [(0.0, 0.3), (1.0, 0.9)]),
-             linear_extremal_triangle(triangle(0, 0, 2, 0, 1, 1))]
+             tent_function(square(), [(0.5, 0.0), (0.5, 1.0)])]
+    tri = linear_extremal_triangle(triangle(0, 0, 2, 0, 1, 1))
     for h in (E1, E2, Direction.from_angle(0.3)):
         for u in tents:
-            normals = u.domain.edge_normals()
-            loop = sum(abs(float(normals[s.edge_index] @ h.as_array()))
-                       * s.length * 0.5 * (s.va + s.vb) for s in u.trace)
+            loop = _sheet_mass_loop(u, h, u.descriptor["segment"])
             assert _jump_mass(u, h) == pytest.approx(loop, rel=1e-13, abs=0)
+        assert _jump_mass(tri, h) == pytest.approx(_sheet_mass_loop(tri, h),
+                                                   rel=1e-13, abs=0)
 
 
 def test_line_integral_equals_twice_chord_max():
