@@ -282,25 +282,56 @@ def _merge_upper_facets(points3, hull):
     return np.concatenate(tris)[order], np.concatenate(planes)[order]
 
 
-def _cone(dom: ConvexDomain, apex: np.ndarray, height: float):
-    """Single-apex envelope in closed form: facet e is the triangle over
-    edge e with its top at the apex, on the plane vanishing along edge e.
+def _polygon_ccw(xy: np.ndarray, tol: float) -> list:
+    """Indices of the convex hull vertices of xy, counterclockwise (Andrew's
+    monotone chain); a point within tol of a hull edge is not a vertex."""
+    pts = xy.tolist()
+    order = np.lexsort((xy[:, 1], xy[:, 0])).tolist()
 
-    The slack n_e . (v_e - apex) is taken from the difference rather than
-    as the edge offset minus n_e . apex, which cancels for apexes near the
-    boundary.
+    def chain(seq):
+        out = []
+        for i in seq:
+            while len(out) >= 2:
+                (ox, oy), (ax, ay), (bx, by) = pts[out[-2]], pts[out[-1]], pts[i]
+                if ((ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+                        > tol * math.hypot(bx - ox, by - oy)):
+                    break
+                out.pop()
+            out.append(i)
+        return out
+
+    return chain(order)[:-1] + chain(order[::-1])[:-1]
+
+
+def _interior_facets(dom: ConvexDomain, ring: np.ndarray, pts: np.ndarray,
+                     hts: np.ndarray):
+    """Upper facets with at most one ring vertex, from the hull of the
+    constraints plus the given ring vertices only.
+
+    Returns triangles indexing [ring vertices, constraints] and their
+    planes.  The hull runs in a frame local to the first domain vertex.  A
+    coplanar group is kept only if its plane is >= -tol at every domain
+    vertex (otherwise it cuts off a ring vertex left out of the hull) and
+    vanishes at no more than one of them (otherwise it is an edge facet).
     """
-    v = dom.vertices
-    normals = dom.edge_normals()
-    n = len(v)
-    scale = height / np.einsum("ij,ij->i", normals, v - apex)
-    planes = np.column_stack([-scale[:, None] * normals,
-                              scale * dom.edge_offsets()])
-    e = np.arange(n)
-    tris = np.column_stack([e, (e + 1) % n, np.full(n, n)])
-    vert_values = np.zeros(n + 1)
-    vert_values[n] = height
-    return np.vstack([v, apex]), vert_values, tris, planes
+    v0 = dom.vertices[0]
+    local = dom.vertices - v0
+    points3 = np.zeros((len(ring) + len(pts), 3))
+    points3[:len(ring), :2] = local[ring]
+    points3[len(ring):, :2] = pts - v0
+    points3[len(ring):, 2] = hts
+    try:
+        hull = ConvexHull(points3, qhull_options="Qt")
+    except QhullError as exc:
+        raise ValueError(f"degenerate envelope input: {exc}") from exc
+    tris, planes = _merge_upper_facets(points3, hull)
+    vals = local @ planes[:, :2].T + planes[:, 2]             # (n, T)
+    tol = dom.tol * np.hypot(planes[:, 0], planes[:, 1])
+    keep = (vals >= -tol).all(axis=0) & ((np.abs(vals) <= tol).sum(axis=0) <= 1)
+    ids = np.concatenate([ring, dom.n + np.arange(len(pts))])
+    planes = planes[keep]
+    planes[:, 2] -= planes[:, :2] @ v0
+    return ids[tris[keep]], planes
 
 
 def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
@@ -310,9 +341,19 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
 
     constraints: iterable of ((x, y), height) with strictly interior points
     and positive heights.  Constraints that end up below the hull of the
-    others are strictly exceeded rather than active.  One constraint gives
-    a cone, built in closed form; more go through qhull and a merge of
-    coplanar facets.
+    others are strictly exceeded rather than active.
+
+    The facet over edge e is closed form.  With the slack
+    d_e(a) = n_e . (v_e - a), its plane vanishes on the edge with slope
+    s_e = max_i H_i / d_e(a_i).  When several constraints lie on that plane
+    (within tol of its level line at their height), the facet is one
+    polygon through the edge and the extreme ones, and its tie set is the
+    constraints that are vertices of it.  An upper facet with two ring
+    vertices has them adjacent, so it is an edge facet; any other facet has
+    at most one ring vertex, where the tie sets of the two edges differ (a
+    switch vertex).  So qhull runs on the constraints plus the switch
+    vertices only.  One constraint has no switch vertex and gives the cone
+    over the ring.
     """
     cons = [((float(p[0]), float(p[1])), float(h)) for p, h in constraints]
     if not cons:
@@ -324,31 +365,52 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
     if np.any(dom.signed_boundary_distance(pts) <= dom.tol):
         raise ValueError("constraint points must lie strictly inside the domain")
 
-    if len(cons) == 1:
-        verts, vert_values, tris, planes = _cone(dom, pts[0], hts[0])
-    else:
-        nb = dom.n
-        points3 = np.zeros((nb + len(cons), 3))
-        points3[:nb, :2] = dom.vertices
-        points3[nb:, :2] = pts
-        points3[nb:, 2] = hts
-        try:
-            hull = ConvexHull(points3, qhull_options="Qt")
-        except QhullError as exc:
-            raise ValueError(f"degenerate envelope input: {exc}") from exc
-        tris, planes = _merge_upper_facets(points3, hull)
-        used = np.unique(tris.ravel())
-        remap = -np.ones(len(points3), dtype=np.int64)
-        remap[used] = np.arange(len(used))
-        verts, vert_values, tris = points3[used, :2], points3[used, 2], remap[tris]
+    v = dom.vertices
+    nb = dom.n
+    normals = dom.edge_normals()
+    # the slack is taken from the difference rather than as the edge offset
+    # minus n_e . a, which cancels for points near the boundary
+    slack = np.einsum("ej,eij->ei", normals, v[:, None, :] - pts)    # (E, m)
+    ratio = hts / slack
+    top = ratio.argmax(axis=1)
+    s = ratio[np.arange(nb), top]
+    edge_planes = np.column_stack([-s[:, None] * normals, s * dom.edge_offsets()])
+    tied = slack - hts / s[:, None] <= dom.tol
+    single = tied.sum(axis=1) == 1
+    e = np.arange(nb)
+    tris = [np.column_stack([e, (e + 1) % nb, nb + top])[single]]
+    planes = [edge_planes[single]]
+    points = np.vstack([v, pts])
+    for k in np.nonzero(~single)[0]:
+        ids = np.concatenate([[k, (k + 1) % nb], nb + np.nonzero(tied[k])[0]])
+        poly = ids[_polygon_ccw(points[ids] - v[k], dom.tol)]
+        # a tied constraint that is no vertex of the polygon must not make a
+        # switch vertex: with it the reduced hull can come out flat
+        tied[k] = False
+        tied[k, poly[poly >= nb] - nb] = True
+        poly = poly.tolist()
+        lo = poly.index(min(poly))
+        poly = poly[lo:] + poly[:lo]
+        tris.append(np.array([[poly[0], poly[a], poly[a + 1]]
+                              for a in range(1, len(poly) - 1)]))
+        planes.append(np.tile(edge_planes[k], (len(poly) - 2, 1)))
+    switch = np.nonzero((tied != tied[e - 1]).any(axis=1))[0]
+    if len(switch):
+        inner_tris, inner_planes = _interior_facets(dom, switch, pts, hts)
+        tris.append(inner_tris)
+        planes.append(inner_planes)
+    tris = np.concatenate(tris)
+    used = np.zeros(len(points), dtype=bool)
+    used[tris] = True
+    remap = np.cumsum(used) - 1
     fn = ConcaveFunction(
         domain=dom,
-        verts=verts,
-        vert_values=vert_values,
-        tris=tris,
-        planes=planes,
+        verts=points[used],
+        vert_values=np.concatenate([np.zeros(nb), hts])[used],
+        tris=remap[tris],
+        planes=np.concatenate(planes),
         mode=CLASSICAL,
-        trace=np.zeros(dom.n),
+        trace=np.zeros(nb),
         descriptor={"kind": "envelope",
                     "constraints": [[p[0], p[1], h] for p, h in cons]},
     )

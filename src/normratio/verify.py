@@ -31,8 +31,8 @@ from .concave import (
     check_vertex_consistency,
     concave_envelope,
     evaluate,
-    gradient_at,
     max_profile,
+    plane_values,
     transform_function,
 )
 from .geometry import (
@@ -238,19 +238,27 @@ def _suite_tangent(case: Case, tol: float):
     for desc, u in case.envelopes[:2]:
         tu = transform_function(u, lin, shift, img)
         scale = 1.0 + tu.max_value
-        for pt in random_interior_points(rng, img, 25):
-            try:
-                g = gradient_at(tu, pt)
-            except ValueError:
-                continue
-            x, y = float(pt[0]), float(pt[1])
-            val = float(evaluate(tu, pt))
-            rhs = val - y * float(g[1])
-            gx = float(g[0])
+        pts = random_interior_points(rng, img, 25)
+        # gradient_at's rules, row by row: the planes within 1e-11 of the
+        # minimum must agree to 1e-9, and the point must lie in the domain
+        vals = plane_values(tu, pts)
+        vmin = vals.min(axis=1)
+        tie = vals <= (vmin + 1e-11 * (1.0 + np.abs(vmin)))[:, None]
+        first = tie.argmax(axis=1)
+        grads = tu.planes[:, :2]
+        spread = np.where(tie[:, :, None],
+                          np.abs(grads - grads[first][:, None, :]), 0.0)
+        mag = np.where(tie[:, :, None], np.abs(grads), 0.0)
+        regular = (spread.max(axis=(1, 2)) <= 1e-9 * (1.0 + mag.max(axis=(1, 2)))) \
+            & img.contains(pts, 10 * img.tol)
+        for (x, y), val, (gx, gy) in zip(pts[regular].tolist(),
+                                         vmin[regular].tolist(),
+                                         grads[first[regular]].tolist()):
+            rhs = val - y * gy
             checks += 1
             if x * gx > rhs + tol * scale or (x - 2.0) * gx > rhs + tol * scale:
                 bad.append(_violation(
-                    {"point": [x, y], "u": val, "grad": [gx, float(g[1])],
+                    {"point": [x, y], "u": val, "grad": [gx, gy],
                      "rhs": rhs}, desc))
     return checks, bad
 

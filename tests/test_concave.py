@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from normratio import (
     ConvexDomain,
@@ -29,7 +30,9 @@ from normratio import (
 )
 from normratio.bounds import affine_normalize
 from normratio.concave import (
+    ConcaveFunction,
     _locate_boundary_edge,
+    _merge_upper_facets,
     check_concavity,
     check_partition,
     check_vertex_consistency,
@@ -83,35 +86,98 @@ def test_dominated_constraint_changes_nothing():
     assert evaluate(both, pts) == pytest.approx(evaluate(base, pts), abs=1e-12)
 
 
+def _full_ring_envelope(dom, cons):
+    """Reference envelope: qhull on the whole boundary ring at height zero
+    plus the constraints, with the coplanar merge, vertices in input order."""
+    points3 = np.zeros((dom.n + len(cons), 3))
+    points3[:dom.n, :2] = dom.vertices
+    points3[dom.n:, :2] = [p for p, _ in cons]
+    points3[dom.n:, 2] = [h for _, h in cons]
+    tris, planes = _merge_upper_facets(points3, ConvexHull(points3,
+                                                           qhull_options="Qt"))
+    used = np.unique(tris.ravel())
+    remap = -np.ones(len(points3), dtype=np.int64)
+    remap[used] = np.arange(len(used))
+    return ConcaveFunction(dom, points3[used, :2], points3[used, 2],
+                           remap[tris], planes, "classical", np.zeros(dom.n),
+                           {"kind": "envelope"})
+
+
 def _facet_planes(u):
     """Facet planes keyed by the sorted vertex triple of the facet."""
     return {tuple(sorted(map(int, t))): plane for t, plane in zip(u.tris, u.planes)}
 
 
+def _assert_matches_oracle(dom, cons, label):
+    u, ref = concave_envelope(dom, cons), _full_ring_envelope(dom, cons)
+    assert np.array_equal(u.verts, ref.verts), label
+    assert np.array_equal(u.vert_values, ref.vert_values), label
+    a, b = _facet_planes(u), _facet_planes(ref)
+    assert a.keys() == b.keys(), label
+    for key, plane in a.items():
+        scale = np.abs(b[key]).max()
+        assert np.abs(plane - b[key]).max() <= 1e-11 * scale, label
+    for h in (E1, E2, Direction.from_angle(0.7)):
+        for p in (1, 2, 3.5, math.inf):
+            assert lp_directional_norm(u, h, p).value == pytest.approx(
+                lp_directional_norm(ref, h, p).value, rel=1e-11, abs=0), label
+
+
 def test_cone_matches_qhull_oracle():
-    # A second constraint at half the cone's height, between the apex and
-    # the centroid, is inactive but sends the same function through qhull
-    # and the coplanar merge instead of the closed-form cone.
     domains = corpus_domains(7110, 150) + [disc(128), disc(512)]
-    dirs = (E1, E2, Direction.from_angle(0.7))
     for k, dom in enumerate(domains):
-        centroid = dom.vertices.mean(axis=0)
         for apex in random_interior_points(keyed_rng(7110, k), dom, 5):
-            cone = concave_envelope(dom, [(apex, 1.0)])
-            below = 0.5 * (apex + centroid)
-            hull = concave_envelope(
-                dom, [(apex, 1.0), (below, 0.5 * evaluate(cone, below))])
-            assert np.array_equal(cone.verts, hull.verts), f"case {k}"
-            assert np.array_equal(cone.vert_values, hull.vert_values), f"case {k}"
-            a, b = _facet_planes(cone), _facet_planes(hull)
-            assert a.keys() == b.keys(), f"case {k}"
-            for key, plane in a.items():
-                scale = np.abs(b[key]).max()
-                assert np.abs(plane - b[key]).max() <= 1e-11 * scale, f"case {k}"
-            for h in dirs:
-                for p in (1, 2, 3.5, math.inf):
-                    assert lp_directional_norm(cone, h, p).value == pytest.approx(
-                        lp_directional_norm(hull, h, p).value, rel=1e-11, abs=0)
+            _assert_matches_oracle(dom, [(apex, 1.0)], f"case {k}")
+
+
+def test_envelope_matches_full_ring_qhull_oracle():
+    shift = np.array([1e6, -0.7e6])
+    for k, dom in enumerate(corpus_domains(7114, 150) + [disc(128), disc(512)]):
+        cons = [((x, y), h) for x, y, h in
+                random_envelope_descriptor(keyed_rng(7114, k), dom)["constraints"]]
+        _assert_matches_oracle(dom, cons, f"case {k}")
+        if k < 150:
+            _assert_matches_oracle(
+                ConvexDomain(dom.vertices + shift),
+                [(np.array(p) + shift, h) for p, h in cons], f"moved case {k}")
+    for dom in (square(), disc(16), disc(64), disc(512)):
+        for eps in (0.05, 0.02):
+            _, pts = family_u_phi_eps(dom, math.pi / 6, eps)
+            _assert_matches_oracle(dom, [(p, 1.0) for p in pts],
+                                   f"u-phi-eps {dom.n} {eps}")
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_tied_edge_facet_is_one_fan(offset):
+    # three equal apexes on a line parallel to the bottom edge: its facet is
+    # the quadrilateral through the outer two, fanned from its lowest
+    # vertex, and the middle apex lies on an edge of it, so is no vertex
+    shift = np.array([offset, -0.7 * offset])
+    dom = ConvexDomain(square().vertices + shift)
+    apexes = np.array([[0.25, 0.3], [0.5, 0.3], [0.75, 0.3]])
+    cons = [(p + shift, 1.0) for p in apexes]
+    u = concave_envelope(dom, cons)
+    local = u.verts - shift
+    assert not np.any(np.all(np.abs(local - [0.5, 0.3]) <= 1e-9, axis=1))
+    bottom = u.tris[np.all(np.abs(u.planes[:, :2] - [0.0, 1.0 / 0.3]) <= 1e-6,
+                           axis=1)]
+    assert len(bottom) == 2
+    assert np.all(bottom[:, 0] == bottom.min())
+    corners = local[np.unique(bottom)]
+    assert corners == pytest.approx(
+        np.array([[0.0, 0.0], [1.0, 0.0], [0.25, 0.3], [0.75, 0.3]]), abs=1e-9)
+    assert check_partition(u) and check_concavity(u)
+    _assert_matches_oracle(dom, cons, f"offset {offset}")
+
+
+def test_tied_constraint_inside_edge_facet_is_no_vertex():
+    # (0.3, 0.2) at height 0.5 lies on the bottom facet of the cone over
+    # (0.5, 0.4): it ties on that edge but is inside the facet, so the
+    # envelope is the cone, and it must not make the reduced hull flat
+    cons = [((0.5, 0.4), 1.0), ((0.3, 0.2), 0.5)]
+    u = concave_envelope(square(), cons)
+    assert u.n_facets == 4 and len(u.verts) == 5
+    _assert_matches_oracle(square(), cons, "inside")
 
 
 @pytest.mark.parametrize("dom", [disc(64), square()], ids=["disc64", "square"])
@@ -126,10 +192,11 @@ def test_plateau_is_one_fan_from_its_lowest_vertex(dom):
     assert check_partition(u) and check_concavity(u)
 
 
-@pytest.mark.parametrize("offset", [1e4, 1e6])
+@pytest.mark.parametrize("offset", [1e4, 1e6, 1e8])
 def test_translated_envelopes_build(offset):
     # areas are taken relative to a vertex, so the cover check does not
-    # cancel away from the origin
+    # cancel away from the origin; the reduced hull and its filter run in a
+    # frame local to the first vertex, without which 1e8 fails
     shift = np.array([offset, -0.7 * offset])
     for k, dom in enumerate(corpus_domains(7111, 150)):
         rng = keyed_rng(7111, k)
