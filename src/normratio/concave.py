@@ -102,20 +102,34 @@ def plane_values(u: ConcaveFunction, arr: np.ndarray) -> np.ndarray:
     return arr @ u.planes[:, :2].T + u.planes[:, 2]
 
 
+def gradients_at(u: ConcaveFunction, pts: np.ndarray):
+    """Values and gradients at many points, with a mask of the regular ones.
+
+    The planes within 1e-11 of the minimum at a point are its active
+    planes; the point is regular when their gradients agree to 1e-9 and it
+    lies within 10 tol of the domain.  Returns (values, gradients of the
+    first active plane, regular).
+    """
+    vals = plane_values(u, pts)
+    vmin = vals.min(axis=1)
+    tie = vals <= (vmin + 1e-11 * (1.0 + np.abs(vmin)))[:, None]
+    grads = u.planes[:, :2]
+    first = grads[tie.argmax(axis=1)]
+    spread = np.where(tie[:, :, None], np.abs(grads - first[:, None, :]), 0.0)
+    mag = np.where(tie[:, :, None], np.abs(grads), 0.0)
+    regular = ((spread.max(axis=(1, 2)) <= 1e-9 * (1.0 + mag.max(axis=(1, 2))))
+               & u.domain.contains(pts, 10 * u.domain.tol))
+    return vmin, first, regular
+
+
 def gradient_at(u: ConcaveFunction, pt) -> np.ndarray:
-    """Gradient at a regular point; raises on facet edges and vertices."""
-    pt = np.asarray(pt, dtype=float)
-    vals = plane_values(u, pt[None, :])[0]
-    vmin = vals.min()
-    tie = vals <= vmin + 1e-11 * (1.0 + abs(vmin))
-    grads = u.planes[tie, :2]
-    if len(grads) > 1:
-        spread = np.abs(grads - grads[0]).max()
-        if spread > 1e-9 * (1.0 + np.abs(grads).max()):
-            raise ValueError("gradient undefined at a non-regular point")
-    if not u.domain.contains(pt[None, :], 10 * u.domain.tol)[0]:
-        raise ValueError("evaluation point outside the domain")
-    return grads[0].copy()
+    """Gradient at a regular point (see :func:`gradients_at`); raises on
+    facet edges and vertices and outside the domain."""
+    _, grads, regular = gradients_at(u, np.asarray(pt, dtype=float)[None, :])
+    if not regular[0]:
+        raise ValueError("gradient undefined: the point is on a facet edge "
+                         "or vertex, or outside the domain")
+    return grads[0]
 
 
 def chord_maxima(u: ConcaveFunction, P0: np.ndarray, P1: np.ndarray):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concave import ConcaveFunction, chord_max_hull, plane_values
-from .geometry import Direction, chord
+from .concave import ConcaveFunction, chord_max_hull
+from .geometry import Direction
 
 
 @dataclass(frozen=True)
@@ -126,52 +126,46 @@ def line_integral_abs_dh(u: ConcaveFunction, h: Direction, t: float) -> float:
     """Exact integral of |d_h u| along the chord {x . perp(h) = t}, plus the
     boundary jumps at the chord's endpoints.
 
-    Computed from the facet partition directly (each facet clipped against
-    the line contributes |g . h| times the overlap length), independently of
-    the chord-max identity it is used to cross-check.
+    Computed from the facet partition directly, independently of the
+    chord-max identity it is used to cross-check.  The signed distances of
+    a facet's vertices to the line give the facet's interval on it (its
+    vertices on the line and its edge crossings), which contributes
+    |g . h| times its length.  The extreme interval ends are the chord's
+    ends, and u there is interpolated along the mesh edge they lie on.  A
+    mesh edge on the line bounds two facets and counts once.  As in
+    :func:`geometry.chord`, an offset within tol of a support value clamps
+    to it, and a vertex within tol of the line lies on it; a line farther
+    off the domain gives 0.
     """
-    normal = h.perp().as_array()
-    ch = chord(u.domain, normal, t)
-    if ch is None:
+    n, harr = h.perp().as_array(), h.as_array()
+    dom = u.domain
+    proj = dom.vertices @ n
+    lo, hi = float(proj.min()), float(proj.max())
+    if t < lo - dom.tol or t > hi + dom.tol:
         return 0.0
-    a, b = ch.a, ch.b
-    d = b - a
-    L = float(np.hypot(*d))
-    if L <= u.domain.tol:
-        return 0.0
-    harr = h.as_array()
-    total = 0.0
-    for f in range(u.n_facets):
-        tri = u.verts[u.tris[f]]
-        lo, hi = _triangle_line_overlap(tri, a, d)
-        if hi > lo:
-            total += abs(float(u.planes[f, :2] @ harr)) * (hi - lo) * L
-    va = float(plane_values(u, a[None, :]).min())
-    vb = float(plane_values(u, b[None, :]).min())
-    return total + va + vb
-
-
-def _triangle_line_overlap(tri: np.ndarray, a: np.ndarray, d: np.ndarray):
-    """Parameter interval of {a + s d, s in [0, 1]} inside a triangle."""
-    lo, hi = 0.0, 1.0
-    for i in range(3):
-        p, q = tri[i], tri[(i + 1) % 3]
-        e = q - p
-        # inside is to the left of each CCW edge: cross(e, x - p) >= 0
-        denom = e[0] * d[1] - e[1] * d[0]
-        num = e[0] * (a[1] - p[1]) - e[1] * (a[0] - p[0])
-        if abs(denom) < 1e-15 * (1.0 + abs(num)):
-            if num < 0:
-                return 0.0, 0.0
-            continue
-        s = -num / denom
-        if denom < 0:
-            hi = min(hi, s)
-        else:
-            lo = max(lo, s)
-        if lo >= hi:
-            return 0.0, 0.0
-    return lo, hi
+    dist = u.verts @ n - min(max(t, lo), hi)
+    dist[np.abs(dist) <= dom.tol] = 0.0
+    s = dist[u.tris]                                              # (F, 3)
+    nxt = [1, 2, 0]
+    cross = s * s[:, nxt] < 0.0
+    lam = s / np.where(cross, s - s[:, nxt], 1.0)
+    # (position along h, value) at the vertices, then at the edge crossings
+    qz = np.column_stack([u.verts @ harr, u.vert_values])[u.tris]
+    qz = np.concatenate([qz, qz + lam[..., None] * (qz[:, nxt] - qz)], axis=1)
+    on = s == 0.0
+    hit = np.hstack([on, cross])                                  # (F, 6)
+    q_lo = np.where(hit, qz[..., 0], np.inf)
+    q_hi = np.where(hit, qz[..., 0], -np.inf)
+    length = np.maximum(q_hi.max(axis=1) - q_lo.min(axis=1), 0.0)
+    edge_facets = np.flatnonzero(on.sum(axis=1) == 2)
+    if len(edge_facets):
+        ends = np.sort(np.where(on[edge_facets], u.tris[edge_facets], -1),
+                       axis=1)[:, 1:]
+        _, first = np.unique(ends, axis=0, return_index=True)
+        length[np.delete(edge_facets, first)] = 0.0
+    ac = float(np.abs(u.planes[:, :2] @ harr) @ length)
+    z = qz[..., 1]
+    return ac + float(z.flat[q_lo.argmin()]) + float(z.flat[q_hi.argmax()])
 
 
 def norm_ratio(u: ConcaveFunction, h1: Direction, h2: Direction, p) -> float:

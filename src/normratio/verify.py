@@ -31,8 +31,8 @@ from .concave import (
     check_vertex_consistency,
     concave_envelope,
     evaluate,
+    gradients_at,
     max_profile,
-    plane_values,
     transform_function,
 )
 from .geometry import (
@@ -196,9 +196,10 @@ def _suite_cone_mass(case: Case, tol: float):
 def _suite_line_mass(case: Case, tol: float):
     """Per line: the one-dimensional |d_h u| mass equals twice the chord max.
 
-    The left side clips facets against the line and adds the endpoint
-    trace masses; the right side reads the chord maximum off the upper hull
-    of the projected graph vertices.  Entirely independent code paths.
+    The left side sums |g . h| times each facet's interval on the line and
+    adds the values at the chord's ends (the boundary jumps); the right
+    side reads the chord maximum off the upper hull of the projected graph
+    vertices.  Entirely independent code paths.
     """
     checks, bad = 0, []
     rng = case.rng(2)
@@ -239,21 +240,10 @@ def _suite_tangent(case: Case, tol: float):
         tu = transform_function(u, lin, shift, img)
         scale = 1.0 + tu.max_value
         pts = random_interior_points(rng, img, 25)
-        # gradient_at's rules, row by row: the planes within 1e-11 of the
-        # minimum must agree to 1e-9, and the point must lie in the domain
-        vals = plane_values(tu, pts)
-        vmin = vals.min(axis=1)
-        tie = vals <= (vmin + 1e-11 * (1.0 + np.abs(vmin)))[:, None]
-        first = tie.argmax(axis=1)
-        grads = tu.planes[:, :2]
-        spread = np.where(tie[:, :, None],
-                          np.abs(grads - grads[first][:, None, :]), 0.0)
-        mag = np.where(tie[:, :, None], np.abs(grads), 0.0)
-        regular = (spread.max(axis=(1, 2)) <= 1e-9 * (1.0 + mag.max(axis=(1, 2)))) \
-            & img.contains(pts, 10 * img.tol)
+        vals, grads, regular = gradients_at(tu, pts)
         for (x, y), val, (gx, gy) in zip(pts[regular].tolist(),
-                                         vmin[regular].tolist(),
-                                         grads[first[regular]].tolist()):
+                                         vals[regular].tolist(),
+                                         grads[regular].tolist()):
             rhs = val - y * gy
             checks += 1
             if x * gx > rhs + tol * scale or (x - 2.0) * gx > rhs + tol * scale:
@@ -282,30 +272,23 @@ def _suite_edge_slope(case: Case, tol: float):
             continue
         # vertex-to-edge-line incidence; interior points of the domain can
         # only touch an edge line inside the actual edge segment
-        d = np.abs(u.verts @ normals.T - offs[None, :])   # (V, E)
-        on_edge = d <= tol_geom
-        found = 0
-        for f in range(u.n_facets):
-            tri = u.tris[f]
-            g = u.planes[f, :2]
-            gn = 1.0 + float(np.hypot(*g))
-            for a, b in ((0, 1), (1, 2), (0, 2)):
-                va, vb = tri[a], tri[b]
-                if np.hypot(*(u.verts[va] - u.verts[vb])) <= tol_geom:
-                    continue
-                shared = np.flatnonzero(on_edge[va] & on_edge[vb])
-                if len(shared) == 0:
-                    continue
-                e = int(shared[0])
-                found += 1
-                checks += 1
-                if abs(float(g @ edge_dirs[e])) > tol * gn:
-                    bad.append(_violation(
-                        {"facet": f, "edge": e, "grad": list(map(float, g)),
-                         "edge_dir": list(map(float, edge_dirs[e])),
-                         "tangential": float(g @ edge_dirs[e])}, desc))
-        checks += 1
-        if found == 0:
+        on_edge = np.abs(u.verts @ normals.T - offs[None, :]) <= tol_geom
+        pairs = u.tris[:, [[0, 1], [1, 2], [0, 2]]]             # (F, 3, 2)
+        inc = on_edge[pairs[..., 0]] & on_edge[pairs[..., 1]]    # (F, 3, E)
+        seg = u.verts[pairs[..., 0]] - u.verts[pairs[..., 1]]
+        hit = inc.any(axis=2) & (np.hypot(seg[..., 0], seg[..., 1]) > tol_geom)
+        facet, pair = np.nonzero(hit)
+        edge = inc[facet, pair].argmax(axis=1)
+        g = u.planes[facet, :2]
+        # one 2-vector product per row, rounded as g @ edge_dir on its own
+        tangential = (g[:, None, :] @ edge_dirs[edge][:, :, None])[:, 0, 0]
+        worse = np.abs(tangential) > tol * (1.0 + np.hypot(g[:, 0], g[:, 1]))
+        checks += len(facet) + 1
+        bad += [_violation({"facet": facet[i], "edge": edge[i], "grad": g[i],
+                            "edge_dir": edge_dirs[edge[i]],
+                            "tangential": tangential[i]}, desc)
+                for i in np.flatnonzero(worse)]
+        if len(facet) == 0:
             bad.append(_violation(
                 {"reason": "no facet with a boundary edge segment"}, desc))
     return checks, bad
@@ -317,11 +300,9 @@ def _suite_sup_boundary(case: Case, tol: float):
     checks, bad = 0, []
     dirs = (E1, E2, random_direction(case.rng(4)))
     for desc, u in case.envelopes:
-        axis_cap = math.sqrt(2.0) * max(
-            norms.sup_directional_norm(u, E1).value,
-            norms.sup_directional_norm(u, E2).value)
-        for h in dirs:
-            rep = norms.sup_directional_norm(u, h)
+        reps = [norms.sup_directional_norm(u, h) for h in dirs]
+        axis_cap = math.sqrt(2.0) * max(reps[0].value, reps[1].value)
+        for h, rep in zip(dirs, reps):
             checks += 1
             if not rep.attained_on_boundary:
                 bad.append(_violation(

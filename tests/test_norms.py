@@ -15,10 +15,14 @@ from hypothesis import strategies as st
 from normratio import (
     E1,
     E2,
+    ConvexDomain,
     Direction,
+    chord,
+    chord_maxima,
     concave_envelope,
     diamond,
     disc,
+    family_u_phi_eps,
     line_integral_abs_dh,
     linear_extremal_triangle,
     lp_directional_norm,
@@ -174,6 +178,100 @@ def test_line_integral_includes_boundary_jumps():
     # ends; offsets run along perp(E2) = (-1, 0), so x = 0.3 is t = -0.3
     v = 2.0 * min(2 * 0.3, 2 - 2 * 0.3)
     assert line_integral_abs_dh(u, E2, -0.3) == pytest.approx(v, abs=1e-12)
+
+
+def test_line_integral_counts_a_mesh_edge_on_the_line_once():
+    # the diagonal of the square pyramid and the x-axis of the disc cone
+    # run along mesh edges, each bounding two facets
+    u = concave_envelope(square(), [((0.5, 0.5), 1.0)])
+    assert line_integral_abs_dh(u, Direction.of(1, 1), 0.0) == \
+        pytest.approx(2.0, abs=1e-12)
+    cone = concave_envelope(disc(64), [((0.0, 0.0), 1.0)])
+    assert line_integral_abs_dh(cone, E1, 0.0) == pytest.approx(2.0, abs=1e-12)
+    # along a support line the chord is a boundary edge, each half of which
+    # bounds one facet only
+    tent = tent_function(square(), [(0.5, 0.0), (0.5, 1.0)])
+    for t in (0.0, 1.0):
+        assert line_integral_abs_dh(tent, E1, t) == pytest.approx(2.0, abs=1e-12)
+    assert line_integral_abs_dh(tent, E1, -0.5) == 0.0
+
+
+def test_line_integral_along_slanted_boundary_edges():
+    # the two ends of a rotated edge project to offsets a rounding apart;
+    # the line through both still runs along the edge's facet
+    for ang in np.linspace(0.1, 3.0, 12):
+        c, s = math.cos(ang), math.sin(ang)
+        dom = ConvexDomain(square().vertices @ np.array([[c, s], [-s, c]]))
+        v = dom.vertices
+        for u in (tent_function(dom, [v[0], 0.5 * (v[1] + v[2])]),
+                  concave_envelope(dom, [(v.mean(axis=0), 1.0)])):
+            for a, b in zip(v, np.roll(v, -1, axis=0)):
+                h = Direction.of(*(b - a))
+                top = chord_maxima(u, a[None, :], b[None, :])[0][0]
+                assert line_integral_abs_dh(u, h, a @ h.perp().as_array()) == \
+                    pytest.approx(2.0 * top, abs=1e-12), f"angle {ang}"
+
+
+def _triangle_line_overlap(tri, a, d):
+    """Parameter interval of {a + s d, s in [0, 1]} inside a triangle."""
+    lo, hi = 0.0, 1.0
+    for i in range(3):
+        p, q = tri[i], tri[(i + 1) % 3]
+        e = q - p
+        # inside is to the left of each CCW edge: cross(e, x - p) >= 0
+        denom = e[0] * d[1] - e[1] * d[0]
+        num = e[0] * (a[1] - p[1]) - e[1] * (a[0] - p[0])
+        if abs(denom) < 1e-15 * (1.0 + abs(num)):
+            if num < 0:
+                return 0.0, 0.0
+            continue
+        s = -num / denom
+        if denom < 0:
+            hi = min(hi, s)
+        else:
+            lo = max(lo, s)
+        if lo >= hi:
+            return 0.0, 0.0
+    return lo, hi
+
+
+def _line_integral_loop(u, h, t):
+    """Reference line integral: the chord from geometry.chord, each facet
+    clipped against it one at a time, and min-of-planes at its ends.  A
+    mesh edge on the line is counted by both of its facets, so only lines
+    off the mesh edges can be compared."""
+    ch = chord(u.domain, h.perp().as_array(), t)
+    if ch is None:
+        return 0.0
+    d = ch.b - ch.a
+    L = float(np.hypot(*d))
+    if L <= u.domain.tol:
+        return 0.0
+    total = 0.0
+    for f in range(u.n_facets):
+        lo, hi = _triangle_line_overlap(u.verts[u.tris[f]], ch.a, d)
+        if hi > lo:
+            total += abs(float(u.planes[f, :2] @ h.as_array())) * (hi - lo) * L
+    ends = plane_values(u, np.array([ch.a, ch.b])).min(axis=1)
+    return total + float(ends.sum())
+
+
+def test_line_integral_matches_facet_clipping_loop():
+    funcs = []
+    for k, dom in enumerate(corpus_domains(6203, 30)):
+        v = dom.vertices
+        funcs += [random_envelope(keyed_rng(6203, k), dom),
+                  tent_function(dom, [v[0], 0.5 * (v[-2] + v[-1])])]
+    funcs.append(family_u_phi_eps(square(), math.pi / 6, 0.05)[0])
+    rng = keyed_rng(6203, 1000)
+    for i, u in enumerate(funcs):
+        for h in (E1, E2, Direction.from_angle(0.7)):
+            proj = u.domain.vertices @ h.perp().as_array()
+            for frac in rng.uniform(0.05, 0.95, size=3):
+                t = proj.min() + (proj.max() - proj.min()) * frac
+                ref = _line_integral_loop(u, h, t)
+                assert line_integral_abs_dh(u, h, t) == pytest.approx(
+                    ref, rel=0, abs=1e-12 * (1.0 + abs(ref))), f"function {i}"
 
 
 def test_sup_norm_reports_boundary_facet():

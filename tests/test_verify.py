@@ -2,11 +2,13 @@
 corpus, violations serialize with enough context to replay, and replays
 notice stale inputs."""
 
+import itertools
 import json
 
+import numpy as np
 import pytest
 
-from normratio import verify
+from normratio import build_function, domain_from_json, verify
 from normratio.verify import SUITES, first_failure, jsonify, replay, run_all, run_suite
 
 
@@ -54,6 +56,34 @@ def test_forced_violation_serializes_and_replays():
     wire_ok = dict(wire)
     wire_ok["tol"] = None
     assert replay(wire_ok).passed
+
+
+def test_edge_slope_forced_violations_name_boundary_facets():
+    res = run_suite("edge-slope", cases=5, tol=-1.0)
+    fields = ["facet", "edge", "grad", "edge_dir", "tangential"]
+    for bad in res.failures:
+        assert list(bad["detail"]) == fields
+        dom = domain_from_json(bad["domain"])
+        u = build_function(dom, bad["function"])
+        e = bad["detail"]["edge"]
+        verts = u.verts[u.tris[bad["detail"]["facet"]]]
+        off = np.abs(verts @ dom.edge_normals()[e] - dom.edge_offsets()[e])
+        assert (off <= 10 * dom.tol).sum() >= 2
+    # every facet-edge check fails; the one check per envelope fails only
+    # where no facet has an edge on the boundary
+    with_edge = 0
+    for k in range(5):
+        case = verify._case(42, k)
+        normals, offs = case.domain.edge_normals(), case.domain.edge_offsets()
+        tol = 10 * case.domain.tol
+        for _, u in case.envelopes:
+            near = np.abs(u.verts @ normals.T - offs) <= tol
+            with_edge += any(
+                (near[a] & near[b]).any()
+                and np.hypot(*(u.verts[a] - u.verts[b])) > tol
+                for tri in u.tris for a, b in itertools.combinations(tri, 2))
+    assert with_edge > 0
+    assert len(res.failures) == res.checks - with_edge
 
 
 def test_replay_rejects_stale_domain():
