@@ -142,10 +142,12 @@ def chord_maxima(u: ConcaveFunction, P0: np.ndarray, P1: np.ndarray):
     a mesh vertex cannot miss it by rounding.  Returns (maxima, t_star) with
     t_star in [0, 1] along each segment.
     """
-    edges = np.unique(np.sort(u.tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2),
-                              axis=1), axis=0)
-    A = u.verts[edges[:, 0]]
-    f = u.verts[edges[:, 1]] - A                       # (E, 2)
+    # mesh edges (a, b) with a < b, sorted, deduplicated by the code a V + b
+    ends = u.tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    nv = len(u.verts)
+    ea, eb = np.divmod(np.unique(ends.min(axis=1) * nv + ends.max(axis=1)), nv)
+    A = u.verts[ea]
+    f = u.verts[eb] - A                                # (E, 2)
     d = P1 - P0                                        # (L, 2)
     w = A[None, :, :] - P0[:, None, :]                 # (L, E, 2)
     # P0 + s d = A + mu f, solved by cross products; parallel pairs skipped
@@ -156,7 +158,7 @@ def chord_maxima(u: ConcaveFunction, P0: np.ndarray, P1: np.ndarray):
     mu = cross2(w, d[:, None, :]) / den
     lo, hi = -1e-12, 1.0 + 1e-12
     hit = ~par & (s >= lo) & (s <= hi) & (mu >= lo) & (mu <= hi)
-    za, zb = u.vert_values[edges[:, 0]], u.vert_values[edges[:, 1]]
+    za, zb = u.vert_values[ea], u.vert_values[eb]
     z = np.where(hit, za + np.clip(mu, 0.0, 1.0) * (zb - za), -np.inf)
     L = len(P0)
     vals = np.column_stack([plane_values(u, P0).min(axis=1),
@@ -177,8 +179,15 @@ def chord_max_hull(u: ConcaveFunction, normal) -> tuple[np.ndarray, np.ndarray]:
     the projected vertices (v . normal, u(v)), so m is that hull: a concave
     polyline over the whole projection range, found by one monotone chain
     (Andrew 1979).  It reads vertex values only, never facet planes.
+
+    The ends of a support edge can project a rounding apart, so
+    projections within tol of the two support values are snapped onto
+    them: the highest vertex on each support line then stays on the hull.
     """
     t = u.verts @ np.asarray(normal, dtype=float)
+    lo, hi = t.min(), t.max()
+    t[t <= lo + u.domain.tol] = lo
+    t[t >= hi - u.domain.tol] = hi
     order = np.lexsort((u.vert_values, t))
     t, z = t[order], u.vert_values[order]
     # at equal t only the highest point can lie on the hull
@@ -226,7 +235,8 @@ def _merge_upper_facets(points3, hull):
 
     Groups come out in the order of their lowest member simplex.  A simplex
     with no coplanar neighbour is a group of its own and is emitted directly;
-    only the others go through the flood fill.
+    only the others go through the flood fill, which is skipped when there
+    are none.
     """
     eqs = hull.equations
     upper = eqs[:, 2] > 1e-9
@@ -256,6 +266,8 @@ def _merge_upper_facets(points3, hull):
     p = points3[tris_alone, :2]
     flip = cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) < 0
     tris_alone[flip] = tris_alone[flip][:, [0, 2, 1]]
+    if len(alone) == len(simpl):
+        return tris_alone, planes_u
 
     n_up = len(upper_idx)
     group = -np.ones(n_up, dtype=np.int64)

@@ -83,19 +83,24 @@ def _collapse(pts: np.ndarray, tol: float) -> np.ndarray:
         n = len(pts)
         if n < 3:
             return pts
-        # coincident neighbours
-        keep = np.ones(n, dtype=bool)
-        for i in range(n):
-            j = (i + 1) % n
-            if keep[i] and np.hypot(*(pts[j] - pts[i])) <= tol:
-                keep[j if j != 0 else i] = False
-        pts2 = pts[keep]
+        # coincident neighbours: gap i runs from vertex i to vertex i + 1,
+        # and only the gaps within tol mark anything
+        gap = np.concatenate((pts[1:], pts[:1])) - pts
+        close = np.hypot(gap[:, 0], gap[:, 1]) <= tol
+        pts2 = pts
+        if close.any():
+            keep = np.ones(n, dtype=bool)
+            for i in np.flatnonzero(close).tolist():
+                j = (i + 1) % n
+                if keep[i]:
+                    keep[j if j != 0 else i] = False
+            pts2 = pts[keep]
         n = len(pts2)
         if n < 3:
             return pts2
         # collinear middles: distance from vertex to neighbour chord
-        prv = np.roll(pts2, 1, axis=0)
-        nxt = np.roll(pts2, -1, axis=0)
+        prv = np.concatenate((pts2[-1:], pts2[:-1]))
+        nxt = np.concatenate((pts2[1:], pts2[:1]))
         chord = nxt - prv
         clen = np.hypot(chord[:, 0], chord[:, 1])
         clen[clen == 0] = 1.0
@@ -116,7 +121,7 @@ class ConvexDomain:
     convex beyond what coincident/collinear collapse can repair.
     """
 
-    __slots__ = ("_verts", "_tol", "_normals", "_offsets")
+    __slots__ = ("_verts", "_tol", "_ends", "_area", "_normals", "_offsets")
 
     def __init__(self, vertices):
         pts = np.asarray(vertices, dtype=float)
@@ -131,23 +136,28 @@ class ConvexDomain:
         pts = _collapse(pts, tol)
         if len(pts) < 3:
             raise DomainError("fewer than 3 vertices after degeneracy collapse")
-        area2 = float(cross2(pts, np.roll(pts, -1, axis=0)).sum())
+        # twice the signed area, relative to the first vertex: raw
+        # coordinates cancel off the origin, and the sign is the orientation
+        nxt = np.concatenate((pts[1:], pts[:1]))
+        area2 = float(cross2(pts - pts[0], nxt - pts[0]).sum())
         if area2 < 0.0:
             pts = pts[::-1].copy()
-        prv = np.roll(pts, 1, axis=0)
-        nxt = np.roll(pts, -1, axis=0)
+            nxt = np.concatenate((pts[1:], pts[:1]))
+            area2 = float(cross2(pts - pts[0], nxt - pts[0]).sum())
+        prv = np.concatenate((pts[-1:], pts[:-1]))
         turns = cross2(pts - prv, nxt - pts)
         if np.any(turns <= 0.0):
             raise DomainError("polygon is not convex")
-        pts.setflags(write=False)
         self._verts = pts
         self._tol = tol
-        e = np.roll(pts, -1, axis=0) - pts
+        self._ends = nxt
+        self._area = 0.5 * area2
+        e = nxt - pts
         normals = np.stack([e[:, 1], -e[:, 0]], axis=1)
         normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
         offsets = np.einsum("ij,ij->i", pts, normals)
-        normals.setflags(write=False)
-        offsets.setflags(write=False)
+        for arr in (pts, nxt, normals, offsets):
+            arr.setflags(write=False)
         self._normals = normals
         self._offsets = offsets
 
@@ -167,13 +177,12 @@ class ConvexDomain:
 
     @property
     def area(self) -> float:
-        # relative to the first vertex: raw coordinates cancel off the origin
-        v = self._verts - self._verts[0]
-        return 0.5 * float(cross2(v, np.roll(v, -1, axis=0)).sum())
+        return self._area
 
     def edges(self):
-        """Pairs (start, end) of consecutive vertices as two (n,2) arrays."""
-        return self._verts, np.roll(self._verts, -1, axis=0)
+        """Pairs (start, end) of consecutive vertices as two (n,2) arrays
+        (read-only)."""
+        return self._verts, self._ends
 
     def edge_vectors(self) -> np.ndarray:
         a, b = self.edges()
@@ -347,17 +356,17 @@ def chord(dom: ConvexDomain, normal: np.ndarray, t: float) -> Chord | None:
         return None
     t_eff = min(max(t, lo), hi)
     s = proj - t_eff
-    s_next = np.roll(s, -1)
+    s_next = np.concatenate((s[1:], s[:1]))
+    ends = dom.edges()[1]
     pts = []
-    nv = len(verts)
-    for i in range(nv):
+    for i in range(len(verts)):
         si, sj = s[i], s_next[i]
         if abs(si) <= tol:
             pts.append(verts[i])
             continue
         if si * sj < 0.0:
             lam = si / (si - sj)
-            pts.append(verts[i] + lam * (verts[(i + 1) % nv] - verts[i]))
+            pts.append(verts[i] + lam * (ends[i] - verts[i]))
     if not pts:
         return None
     pts = np.array(pts)
@@ -375,7 +384,7 @@ def chords_batch(dom: ConvexDomain, normal: np.ndarray, ts: np.ndarray):
     by projection onto the clockwise-rotated normal, and a mask of offsets
     that meet the domain.  Offsets slightly outside clamp like chord().
     """
-    verts = dom.vertices
+    verts, ends = dom.edges()
     n = np.asarray(normal, dtype=float)
     proj = verts @ n
     lo, hi = float(proj.min()), float(proj.max())
@@ -385,34 +394,25 @@ def chords_batch(dom: ConvexDomain, normal: np.ndarray, ts: np.ndarray):
     t_eff = np.clip(ts, lo, hi)
 
     s = proj[:, None] - t_eff[None, :]                    # (nv, L)
-    s_next = np.roll(s, -1, axis=0)
+    s_next = np.concatenate((s[1:], s[:1]))
     on_vert = np.abs(s) <= tol
     crossing = (~on_vert) & (s * s_next < 0.0)
 
-    nv = len(verts)
-    vx, vy = verts[:, 0][:, None], verts[:, 1][:, None]
-    ex = (np.roll(verts[:, 0], -1) - verts[:, 0])[:, None]
-    ey = (np.roll(verts[:, 1], -1) - verts[:, 1])[:, None]
     denom = s - s_next
-    denom = np.where(denom == 0.0, 1.0, denom)
-    lam = s / denom
-    px = np.where(crossing, vx + lam * ex, np.where(on_vert, vx, np.nan))
-    py = np.where(crossing, vy + lam * ey, np.where(on_vert, vy, np.nan))
+    lam = s / np.where(denom == 0.0, 1.0, denom)
+    # the crossing on each edge, or the vertex itself    (nv, L, 2)
+    v, e = verts[:, None, :], (ends - verts)[:, None, :]
+    pts = np.where(crossing[..., None], v + lam[..., None] * e, v)
     use = crossing | on_vert
 
     d = np.array([n[1], -n[0]])
-    along = px * d[0] + py * d[1]
-    along_min = np.where(use, along, np.inf)
-    along_max = np.where(use, along, -np.inf)
-    i_min = np.argmin(along_min, axis=0)
-    i_max = np.argmax(along_max, axis=0)
+    along = pts[..., 0] * d[0] + pts[..., 1] * d[1]
+    i_min = np.argmin(np.where(use, along, np.inf), axis=0)
+    i_max = np.argmax(np.where(use, along, -np.inf), axis=0)
     cols = np.arange(len(ts))
-    P0 = np.stack([px[i_min, cols], py[i_min, cols]], axis=1)
-    P1 = np.stack([px[i_max, cols], py[i_max, cols]], axis=1)
-    empty = ~np.any(use, axis=0)
-    valid = valid & ~empty
-    P0 = np.where(valid[:, None], P0, 0.0)
-    P1 = np.where(valid[:, None], P1, 0.0)
+    valid = valid & use.any(axis=0)
+    P0 = np.where(valid[:, None], pts[i_min, cols], 0.0)
+    P1 = np.where(valid[:, None], pts[i_max, cols], 0.0)
     return P0, P1, valid
 
 

@@ -122,7 +122,8 @@ def scanline_l1_norm(u: ConcaveFunction, h: Direction) -> NormReport:
                       jump_part=jump, method="scan-line")
 
 
-def line_integral_abs_dh(u: ConcaveFunction, h: Direction, t: float) -> float:
+def line_integral_abs_dh(u: ConcaveFunction, h: Direction,
+                         t: float | np.ndarray) -> float | np.ndarray:
     """Exact integral of |d_h u| along the chord {x . perp(h) = t}, plus the
     boundary jumps at the chord's endpoints.
 
@@ -136,36 +137,47 @@ def line_integral_abs_dh(u: ConcaveFunction, h: Direction, t: float) -> float:
     :func:`geometry.chord`, an offset within tol of a support value clamps
     to it, and a vertex within tol of the line lies on it; a line farther
     off the domain gives 0.
+
+    t may be a 1-D array of offsets: all lines are then one array pass,
+    and the result is an array.  A scalar t gives a float.
     """
     n, harr = h.perp().as_array(), h.as_array()
     dom = u.domain
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     proj = dom.vertices @ n
     lo, hi = float(proj.min()), float(proj.max())
-    if t < lo - dom.tol or t > hi + dom.tol:
-        return 0.0
-    dist = u.verts @ n - min(max(t, lo), hi)
+    meets = (ts >= lo - dom.tol) & (ts <= hi + dom.tol)
+    dist = (u.verts @ n)[None, :] - np.clip(ts, lo, hi)[:, None]    # (L, V)
     dist[np.abs(dist) <= dom.tol] = 0.0
-    s = dist[u.tris]                                              # (F, 3)
+    s = dist[:, u.tris]                                           # (L, F, 3)
     nxt = [1, 2, 0]
-    cross = s * s[:, nxt] < 0.0
-    lam = s / np.where(cross, s - s[:, nxt], 1.0)
+    cross = s * s[..., nxt] < 0.0
+    lam = s / np.where(cross, s - s[..., nxt], 1.0)
     # (position along h, value) at the vertices, then at the edge crossings
-    qz = np.column_stack([u.verts @ harr, u.vert_values])[u.tris]
-    qz = np.concatenate([qz, qz + lam[..., None] * (qz[:, nxt] - qz)], axis=1)
+    qz = np.column_stack([u.verts @ harr, u.vert_values])[u.tris]  # (F, 3, 2)
+    qz = np.concatenate(
+        [np.broadcast_to(qz, lam.shape + (2,)),
+         qz + lam[..., None] * (qz[:, nxt] - qz)], axis=2)         # (L, F, 6, 2)
     on = s == 0.0
-    hit = np.hstack([on, cross])                                  # (F, 6)
+    hit = np.concatenate([on, cross], axis=2)                     # (L, F, 6)
     q_lo = np.where(hit, qz[..., 0], np.inf)
     q_hi = np.where(hit, qz[..., 0], -np.inf)
-    length = np.maximum(q_hi.max(axis=1) - q_lo.min(axis=1), 0.0)
-    edge_facets = np.flatnonzero(on.sum(axis=1) == 2)
-    if len(edge_facets):
-        ends = np.sort(np.where(on[edge_facets], u.tris[edge_facets], -1),
+    length = np.maximum(q_hi.max(axis=2) - q_lo.min(axis=2), 0.0)  # (L, F)
+    pair = on.sum(axis=2) == 2
+    for i in np.flatnonzero(pair.any(axis=1)).tolist():
+        edge_facets = np.flatnonzero(pair[i])
+        ends = np.sort(np.where(on[i, edge_facets], u.tris[edge_facets], -1),
                        axis=1)[:, 1:]
-        _, first = np.unique(ends, axis=0, return_index=True)
-        length[np.delete(edge_facets, first)] = 0.0
-    ac = float(np.abs(u.planes[:, :2] @ harr) @ length)
-    z = qz[..., 1]
-    return ac + float(z.flat[q_lo.argmin()]) + float(z.flat[q_hi.argmax()])
+        _, first = np.unique(ends[:, 0] * len(u.verts) + ends[:, 1],
+                             return_index=True)
+        length[i, np.delete(edge_facets, first)] = 0.0
+    ac = length @ np.abs(u.planes[:, :2] @ harr)
+    z = qz[..., 1].reshape(len(ts), -1)
+    rows = np.arange(len(ts))
+    out = (ac + z[rows, q_lo.reshape(len(ts), -1).argmin(axis=1)]
+           + z[rows, q_hi.reshape(len(ts), -1).argmax(axis=1)])
+    out[~meets] = 0.0
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def norm_ratio(u: ConcaveFunction, h1: Direction, h2: Direction, p) -> float:

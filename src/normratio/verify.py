@@ -40,7 +40,7 @@ from .geometry import (
     E2,
     ConvexDomain,
     Direction,
-    chord,
+    chords_batch,
     domain_from_json,
     domain_to_json,
     max_boundary_slope,
@@ -210,13 +210,13 @@ def _suite_line_mass(case: Case, tol: float):
             proj = case.domain.vertices @ n
             lo, hi = float(proj.min()), float(proj.max())
             hull_t, hull_m = chord_max_hull(u, n)
-            for frac in rng.uniform(0.05, 0.95, size=3):
-                t = lo + (hi - lo) * float(frac)
-                ch = chord(case.domain, n, t)
-                if ch is None or ch.length <= 100 * case.domain.tol:
-                    continue
-                m = float(np.interp(t, hull_t, hull_m))
-                li = norms.line_integral_abs_dh(u, h, t)
+            ts = lo + (hi - lo) * rng.uniform(0.05, 0.95, size=3)
+            P0, P1, valid = chords_batch(case.domain, n, ts)
+            long = valid & (np.hypot(*(P1 - P0).T) > 100 * case.domain.tol)
+            ms = np.interp(ts, hull_t, hull_m)
+            lis = norms.line_integral_abs_dh(u, h, ts)
+            for t, m, li in zip(ts[long].tolist(), ms[long].tolist(),
+                                lis[long].tolist()):
                 checks += 1
                 if abs(li - 2.0 * m) > tol * (1.0 + 2.0 * abs(m)):
                     bad.append(_violation(

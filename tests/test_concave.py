@@ -361,6 +361,27 @@ def test_chord_max_hull_matches_chord_maxima():
             assert np.abs(np.interp(ts, ht, hm) - m).max() <= tol, f"case {k}"
 
 
+def test_chord_max_hull_at_support_offsets_of_slanted_edges():
+    # the two ends of a rotated edge project a rounding apart; the tent's
+    # top meets edge 1 at its midpoint, so the hull must read 1 there too
+    for ang in [0.3636] + np.linspace(0.1, 3.0, 12).tolist():
+        c, s = math.cos(ang), math.sin(ang)
+        dom = ConvexDomain(square().vertices @ np.array([[c, s], [-s, c]]))
+        v = dom.vertices
+        for u in (tent_function(dom, [v[0], 0.5 * (v[1] + v[2])]),
+                  concave_envelope(dom, [(v.mean(axis=0), 1.0)])):
+            # each edge both ways: its line is the lower and the upper
+            # support line
+            A, B = dom.edges()
+            for a, b in zip(np.vstack([A, B]), np.vstack([B, A])):
+                normal = Direction.of(*(b - a)).perp().as_array()
+                ht, hm = chord_max_hull(u, normal)
+                top = chord_maxima(u, a[None, :], b[None, :])[0][0]
+                assert np.interp(a @ normal, ht, hm) == pytest.approx(
+                    top, abs=1e-12), f"angle {ang}"
+                assert np.all(np.diff(ht) > 0), f"angle {ang}"
+
+
 def test_max_profile_of_diamond_cone():
     u = concave_envelope(diamond(), [((0.0, 0.0), 1.0)])
     prof = max_profile(u, E1)

@@ -30,7 +30,7 @@ from normratio import (
     width,
     width_extremes,
 )
-from normratio.geometry import chords_batch
+from normratio.geometry import chords_batch, cross2
 from normratio.sampling import keyed_rng, random_convex_polygon
 
 from conftest import corpus_domains
@@ -42,13 +42,16 @@ from conftest import corpus_domains
 
 
 def test_clockwise_input_is_reordered():
-    dom = ConvexDomain([(0, 0), (0, 1), (1, 1), (1, 0)])  # clockwise
-    assert dom.area == pytest.approx(1.0)
-    v = dom.vertices
-    e1 = np.roll(v, -1, axis=0) - v
-    e2 = np.roll(v, -2, axis=0) - np.roll(v, -1, axis=0)
-    crosses = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    assert np.all(crosses > 0), "canonical order must be counterclockwise"
+    # far off the origin the raw cross products cancel: the orientation
+    # must come from coordinates relative to a vertex
+    for offset in (0.0, 1e8):
+        dom = ConvexDomain(np.array([(0, 0), (0, 1), (1, 1), (1, 0)]) + offset)
+        assert dom.area == pytest.approx(1.0)
+        v = dom.vertices
+        e1 = np.roll(v, -1, axis=0) - v
+        e2 = np.roll(v, -2, axis=0) - np.roll(v, -1, axis=0)
+        crosses = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        assert np.all(crosses > 0), "canonical order must be counterclockwise"
 
 
 def test_rejects_degenerate_input():
@@ -72,6 +75,29 @@ def test_edge_frame_is_stored_read_only():
             dom.edge_normals()[0, 0] = 0.0
         with pytest.raises(ValueError):
             dom.edge_offsets()[0] = 0.0
+        # area relative to the first vertex, edge ends the next vertices
+        v = dom.vertices - dom.vertices[0]
+        assert dom.area == 0.5 * float(cross2(v, np.roll(v, -1, axis=0)).sum())
+        assert np.array_equal(dom.edges()[1], np.roll(dom.vertices, -1, axis=0))
+        with pytest.raises(AttributeError):
+            dom.area = 0.0
+        with pytest.raises(ValueError):
+            dom.edges()[1][0, 0] = 0.0
+
+
+def test_repeated_near_and_collinear_vertices_collapse():
+    tol = square().tol
+    inputs = [
+        # a repeated vertex, a collinear middle, a vertex within tol of the
+        # one before it
+        [(0, 0), (0, 0), (0.5, 0), (1, 0), (1, 1), (1 + 0.2 * tol, 1), (0, 1)],
+        # the last vertex within tol of the first
+        [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0.2 * tol)],
+    ]
+    for pts in inputs:
+        dom = ConvexDomain(pts)
+        assert np.array_equal(dom.vertices, square().vertices), pts
+        assert dom.area == 1.0
 
 
 def test_signed_boundary_distance_signs():

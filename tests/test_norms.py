@@ -212,6 +212,38 @@ def test_line_integral_along_slanted_boundary_edges():
                     pytest.approx(2.0 * top, abs=1e-12), f"angle {ang}"
 
 
+def test_line_integral_of_many_offsets_matches_scalar_calls():
+    funcs = []
+    for k, dom in enumerate(corpus_domains(6204, 20)):
+        v = dom.vertices
+        funcs += [random_envelope(keyed_rng(6204, k), dom),
+                  tent_function(dom, [v[0], 0.5 * (v[-2] + v[-1])])]
+    funcs.append(family_u_phi_eps(square(), math.pi / 6, 0.05)[0])
+    rng = keyed_rng(6204, 1000)
+    for i, u in enumerate(funcs):
+        for h in (E1, E2, Direction.from_angle(0.7)):
+            proj = u.domain.vertices @ h.perp().as_array()
+            lo, hi = proj.min(), proj.max()
+            # interior offsets, both support values, one within tol of a
+            # support value (it clamps), and one off each side
+            ts = np.concatenate([lo + (hi - lo) * rng.uniform(0.0, 1.0, 5),
+                                 [lo, hi, hi + 0.5 * u.domain.tol,
+                                  lo - 1.0, hi + 1.0]])
+            batch = line_integral_abs_dh(u, h, ts)
+            assert batch.shape == ts.shape
+            for t, value in zip(ts, batch):
+                one = line_integral_abs_dh(u, h, float(t))
+                assert isinstance(one, float)
+                assert abs(value - one) <= 1e-15 * (1.0 + abs(one)), \
+                    f"function {i}"
+            assert batch[-3] == batch[-4]
+            assert batch[-2] == 0.0 and batch[-1] == 0.0
+    # the pyramid's diagonal runs along a mesh edge, counted once per line
+    u = concave_envelope(square(), [((0.5, 0.5), 1.0)])
+    diag = line_integral_abs_dh(u, Direction.of(1, 1), np.array([0.0, 0.0]))
+    assert diag == pytest.approx([2.0, 2.0], abs=1e-12)
+
+
 def _triangle_line_overlap(tri, a, d):
     """Parameter interval of {a + s d, s in [0, 1]} inside a triangle."""
     lo, hi = 0.0, 1.0
