@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .geometry import ConvexDomain, Direction, cross2
 
@@ -229,85 +228,6 @@ def max_profile(u: ConcaveFunction, h: Direction) -> MaxProfile:
 # ---------------------------------------------------------------------------
 
 
-def _merge_upper_facets(points3, hull):
-    """Group coplanar upper-hull simplices and re-triangulate each group by
-    a fan from its lowest-index vertex, so the facet set is reproducible.
-
-    Groups come out in the order of their lowest member simplex.  A simplex
-    with no coplanar neighbour is a group of its own and is emitted directly;
-    only the others go through the flood fill, which is skipped when there
-    are none.
-    """
-    eqs = hull.equations
-    upper = eqs[:, 2] > 1e-9
-    upper_idx = np.nonzero(upper)[0]
-    if len(upper_idx) == 0:
-        raise ValueError("degenerate envelope: no upper facets")
-    pos = -np.ones(len(eqs), dtype=np.int64)
-    pos[upper_idx] = np.arange(len(upper_idx))
-
-    simpl = hull.simplices[upper_idx]
-    eq_u = eqs[upper_idx]
-    nbr = pos[hull.neighbors[upper_idx]]                  # (n_up, 3), -1: none
-    other = eq_u[np.maximum(nbr, 0)]                      # (n_up, 3, 4)
-    # coplanar[f, k]: neighbour k of f lies in f's plane (tolerance set by f)
-    coplanar = ((nbr >= 0)
-                & (np.abs(eq_u[:, None, :3] - other[:, :, :3]).max(axis=2) <= 1e-9)
-                & (np.abs(eq_u[:, None, 3] - other[:, :, 3])
-                   <= 1e-9 * (1.0 + np.abs(eq_u[:, None, 3]))))
-    # the relation is not symmetric, so a facet flagged only by its
-    # neighbour can still be pulled into that neighbour's group
-    linked = coplanar.any(axis=1)
-    linked[nbr[coplanar]] = True
-    planes_u = -eq_u[:, [0, 1, 3]] / eq_u[:, 2:3]
-
-    alone = np.nonzero(~linked)[0]
-    tris_alone = np.sort(simpl[alone], axis=1)
-    p = points3[tris_alone, :2]
-    flip = cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) < 0
-    tris_alone[flip] = tris_alone[flip][:, [0, 2, 1]]
-    if len(alone) == len(simpl):
-        return tris_alone, planes_u
-
-    n_up = len(upper_idx)
-    group = -np.ones(n_up, dtype=np.int64)
-    keys, tris, planes = [alone], [tris_alone], [planes_u[alone]]
-    for start in np.nonzero(linked)[0]:
-        if group[start] >= 0:
-            continue
-        stack = [start]
-        group[start] = start
-        while stack:
-            f = stack.pop()
-            for k in range(3):
-                g = nbr[f, k]
-                if coplanar[f, k] and group[g] < 0:
-                    group[g] = start
-                    stack.append(g)
-        vids = np.unique(simpl[group == start].ravel())
-        if len(vids) == 3:
-            order = vids
-        else:
-            pts2 = points3[vids, :2]
-            cen = pts2.mean(axis=0)
-            ang = np.arctan2(pts2[:, 1] - cen[1], pts2[:, 0] - cen[0])
-            order = vids[np.argsort(ang, kind="stable")]
-            start_pos = int(np.argmin(order))
-            order = np.roll(order, -start_pos)
-        fan = []
-        for a in range(1, len(order) - 1):
-            t = [order[0], order[a], order[a + 1]]
-            q = points3[t, :2]
-            if cross2(q[1] - q[0], q[2] - q[0]) < 0:
-                t = [t[0], t[2], t[1]]
-            fan.append(t)
-        keys.append(np.full(len(fan), start))
-        tris.append(np.array(fan, dtype=np.int64))
-        planes.append(np.tile(planes_u[start], (len(fan), 1)))
-    order = np.argsort(np.concatenate(keys), kind="stable")
-    return np.concatenate(tris)[order], np.concatenate(planes)[order]
-
-
 def _polygon_ccw(xy: np.ndarray, tol: float) -> list:
     """Indices of the convex hull vertices of xy, counterclockwise (Andrew's
     monotone chain); a point within tol of a hull edge is not a vertex."""
@@ -329,35 +249,127 @@ def _polygon_ccw(xy: np.ndarray, tol: float) -> list:
     return chain(order)[:-1] + chain(order[::-1])[:-1]
 
 
-def _interior_facets(dom: ConvexDomain, ring: np.ndarray, pts: np.ndarray,
-                     hts: np.ndarray):
-    """Upper facets with at most one ring vertex, from the hull of the
-    constraints plus the given ring vertices only.
+def _interior_facets(xy: np.ndarray, z: np.ndarray, cand: np.ndarray,
+                     polys: list, nb: int, tol: float):
+    """The upper-hull facets that are not over a domain edge, by gift
+    wrapping (Chand & Kapur 1970) outward from the known facets.
 
-    Returns triangles indexing [ring vertices, constraints] and their
-    planes.  The hull runs in a frame local to the first domain vertex.  A
-    coplanar group is kept only if its plane is >= -tol at every domain
-    vertex (otherwise it cuts off a ring vertex left out of the hull) and
-    vanishes at no more than one of them (otherwise it is an edge facet).
+    xy (a local frame) and z index the graph points as [ring vertices,
+    constraints]; polys are the known facets, the edge facets, as
+    counterclockwise id lists; only those at a switch vertex (a ring
+    vertex in cand) or with two or more constraints are needed.  The
+    frontier is every facet edge of exactly one known facet that has a
+    constraint end and no other ring end than a switch vertex: an edge at
+    any other ring vertex is shared by the two edge facets there, and an
+    edge between ring vertices is a domain edge.  Each round takes the
+    whole frontier in one array pass: the plane of the facet across a
+    frontier edge contains the candidate in cand on the far side that
+    maximizes r_k / d_k, with d_k its distance from the edge's line and
+    r_k its height over the edge.  The candidates within tol of that plane
+    (and not behind the edge) make one polygon (:func:`_polygon_ccw`),
+    fanned from its lowest index; a facet reached from several frontier
+    edges is kept once.  Every facet plane is >= 0 at every ring vertex,
+    so the wrap reaches true facets only.  It raises ValueError when a
+    frontier edge has no candidate beyond it, when a round finds no new
+    facet, or when there are more facets than a triangulation of the
+    points has.
+
+    Returns triangles indexing xy and their planes, in the frame of xy.
     """
-    v0 = dom.vertices[0]
-    local = dom.vertices - v0
-    points3 = np.zeros((len(ring) + len(pts), 3))
-    points3[:len(ring), :2] = local[ring]
-    points3[len(ring):, :2] = pts - v0
-    points3[len(ring):, 2] = hts
-    try:
-        hull = ConvexHull(points3, qhull_options="Qt")
-    except QhullError as exc:
-        raise ValueError(f"degenerate envelope input: {exc}") from exc
-    tris, planes = _merge_upper_facets(points3, hull)
-    vals = local @ planes[:, :2].T + planes[:, 2]             # (n, T)
-    tol = dom.tol * np.hypot(planes[:, 0], planes[:, 1])
-    keep = (vals >= -tol).all(axis=0) & ((np.abs(vals) <= tol).sum(axis=0) <= 1)
-    ids = np.concatenate([ring, dom.n + np.arange(len(pts))])
-    planes = planes[keep]
-    planes[:, 2] -= planes[:, :2] @ v0
-    return ids[tris[keep]], planes
+    switch = set(cand[cand < nb].tolist())
+    known = set()
+    frontier = {}                 # (lo, hi) -> (a, b), known facet on the left
+
+    def add(poly):
+        known.add(tuple(sorted(poly)))
+        for a, b in zip(poly, poly[1:] + poly[:1]):
+            key = (a, b) if a < b else (b, a)
+            if key in frontier:
+                del frontier[key]
+            elif ((a >= nb or b >= nb) and (a >= nb or a in switch)
+                  and (b >= nb or b in switch)):
+                frontier[key] = (a, b)
+
+    for poly in polys:
+        add(poly)
+    X, Y, Z = xy[:, 0].tolist(), xy[:, 1].tolist(), z.tolist()
+    # candidate k as the column (x_k, y_k, 1, z_k)
+    M = np.ones((4, len(cand)))
+    M[:2] = xy[cand].T
+    M[3] = z[cand]
+    tris, planes = [], []
+    while frontier:
+        edges = list(frontier.values())
+        # per edge a -> b, with U = p_b - p_a and q = (z_b - z_a) / |U|^2,
+        # rows giving cr_k = (uy, -ux) . (p_k - p_a), |U| times k's distance
+        # beyond the edge, and r_k = z_k - z_a - q U . (p_k - p_a), k's
+        # height over the edge
+        rows, lin, reach = [], [], []
+        for a, b in edges:
+            ax, ay, za = X[a], Y[a], Z[a]
+            ux, uy = X[b] - ax, Y[b] - ay
+            len2 = ux * ux + uy * uy
+            q = (Z[b] - za) / len2
+            rows.append([uy, -ux, ay * ux - ax * uy, 0.0])
+            lin.append([-q * ux, -q * uy, q * (ax * ux + ay * uy) - za, 1.0])
+            reach.append(tol * math.sqrt(len2))
+        f = len(edges)
+        cr, r = (np.array(rows + lin) @ M).reshape(2, f, -1)
+        reach = np.array(reach)[:, None]
+        beyond = cr > reach
+        rho = np.divide(r, cr, out=np.full(r.shape, -np.inf), where=beyond)
+        top = cand[rho.argmax(axis=1)].tolist()
+        s = rho.max(axis=1)
+        # the plane z_a + q U . (x - p_a) + s (uy, -ux) . (x - p_a), and a
+        # tie within tol of it, measured normal to it
+        plane, thr = [], []
+        for (nx, ny, n0, _), (lx, ly, l0, _), si in zip(rows, lin, s.tolist()):
+            if si == -math.inf:
+                raise ValueError("degenerate envelope input: a facet edge "
+                                 "has no point beyond it")
+            gx, gy = si * nx - lx, si * ny - ly
+            plane.append([gx, gy, si * n0 - l0])
+            thr.append(tol * math.sqrt(1.0 + gx * gx + gy * gy))
+        tie = s[:, None] * cr - r <= np.array(thr)[:, None]
+        lone = ((tie & beyond).sum(axis=1) == 1).tolist()
+        # a tied candidate on the edge's line is no vertex, but keeps the
+        # tie sets of one facet's frontier edges the same
+        tie &= cr > -reach
+        seen = {}
+        found = False
+        for i, (a, b) in enumerate(edges):
+            if lone[i]:
+                poly = [b, a, top[i]]
+            else:
+                key = np.packbits(tie[i]).tobytes()
+                if key not in seen:
+                    sel = np.zeros(len(xy), dtype=bool)
+                    sel[cand[tie[i]]] = True
+                    sel[[a, b]] = True
+                    ids = np.flatnonzero(sel)
+                    seen[key] = ids[_polygon_ccw(xy[ids] - xy[a], tol)].tolist()
+                poly = seen[key]
+            lo = poly.index(min(poly))
+            poly = poly[lo:] + poly[:lo]
+            if tuple(sorted(poly)) not in known:
+                add(poly)
+                found = True
+                tris += [[poly[0], poly[j], poly[j + 1]]
+                         for j in range(1, len(poly) - 1)]
+                planes += [plane[i]] * (len(poly) - 2)
+        if not found:
+            raise ValueError("degenerate envelope input: the wrap found no "
+                             "new facet")
+        if len(known) > 2 * len(xy):
+            raise ValueError("degenerate envelope input: more facets than a "
+                             "triangulation has")
+    return (np.array(tris, dtype=np.int64).reshape(-1, 3),
+            np.array(planes, dtype=float).reshape(-1, 3))
+
+
+# bench/spans.py times the hull step through the name of the qhull call this
+# routine replaced
+ConvexHull = _interior_facets
 
 
 def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
@@ -377,9 +389,11 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
     constraints that are vertices of it.  An upper facet with two ring
     vertices has them adjacent, so it is an edge facet; any other facet has
     at most one ring vertex, where the tie sets of the two edges differ (a
-    switch vertex).  So qhull runs on the constraints plus the switch
-    vertices only.  One constraint has no switch vertex and gives the cone
-    over the ring.
+    switch vertex).  So the other facets are wrapped outward from the edge
+    facets over the constraints plus the switch vertices only (see
+    :func:`_interior_facets`), in a frame local to the first domain
+    vertex.  One constraint has no switch vertex and gives the cone over
+    the ring.
     """
     cons = [((float(p[0]), float(p[1])), float(h)) for p, h in constraints]
     if not cons:
@@ -406,6 +420,7 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
     e = np.arange(nb)
     tris = [np.column_stack([e, (e + 1) % nb, nb + top])[single]]
     planes = [edge_planes[single]]
+    polys = []
     points = np.vstack([v, pts])
     for k in np.nonzero(~single)[0]:
         ids = np.concatenate([[k, (k + 1) % nb], nb + np.nonzero(tied[k])[0]])
@@ -417,12 +432,22 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
         poly = poly.tolist()
         lo = poly.index(min(poly))
         poly = poly[lo:] + poly[:lo]
+        polys.append(poly)
         tris.append(np.array([[poly[0], poly[a], poly[a + 1]]
                               for a in range(1, len(poly) - 1)]))
         planes.append(np.tile(edge_planes[k], (len(poly) - 2, 1)))
     switch = np.nonzero((tied != tied[e - 1]).any(axis=1))[0]
+    z = np.concatenate([np.zeros(nb), hts])
     if len(switch):
-        inner_tris, inner_planes = _interior_facets(dom, switch, pts, hts)
+        at_switch = np.zeros(nb, dtype=bool)
+        at_switch[switch] = True
+        near = (at_switch | np.roll(at_switch, -1))[single]
+        polys = tris[0][near].tolist() + polys
+        # called as ConvexHull: see the note at its definition
+        inner_tris, inner_planes = ConvexHull(
+            points - v[0], z, np.concatenate([switch, nb + np.arange(len(pts))]),
+            polys, nb, dom.tol)
+        inner_planes[:, 2] -= inner_planes[:, :2] @ v[0]
         tris.append(inner_tris)
         planes.append(inner_planes)
     tris = np.concatenate(tris)
@@ -432,7 +457,7 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
     fn = ConcaveFunction(
         domain=dom,
         verts=points[used],
-        vert_values=np.concatenate([np.zeros(nb), hts])[used],
+        vert_values=z[used],
         tris=remap[tris],
         planes=np.concatenate(planes),
         mode=CLASSICAL,
@@ -441,7 +466,7 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
                     "constraints": [[p[0], p[1], h] for p, h in cons]},
     )
     cover = fn.facet_areas.sum()
-    if abs(cover - dom.area) > 1e-9 * max(dom.area, 1.0):
+    if abs(cover - dom.area) > 1e-9 * dom.area:
         raise ValueError("upper hull does not triangulate the domain")
     return fn
 
@@ -793,7 +818,7 @@ def transform_function(u: ConcaveFunction, lin: np.ndarray, shift: np.ndarray,
 
 def check_partition(u: ConcaveFunction, tol: float = 1e-9) -> bool:
     """Facet areas must tile the domain."""
-    return abs(u.facet_areas.sum() - u.domain.area) <= tol * max(u.domain.area, 1.0)
+    return abs(u.facet_areas.sum() - u.domain.area) <= tol * u.domain.area
 
 
 def check_concavity(u: ConcaveFunction, tol: float = 1e-8) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .concave import ConcaveFunction, concave_envelope
+from .concave import ConcaveFunction, _polygon_ccw, concave_envelope
 from .geometry import ConvexDomain, Direction
 
 
@@ -31,8 +31,6 @@ def random_convex_polygon(rng: np.random.Generator) -> ConvexDomain:
     Vertex count is at most 12; thin or tiny hulls are rejected and
     resampled so downstream tolerance assumptions hold.
     """
-    from scipy.spatial import ConvexHull
-
     max_vertices = 12
     for _ in range(100):
         m = int(rng.integers(4, max_vertices + 4))
@@ -41,8 +39,7 @@ def random_convex_polygon(rng: np.random.Generator) -> ConvexDomain:
         ang = rng.uniform(0.0, np.pi)
         R = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
         pts = (pts * stretch) @ R.T
-        hull = ConvexHull(pts)
-        verts = pts[hull.vertices]
+        verts = pts[_polygon_ccw(pts, 0.0)]
         if len(verts) > max_vertices:
             keep = np.sort(rng.choice(len(verts), size=max_vertices,
                                       replace=False))

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -272,16 +273,21 @@ def test_output_is_byte_identical_across_runs(capsys):
     assert first == second
 
 
-def _declared_entry_point():
-    """The ``module:attr`` that ``pyproject.toml`` declares as the
-    ``normratio`` console script."""
+def _pyproject():
+    """The parsed ``pyproject.toml``."""
     if sys.version_info >= (3, 11):
         import tomllib
     else:
         tomllib = pytest.importorskip("tomli")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as f:
-        spec = tomllib.load(f)["project"]["scripts"]["normratio"]
+        return tomllib.load(f)
+
+
+def _declared_entry_point():
+    """The ``module:attr`` that ``pyproject.toml`` declares as the
+    ``normratio`` console script."""
+    spec = _pyproject()["project"]["scripts"]["normratio"]
     module, _, attr = spec.partition(":")
     return module, attr
 
@@ -323,3 +329,31 @@ def test_installed_console_script_matches_entry_point(tmp_path):
     ref = _run_entry_point(tmp_path, *argv)
     assert res.returncode == ref.returncode == 0, res.stderr.decode()
     assert res.stdout == ref.stdout
+
+
+# ---------------------------------------------------------------------------
+# packaging
+# ---------------------------------------------------------------------------
+
+
+def _requirement_name(req):
+    return re.split(r"[\s<>=!~;\[]", req, maxsplit=1)[0].lower()
+
+
+def test_runtime_dependencies_leave_out_scipy():
+    project = _pyproject()["project"]
+    runtime = [_requirement_name(r) for r in project["dependencies"]]
+    assert "numpy" in runtime
+    assert not [r for r in runtime if r.startswith("scipy")]
+    # the tests keep scipy as their oracle
+    test_extra = [_requirement_name(r)
+                  for r in project["optional-dependencies"]["test"]]
+    assert "scipy" in test_extra
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    code = ("import sys, normratio.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    res = _run([sys.executable, "-c", code], tmp_path)
+    assert res.returncode == 0, res.stderr.decode()
+    assert res.stdout.decode().strip() == "[]"

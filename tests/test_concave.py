@@ -28,17 +28,18 @@ from normratio import (
     transform_function,
     triangle,
 )
+from normratio import concave
 from normratio.bounds import affine_normalize
 from normratio.concave import (
     ConcaveFunction,
     _locate_boundary_edge,
-    _merge_upper_facets,
+    _polygon_ccw,
     check_concavity,
     check_partition,
     check_vertex_consistency,
     chord_max_hull,
 )
-from normratio.geometry import chords_batch
+from normratio.geometry import chords_batch, cross2
 from normratio.norms import lp_directional_norm
 from normratio.sampling import (
     keyed_rng,
@@ -46,6 +47,7 @@ from normratio.sampling import (
     random_envelope_descriptor,
     random_interior_points,
 )
+from normratio.verify import _case
 
 from conftest import corpus_domains
 
@@ -84,6 +86,85 @@ def test_dominated_constraint_changes_nothing():
     both = concave_envelope(dom, [((0.5, 0.5), 1.0), ((0.55, 0.5), 0.2)])
     pts = random_interior_points(keyed_rng(7101), dom, 200)
     assert evaluate(both, pts) == pytest.approx(evaluate(base, pts), abs=1e-12)
+
+
+def _merge_upper_facets(points3, hull):
+    """Group coplanar upper-hull simplices and re-triangulate each group by
+    a fan from its lowest-index vertex, so the facet set is reproducible.
+
+    Groups come out in the order of their lowest member simplex.  A simplex
+    with no coplanar neighbour is a group of its own and is emitted directly;
+    only the others go through the flood fill, which is skipped when there
+    are none.
+    """
+    eqs = hull.equations
+    upper = eqs[:, 2] > 1e-9
+    upper_idx = np.nonzero(upper)[0]
+    if len(upper_idx) == 0:
+        raise ValueError("degenerate envelope: no upper facets")
+    pos = -np.ones(len(eqs), dtype=np.int64)
+    pos[upper_idx] = np.arange(len(upper_idx))
+
+    simpl = hull.simplices[upper_idx]
+    eq_u = eqs[upper_idx]
+    nbr = pos[hull.neighbors[upper_idx]]                  # (n_up, 3), -1: none
+    other = eq_u[np.maximum(nbr, 0)]                      # (n_up, 3, 4)
+    # coplanar[f, k]: neighbour k of f lies in f's plane (tolerance set by f)
+    coplanar = ((nbr >= 0)
+                & (np.abs(eq_u[:, None, :3] - other[:, :, :3]).max(axis=2) <= 1e-9)
+                & (np.abs(eq_u[:, None, 3] - other[:, :, 3])
+                   <= 1e-9 * (1.0 + np.abs(eq_u[:, None, 3]))))
+    # the relation is not symmetric, so a facet flagged only by its
+    # neighbour can still be pulled into that neighbour's group
+    linked = coplanar.any(axis=1)
+    linked[nbr[coplanar]] = True
+    planes_u = -eq_u[:, [0, 1, 3]] / eq_u[:, 2:3]
+
+    alone = np.nonzero(~linked)[0]
+    tris_alone = np.sort(simpl[alone], axis=1)
+    p = points3[tris_alone, :2]
+    flip = cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) < 0
+    tris_alone[flip] = tris_alone[flip][:, [0, 2, 1]]
+    if len(alone) == len(simpl):
+        return tris_alone, planes_u
+
+    n_up = len(upper_idx)
+    group = -np.ones(n_up, dtype=np.int64)
+    keys, tris, planes = [alone], [tris_alone], [planes_u[alone]]
+    for start in np.nonzero(linked)[0]:
+        if group[start] >= 0:
+            continue
+        stack = [start]
+        group[start] = start
+        while stack:
+            f = stack.pop()
+            for k in range(3):
+                g = nbr[f, k]
+                if coplanar[f, k] and group[g] < 0:
+                    group[g] = start
+                    stack.append(g)
+        vids = np.unique(simpl[group == start].ravel())
+        if len(vids) == 3:
+            order = vids
+        else:
+            pts2 = points3[vids, :2]
+            cen = pts2.mean(axis=0)
+            ang = np.arctan2(pts2[:, 1] - cen[1], pts2[:, 0] - cen[0])
+            order = vids[np.argsort(ang, kind="stable")]
+            start_pos = int(np.argmin(order))
+            order = np.roll(order, -start_pos)
+        fan = []
+        for a in range(1, len(order) - 1):
+            t = [order[0], order[a], order[a + 1]]
+            q = points3[t, :2]
+            if cross2(q[1] - q[0], q[2] - q[0]) < 0:
+                t = [t[0], t[2], t[1]]
+            fan.append(t)
+        keys.append(np.full(len(fan), start))
+        tris.append(np.array(fan, dtype=np.int64))
+        planes.append(np.tile(planes_u[start], (len(fan), 1)))
+    order = np.argsort(np.concatenate(keys), kind="stable")
+    return np.concatenate(tris)[order], np.concatenate(planes)[order]
 
 
 def _full_ring_envelope(dom, cons):
@@ -145,6 +226,75 @@ def test_envelope_matches_full_ring_qhull_oracle():
             _, pts = family_u_phi_eps(dom, math.pi / 6, eps)
             _assert_matches_oracle(dom, [(p, 1.0) for p in pts],
                                    f"u-phi-eps {dom.n} {eps}")
+
+
+@pytest.mark.parametrize("n", [50, 200, 1000])
+def test_paraboloid_lift_matches_full_ring_qhull_oracle(n):
+    # heights on a paraboloid over disc(64): no constraint is dominated, so
+    # every one is a vertex and the interior facets are n-sized
+    dom = disc(64)
+    pts = random_interior_points(keyed_rng(7120, n), dom, n)
+    cons = [(p, h) for p, h in zip(pts, 2.0 - (pts ** 2).sum(axis=1))]
+    u = concave_envelope(dom, cons)
+    assert len(u.verts) == dom.n + n
+    _assert_matches_oracle(dom, cons, f"paraboloid {n}")
+
+
+def test_polygon_ccw_matches_qhull_2d():
+    # the same vertices in the same cyclic order as qhull's 2-D hull, on
+    # clouds shaped as random_convex_polygon draws them and on large ones
+    rng = keyed_rng(7121)
+    sizes = list(rng.integers(4, 16, size=2000)) + [200, 1000, 5000]
+    for k, m in enumerate(sizes):
+        pts = rng.standard_normal((m, 2)) * rng.uniform(0.5, 1.8, size=2)
+        ang = rng.uniform(0.0, np.pi)
+        pts = pts @ np.array([[np.cos(ang), np.sin(ang)],
+                              [-np.sin(ang), np.cos(ang)]])
+        ours = _polygon_ccw(pts, 0.0)
+        ref = ConvexHull(pts).vertices.tolist()
+        assert len(ours) == len(ref), f"cloud {k}"
+        start = ref.index(ours[0])
+        assert ours == ref[start:] + ref[:start], f"cloud {k}"
+
+
+def test_small_scaled_envelope_covers_its_domain():
+    # seed-42 corpus case 151, envelope 0, scaled by 1e-4: the build once
+    # covered 98% of the domain and passed a cover check that was absolute
+    # below area 1; it must cover the domain or raise
+    case = _case(42, 151)
+    desc, _ = case.envelopes[0]
+    dom = ConvexDomain(case.domain.vertices * 1e-4)
+    cons = [((x * 1e-4, y * 1e-4), h) for x, y, h in desc["constraints"]]
+    try:
+        u = concave_envelope(dom, cons)
+    except ValueError:
+        return
+    assert abs(u.facet_areas.sum() - dom.area) <= 1e-9 * dom.area
+    assert check_partition(u) and check_concavity(u)
+
+
+def test_cover_checks_are_relative_to_the_area(monkeypatch):
+    dom = ConvexDomain(square().vertices * 1e-4)
+    cons = [((0.3e-4, 0.4e-4), 1.0), ((0.6e-4, 0.5e-4), 0.8),
+            ((0.5e-4, 0.75e-4), 0.9)]
+    u = concave_envelope(dom, cons)
+    assert check_partition(u)
+    # shrinking the mesh by 1e-4 leaves a gap of 2e-12, far below 1e-9 but
+    # 2e-4 of the area
+    shrunk = ConcaveFunction(dom, (u.verts - 0.5e-4) * (1 - 1e-4) + 0.5e-4,
+                             u.vert_values, u.tris, u.planes, u.mode, u.trace,
+                             u.descriptor)
+    assert not check_partition(shrunk)
+    # a hull step that loses a facet must fail the build's own cover check
+    hull = concave.ConvexHull
+
+    def lose_one(*args):
+        tris, planes = hull(*args)
+        return tris[1:], planes[1:]
+
+    monkeypatch.setattr(concave, "ConvexHull", lose_one)
+    with pytest.raises(ValueError, match="does not triangulate"):
+        concave_envelope(dom, cons)
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])
