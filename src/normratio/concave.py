@@ -207,17 +207,31 @@ def max_profile(u: ConcaveFunction, h: Direction) -> MaxProfile:
     direction h, spanning the domain.
 
     The per-chord maximum is exact for the PL function; the profile is a
-    concave function of the offset.
+    concave function of the offset.  Along a chord u is piecewise linear
+    with breakpoints where the chord crosses mesh edges, and its ends lie
+    on boundary edges, which are mesh edges too; so the maximum on the
+    line x . normal = t is the largest value interpolated along the mesh
+    edges whose projections span t.  Every triangle side is read, so a
+    shared edge is read twice, which leaves the maximum unchanged.  A side
+    parallel to the lines is skipped: u is linear along it, and each of
+    its ends is also an end of another side of the same facet, which is
+    not parallel.  As in :func:`chord_max_hull`, projections within tol of
+    the two support values are snapped onto them.
     """
-    from .geometry import chords_batch
-
     normal = h.perp().as_array()
     proj = u.domain.vertices @ normal
     c, d = float(proj.min()), float(proj.max())
     ts = np.linspace(c, d, PROFILE_LINES)
-    P0, P1, valid = chords_batch(u.domain, normal, ts)
-    ms, _ = chord_maxima(u, P0, P1)
-    ms = np.where(valid, ms, 0.0)
+    t = u.verts @ normal
+    t[t <= c + u.domain.tol] = c
+    t[t >= d - u.domain.tol] = d
+    a, b = u.tris.ravel(), u.tris[:, [1, 2, 0]].ravel()
+    ta, za = t[a], u.vert_values[a]
+    span = t[b] - ta
+    # nan fails both range tests below, so parallel sides drop out
+    lam = (ts[:, None] - ta) / np.where(span == 0.0, np.nan, span)  # (L, 3F)
+    on = (lam >= 0.0) & (lam <= 1.0)
+    ms = np.where(on, za + lam * (u.vert_values[b] - za), -np.inf).max(axis=1)
     k = int(np.argmax(u.vert_values))
     return MaxProfile(h=h, offsets=ts, values=ms, M=float(u.vert_values[k]),
                       z=u.verts[k].copy())
@@ -788,22 +802,24 @@ def transform_function(u: ConcaveFunction, lin: np.ndarray, shift: np.ndarray,
                        image: ConvexDomain) -> ConcaveFunction:
     """Pushforward of u under the affine map x -> lin @ x + shift.
 
-    Values are preserved pointwise; gradients transform by the inverse
-    transpose of the linear part.  image is
+    Values are preserved pointwise, so the plane g . x + z0 becomes
+    g~ . y + z0 - g~ . shift with g~ = g lin^-1: gradients transform by the
+    inverse transpose of the linear part.  image is
     ConvexDomain(u.domain.vertices @ lin.T + shift).
     """
     lin = np.asarray(lin, dtype=float)
     shift = np.asarray(shift, dtype=float)
-    inv_t = np.linalg.inv(lin).T
+    (a, b), (c, d) = lin.tolist()
+    det = a * d - b * c
+    if det == 0.0:
+        raise ValueError("the linear part of the map is singular")
     verts_new = u.verts @ lin.T + shift
-    grads_new = u.planes[:, :2] @ inv_t.T
-    v0 = verts_new[u.tris[:, 0]]
-    vals0 = u.vert_values[u.tris[:, 0]]
-    z0_new = vals0 - np.einsum("ij,ij->i", grads_new, v0)
+    grads_new = u.planes[:, :2] @ (np.array([[d, -b], [-c, a]]) / det)
+    z0_new = u.planes[:, 2] - grads_new @ shift
     planes_new = np.column_stack([grads_new, z0_new])
     # an affine map keeps means along segments; a reflection reverses the
     # image's vertex order, so image edge j is source edge n - 2 - j
-    trace_new = u.trace if np.linalg.det(lin) > 0 else np.roll(u.trace[::-1], -1)
+    trace_new = u.trace if det > 0 else np.roll(u.trace[::-1], -1)
     return ConcaveFunction(
         domain=image, verts=verts_new, vert_values=u.vert_values.copy(),
         tris=u.tris.copy(), planes=planes_new, mode=u.mode, trace=trace_new,

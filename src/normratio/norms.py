@@ -94,11 +94,12 @@ def sup_directional_norm(u: ConcaveFunction, h: Direction) -> NormReport:
             "||d_h u||_inf is infinite: distributional boundary sheet has a "
             "component along h")
     slopes = np.abs(u.gradients() @ h.as_array())
-    best = float(slopes.max())
-    near = slopes >= best * (1.0 - 1e-12)
-    on_bd = bool(np.any(near & u.facet_on_boundary))
-    k = int(np.argmax(np.where(near & u.facet_on_boundary, slopes, -np.inf))) \
-        if on_bd else int(np.argmax(slopes))
+    k = int(np.argmax(slopes))
+    best = float(slopes[k])
+    near_bd = (slopes >= best * (1.0 - 1e-12)) & u.facet_on_boundary
+    on_bd = bool(near_bd.any())
+    if on_bd:
+        k = int(np.argmax(np.where(near_bd, slopes, -np.inf)))
     return NormReport(value=best, p=math.inf, h=h, ac_part=best, jump_part=0.0,
                       method="facet-max", argmax_facet=k,
                       attained_on_boundary=on_bd)

@@ -177,14 +177,15 @@ def _suite_cone_mass(case: Case, tol: float):
     checks, bad = 0, []
     rng = case.rng(1)
     pts = random_interior_points(rng, case.domain, 2)
+    widths = [(h, width(case.domain, h)) for h in (E1, E2)]
     for pt in pts:
         height = float(rng.uniform(0.2, 1.0))
         desc = {"kind": "envelope",
                 "constraints": [[float(pt[0]), float(pt[1]), height]]}
         u = build_function(case.domain, desc)
-        for h in (E1, E2):
+        for h, w in widths:
             val = norms.lp_directional_norm(u, h, 1).value
-            target = width(case.domain, h) * u.max_value
+            target = w * u.max_value
             checks += 1
             if abs(val - target) > tol * max(1.0, target):
                 bad.append(_violation(
@@ -555,8 +556,9 @@ def replay(counterexample: dict) -> SuiteResult:
     """Re-run the single corpus case a serialized violation came from.
 
     The corpus is regenerated from (seed, case), so the repeated run sees
-    bit-identical inputs; the stored domain is cross-checked against the
-    regenerated one to catch stale files.
+    bit-identical inputs; the stored domain must equal the regenerated one
+    exactly (the JSON round trip of a float is exact), which catches stale
+    files.
     """
     name = counterexample["suite"]
     seed = int(counterexample["seed"])
@@ -565,8 +567,7 @@ def replay(counterexample: dict) -> SuiteResult:
     if stored is not None:
         regen = _case(seed, index).domain
         ref = domain_from_json(stored)
-        if regen.n != ref.n or not np.allclose(
-                regen.vertices, ref.vertices, atol=1e-12):
+        if not np.array_equal(regen.vertices, ref.vertices):
             raise ValueError(
                 "serialized domain does not match the regenerated corpus "
                 "case; was the file produced with a different version?")

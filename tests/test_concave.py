@@ -543,6 +543,35 @@ def test_max_profile_of_diamond_cone():
     assert evaluate(u, prof.z) == pytest.approx(prof.M, abs=1e-12)
 
 
+def test_max_profile_matches_chords_of_the_domain():
+    # reference: the domain's chords at the profile's offsets, each
+    # maximized by the segment oracle chord_maxima, which finds the chord
+    # ends and edge crossings itself instead of reading projected edges
+    funcs = [u for k in range(200) for _, u in _case(42, k).envelopes]
+    para = ConvexDomain([(0.0, 0.0), (2.0, 0.0), (2.7, 1.3), (0.7, 1.3)])
+    for dom in (square(), disc(64), diamond(), triangle(0, 0, 3, 0, 0.5, 2),
+                para):
+        v, i = dom.vertices, dom.n // 2
+        funcs += [family_u_omega(dom, 0.5 * (v[0] + v[1]), 0.05),
+                  tent_function(dom, [v[0], 0.5 * (v[i - 1] + v[i])]),
+                  tent_function(dom, [v[1], v[i + 1]])]
+    funcs += [family_u_phi_eps(dom, phi, eps)[0] for dom in (square(), disc(64))
+              for phi, eps in ((math.pi / 6, 0.05), (math.pi / 4, 0.01))]
+    assert sum(u.mode == "distributional" for u in funcs) >= 10
+    dirs = [E1, E2] + [Direction.from_angle(a)
+                       for a in np.linspace(0.1, 3.0, 11)]
+    for k, u in enumerate(funcs):
+        profs = [max_profile(u, h) for h in dirs]
+        P0, P1, valid = zip(*(chords_batch(u.domain, h.perp().as_array(),
+                                           prof.offsets)
+                              for h, prof in zip(dirs, profs)))
+        assert np.all(valid)
+        ref, _ = chord_maxima(u, np.vstack(P0), np.vstack(P1))
+        got = np.concatenate([prof.values for prof in profs])
+        assert np.abs(got - ref).max() <= 1e-12 * (1.0 + u.max_value), \
+            f"case {k}: {u}"
+
+
 # ---------------------------------------------------------------------------
 # tents and the linear extremal
 # ---------------------------------------------------------------------------
@@ -690,6 +719,16 @@ def test_build_function_round_trips_every_kind():
         build_function(square(), {"kind": "nope"})
 
 
+def _assert_planes_match_reference(tu, u, lin, shift):
+    # reference planes: gradients by the inverse transpose, offsets through
+    # each facet's first mapped vertex and its value
+    grads = u.planes[:, :2] @ np.linalg.inv(lin)
+    v0 = (u.verts @ lin.T + shift)[u.tris[:, 0]]
+    z0 = u.vert_values[u.tris[:, 0]] - np.einsum("ij,ij->i", grads, v0)
+    ref = np.column_stack([grads, z0])
+    assert np.abs(tu.planes - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+
+
 def test_transform_preserves_values():
     for k, dom in enumerate(corpus_domains(7108, 10)):
         u = random_envelope(keyed_rng(7108, k), dom)
@@ -700,6 +739,9 @@ def test_transform_preserves_values():
         assert evaluate(tu, mapped) == pytest.approx(evaluate(u, pts),
                                                      abs=1e-9), f"case {k}"
         assert check_partition(tu) and check_concavity(tu)
+        _assert_planes_match_reference(tu, u, lin, shift)
+    with pytest.raises(ValueError):
+        transform_function(u, np.array([[1.0, 2.0], [2.0, 4.0]]), shift, image)
 
 
 @pytest.mark.parametrize("lin", [[[-1.0, 0.0], [0.0, 1.0]],
@@ -716,7 +758,9 @@ def test_transform_keeps_trace_on_its_edges(lin):
              (disc512, [disc512.vertices[3], disc512.vertices[290]])]
     for dom, seg in cases:
         image = ConvexDomain(dom.vertices @ lin.T + shift)
-        tu = transform_function(tent_function(dom, seg), lin, shift, image)
+        u = tent_function(dom, seg)
+        tu = transform_function(u, lin, shift, image)
+        _assert_planes_match_reference(tu, u, lin, shift)
         direct = tent_function(image, np.asarray(seg) @ lin.T + shift)
         assert tu.trace == pytest.approx(direct.trace, abs=1e-14)
         for h in (E1, E2, Direction.from_angle(0.3)):

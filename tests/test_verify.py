@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from normratio import build_function, domain_from_json, verify
+from normratio.cli import main
 from normratio.verify import SUITES, first_failure, jsonify, replay, run_all, run_suite
 
 
@@ -86,12 +87,19 @@ def test_edge_slope_forced_violations_name_boundary_facets():
     assert len(res.failures) == res.checks - with_edge
 
 
-def test_replay_rejects_stale_domain():
+def test_replay_rejects_stale_domain(tmp_path, capsys):
     res = run_suite("theorem1", cases=1, tol=-1.0)
-    bad = json.loads(json.dumps(jsonify(dict(res.failures[0]))))
-    bad["domain"]["vertices"][0][0] += 0.5
-    with pytest.raises(ValueError):
-        replay(bad)
+    good = json.loads(json.dumps(jsonify(dict(res.failures[0]))))
+    for move in (0.5, 1e-9):
+        bad = json.loads(json.dumps(good))
+        bad["domain"]["vertices"][0][0] += move
+        with pytest.raises(ValueError):
+            replay(bad)
+        # the command line reports it as an input error
+        path = tmp_path / "stale.json"
+        path.write_text(json.dumps(bad))
+        assert main(["verify", "--replay", str(path)]) == 2
+        assert "does not match" in capsys.readouterr().err
 
 
 def test_registry_documents_every_suite():
