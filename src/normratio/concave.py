@@ -15,7 +15,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import ConvexDomain, Direction, cross2
+from .geometry import (
+    ConvexDomain,
+    Direction,
+    _edge_slope,
+    _extreme_x_indices,
+    cross2,
+)
 
 CLASSICAL = "classical"
 DISTRIBUTIONAL = "distributional"
@@ -524,7 +530,7 @@ def _polygon_area(poly: np.ndarray) -> float:
     return 0.5 * float(cross2(rel, np.roll(rel, -1, axis=0)).sum())
 
 
-def _boundary_trace(dom: ConvexDomain, planes: np.ndarray, split_line=None):
+def _boundary_trace(dom: ConvexDomain, planes: np.ndarray, split_line):
     """Mean of min-of-planes along each domain edge, shape (n_edges,).
 
     The trace is linear between the knots (edge ends, and the crossing with
@@ -539,16 +545,15 @@ def _boundary_trace(dom: ConvexDomain, planes: np.ndarray, split_line=None):
     knots[:, 2] = 1.0
     used = np.zeros((n, 3), dtype=bool)
     used[:, [0, 2]] = True
-    if split_line is not None:
-        nrm, c = split_line
-        sa = (A[:, None, :] @ nrm)[:, 0] - c
-        sb = (B[:, None, :] @ nrm)[:, 0] - c
-        cross = ((sa > 0) != (sb > 0)) & (np.abs(sa - sb) > 0)
-        lam = sa[cross] / (sa[cross] - sb[cross])
-        inner = (1e-12 < lam) & (lam < 1 - 1e-12)
-        split = np.nonzero(cross)[0][inner]
-        knots[split, 1] = lam[inner]
-        used[split, 1] = True
+    nrm, c = split_line
+    sa = (A[:, None, :] @ nrm)[:, 0] - c
+    sb = (B[:, None, :] @ nrm)[:, 0] - c
+    cross = ((sa > 0) != (sb > 0)) & (np.abs(sa - sb) > 0)
+    lam = sa[cross] / (sa[cross] - sb[cross])
+    inner = (1e-12 < lam) & (lam < 1 - 1e-12)
+    split = np.nonzero(cross)[0][inner]
+    knots[split, 1] = lam[inner]
+    used[split, 1] = True
     edge = np.broadcast_to(np.arange(n)[:, None], (n, 3))[used]
     t = knots[used]
     pts = A[edge] + t[:, None] * (B - A)[edge]
@@ -611,7 +616,7 @@ def tent_function(dom: ConvexDomain, segment, height: float = 1.0) -> ConcaveFun
     sides = np.array(sides)
     planes = np.repeat(sides, [len(f) for f in fans], axis=0)
     vert_values = (verts @ sides[:, :2].T + sides[:, 2]).min(axis=1)
-    trace = _boundary_trace(dom, sides, split_line=(n, s0))
+    trace = _boundary_trace(dom, sides, (n, s0))
     return ConcaveFunction(
         domain=dom, verts=verts, vert_values=vert_values,
         tris=np.vstack(fans), planes=planes,
@@ -625,27 +630,15 @@ def tent_function(dom: ConvexDomain, segment, height: float = 1.0) -> ConcaveFun
 
 def linear_extremal_triangle(dom: ConvexDomain) -> ConcaveFunction:
     """Affine function equal to 1 on the longest side of a triangle and 0
-    at the opposite vertex (ties resolve to the lowest edge index)."""
+    at the opposite vertex (ties resolve to the lowest edge index): the
+    one-sided tent over that side."""
     if dom.n != 3:
         raise ValueError("linear extremal requires a triangle domain")
-    v = dom.vertices
-    lengths = np.hypot(*(np.roll(v, -1, axis=0) - v).T)
-    e = int(np.argmax(lengths))
-    opp = (e + 2) % 3
-    n_out = dom.edge_normals()[e]
-    offset = float(v[e] @ n_out)
-    depth = offset - float(v[opp] @ n_out)      # distance to opposite vertex
-    g = n_out / depth
-    z0 = 1.0 - offset / depth
-    planes = np.array([[g[0], g[1], z0]])
-    vert_values = v @ g + z0
-    trace = _boundary_trace(dom, planes)
-    return ConcaveFunction(
-        domain=dom, verts=v.copy(), vert_values=vert_values,
-        tris=np.array([[0, 1, 2]]), planes=planes,
-        mode=DISTRIBUTIONAL, trace=trace,
-        descriptor={"kind": "triangle-linear"},
-    )
+    A, B = dom.edges()
+    e = int(np.argmax(np.hypot(*(B - A).T)))
+    fn = tent_function(dom, (A[e], B[e]))
+    fn.descriptor = {"kind": "triangle-linear"}
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -686,9 +679,7 @@ def family_u_omega(dom: ConvexDomain, anchor, omega: float) -> ConcaveFunction:
         raise ValueError("omega must be positive")
     e = _locate_boundary_edge(dom, anchor)
     A, B = dom.edges()
-    from .geometry import _edge_slope
-
-    slope = _edge_slope(A[e], B[e])
+    slope = _edge_slope(A[e], B[e], dom.tol)
     n_out = dom.edge_normals()[e]
     if math.isinf(slope):
         disp = np.array([-math.copysign(1.0, n_out[0]) * omega, 0.0])
@@ -707,8 +698,6 @@ def family_u_omega(dom: ConvexDomain, anchor, omega: float) -> ConcaveFunction:
 def _support_arc_point(dom: ConvexDomain, phi: float):
     """Point of the right boundary cap whose support normals all have
     angle within (-phi, phi), or None if the cap is angular for phi."""
-    from .geometry import _extreme_x_indices
-
     normals = dom.edge_normals()
     alphas = np.arctan2(normals[:, 1], normals[:, 0])
     iA, iB, _, n_right = _extreme_x_indices(dom)

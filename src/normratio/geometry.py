@@ -18,9 +18,6 @@ import numpy as np
 # for domains at least 1 across and absolute below that.
 EPS_GEOM = 1e-9
 
-# Edges steeper than this count as vertical for the angular classification.
-SLOPE_CAP = 1e12
-
 
 class DomainError(ValueError):
     """Invalid polygon input (too few vertices, non-convex, degenerate)."""
@@ -347,34 +344,10 @@ def chord(dom: ConvexDomain, normal: np.ndarray, t: float) -> Chord | None:
     a.x <= b.x).  Returns None when the line misses the domain; offsets
     within tol of the support values clamp to a degenerate chord.
     """
-    verts = dom.vertices
-    n = np.asarray(normal, dtype=float)
-    proj = verts @ n
-    lo, hi = float(proj.min()), float(proj.max())
-    tol = dom.tol
-    if t < lo - tol or t > hi + tol:
+    P0, P1, valid = chords_batch(dom, normal, [t])
+    if not valid[0]:
         return None
-    t_eff = min(max(t, lo), hi)
-    s = proj - t_eff
-    s_next = np.concatenate((s[1:], s[:1]))
-    ends = dom.edges()[1]
-    pts = []
-    for i in range(len(verts)):
-        si, sj = s[i], s_next[i]
-        if abs(si) <= tol:
-            pts.append(verts[i])
-            continue
-        if si * sj < 0.0:
-            lam = si / (si - sj)
-            pts.append(verts[i] + lam * (ends[i] - verts[i]))
-    if not pts:
-        return None
-    pts = np.array(pts)
-    d = np.array([n[1], -n[0]])
-    along = pts @ d
-    a = pts[int(np.argmin(along))]
-    b = pts[int(np.argmax(along))]
-    return Chord(t=float(t), a=a, b=b)
+    return Chord(t=float(t), a=P0[0], b=P1[0])
 
 
 def chords_batch(dom: ConvexDomain, normal: np.ndarray, ts: np.ndarray):
@@ -382,7 +355,8 @@ def chords_batch(dom: ConvexDomain, normal: np.ndarray, ts: np.ndarray):
 
     Returns (P0, P1, valid): endpoint arrays of shape (len(ts), 2) ordered
     by projection onto the clockwise-rotated normal, and a mask of offsets
-    that meet the domain.  Offsets slightly outside clamp like chord().
+    that meet the domain.  Offsets within tol outside the support values
+    clamp to them.
     """
     verts, ends = dom.edges()
     n = np.asarray(normal, dtype=float)
@@ -422,7 +396,9 @@ def chords_batch(dom: ConvexDomain, normal: np.ndarray, ts: np.ndarray):
 
 
 def _extreme_x_indices(dom: ConvexDomain):
-    """Indices of the extreme-x vertices; ties resolve to the lower vertex."""
+    """Lower extreme-x vertices iA, iB and the sizes of the two extreme
+    sets (vertices within tol of the least / greatest x): one vertex is a
+    corner, two a vertical wall."""
     v = dom.vertices
     tol = dom.tol
     xmin, xmax = v[:, 0].min(), v[:, 0].max()
@@ -444,15 +420,14 @@ def extreme_x_points(dom: ConvexDomain):
     return A, B, float(B[1] - A[1])
 
 
-def _edge_slope(p: np.ndarray, q: np.ndarray) -> float:
-    """Slope dy/dx of segment p->q; +/-inf when steeper than SLOPE_CAP."""
+def _edge_slope(p: np.ndarray, q: np.ndarray, tol: float) -> float:
+    """Slope dy/dx of segment p->q; +/-inf (the sign of dy) when its ends
+    are within tol in x, which at an extreme vertex means both ends lie in
+    one extreme set of :func:`_extreme_x_indices`."""
     dx = q[0] - p[0]
     dy = q[1] - p[1]
-    if abs(dy) >= abs(dx) * SLOPE_CAP:
-        if dy == 0.0:
-            return 0.0
-        sign = 1.0 if (dy > 0) == (dx >= 0) else -1.0
-        return sign * math.inf
+    if abs(dx) <= tol:
+        return math.copysign(math.inf, dy)
     return dy / dx
 
 
@@ -475,16 +450,15 @@ def vertical_support_classification(dom: ConvexDomain) -> VerticalSupportInfo:
     v = dom.vertices
     nv = dom.n
     iA, iB, n_left, n_right = _extreme_x_indices(dom)
+    tol = dom.tol
     # CCW order runs A -> lower chain -> B -> upper chain -> A.
-    s1_left = _edge_slope(v[iA], v[(iA + 1) % nv])
-    s2_left = _edge_slope(v[iA], v[(iA - 1) % nv])
-    s1_right = _edge_slope(v[(iB - 1) % nv], v[iB])
-    s2_right = _edge_slope(v[iB], v[(iB + 1) % nv])
-    left_angular = n_left == 1 and math.isfinite(s1_left) and math.isfinite(s2_left)
-    right_angular = n_right == 1 and math.isfinite(s1_right) and math.isfinite(s2_right)
+    s1_left = _edge_slope(v[iA], v[(iA + 1) % nv], tol)
+    s2_left = _edge_slope(v[iA], v[(iA - 1) % nv], tol)
+    s1_right = _edge_slope(v[(iB - 1) % nv], v[iB], tol)
+    s2_right = _edge_slope(v[iB], v[(iB + 1) % nv], tol)
     return VerticalSupportInfo(
-        left_angular=left_angular,
-        right_angular=right_angular,
+        left_angular=n_left == 1,
+        right_angular=n_right == 1,
         slopes=(s1_left, s2_left, s1_right, s2_right),
     )
 

@@ -81,22 +81,10 @@ def default_omega_anchor(dom: ConvexDomain) -> np.ndarray:
     steeper one wins, ties to the lower edge index.
     """
     iA, iB, _, _ = _extreme_x_indices(dom)
-    info = vertical_support_classification(dom)
-    nv = dom.n
-    entries = [
-        (iA, iA % nv, abs(info.slopes[0])),
-        (iA, (iA - 1) % nv, abs(info.slopes[1])),
-        (iB, (iB - 1) % nv, abs(info.slopes[2])),
-        (iB, iB % nv, abs(info.slopes[3])),
-    ]
-    best_vertex = None
-    best_slope = -math.inf
-    for v in sorted({v for v, _, _ in entries}):
-        smax = max(s for vv, _, s in entries if vv == v)
-        if smax > best_slope:
-            best_slope = smax
-            best_vertex = v
-    edge = min(e for vv, e, s in entries if vv == best_vertex and s == best_slope)
+    slopes = np.abs(vertical_support_classification(dom).slopes)
+    entries = [(iA, iA, slopes[0]), (iA, (iA - 1) % dom.n, slopes[1]),
+               (iB, (iB - 1) % dom.n, slopes[2]), (iB, iB, slopes[3])]
+    _, edge, _ = max(entries, key=lambda t: (t[2], -t[0], -t[1]))
     A, B = dom.edges()
     return 0.5 * (A[edge] + B[edge])
 
@@ -108,23 +96,17 @@ def vertical_omega_anchor(dom: ConvexDomain) -> np.ndarray:
     either horizontal extreme), since the divergent vertical-wall family
     needs a wall to lean on.
     """
-    xs = dom.vertices[:, 0]
-    xmin, xmax = float(xs.min()), float(xs.max())
-    A, B = dom.edges()
-    best = None
-    for i in range(dom.n):
-        a, b = A[i], B[i]
-        if abs(a[0] - b[0]) > dom.tol:
-            continue
-        at_left = abs(a[0] - xmin) <= dom.tol
-        if not at_left and abs(a[0] - xmax) > dom.tol:
-            continue
-        key = (0 if at_left else 1, i)
-        if best is None or key < best[0]:
-            best = (key, 0.5 * (a + b))
-    if best is None:
+    iA, iB, n_left, n_right = _extreme_x_indices(dom)
+    # counterclockwise, the upper-left vertex comes just before the lower
+    # one iA, and the upper-right vertex just after the lower one iB
+    if n_left == 2:
+        edge = (iA - 1) % dom.n
+    elif n_right == 2:
+        edge = iB
+    else:
         raise ValueError("domain has no vertical support edge")
-    return best[1]
+    A, B = dom.edges()
+    return 0.5 * (A[edge] + B[edge])
 
 
 def _aligned_vertex_pairs(dom: ConvexDomain, h2: Direction, limit: int):
@@ -159,7 +141,8 @@ def _grid_apexes(dom: ConvexDomain, g: int) -> np.ndarray:
 
 def _candidates(dom: ConvexDomain, p: float, h1: Direction, h2: Direction,
                 budget: int, seed: int):
-    """Deterministic candidate list: (descriptor, function) lazily built."""
+    """Deterministic list of candidate descriptors, at most budget long;
+    the caller builds each function from its descriptor."""
     out = []
 
     def emit_tent(a, b):

@@ -12,3 +12,12 @@ def rng():
 def corpus_domains(seed, count):
     """Deterministic list of random convex polygons for property loops."""
     return [random_convex_polygon(keyed_rng(seed, k)) for k in range(count)]
+
+
+# The unit square with one or both walls tilted by 5e-10 in x, inside the
+# domain's own tolerance (about 1.4e-9): each must answer as the square does.
+NEAR_VERTICAL_SQUARES = (
+    [(0.0, 0.0), (1.0, 0.0), (1.0 + 5e-10, 1.0), (5e-10, 1.0)],
+    [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (5e-10, 1.0)],
+    [(0.0, 0.0), (1.0, 0.0), (1.0 - 5e-10, 1.0), (-5e-10, 1.0)],
+)

@@ -18,6 +18,8 @@ import normratio
 from normratio.cli import COUNTEREXAMPLE_PATH, main
 from normratio.geometry import domain_to_json, square
 
+from conftest import NEAR_VERTICAL_SQUARES
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -53,6 +55,32 @@ def test_analyze_square_has_infinite_slope(capsys):
     rep = json.loads(out)
     assert rep["angular"] is False
     assert rep["m"] == "inf"
+
+
+@pytest.mark.parametrize("verts", NEAR_VERTICAL_SQUARES)
+def test_near_vertical_walls_answer_as_the_square(capsys, tmp_path, verts):
+    path = tmp_path / "dom.json"
+    path.write_text(json.dumps({"vertices": verts}))
+    dom = ("--domain", str(path))
+    code, out, _ = run_cli(capsys, "analyze", *dom)
+    rep = json.loads(out)
+    assert code == 0 and rep["m"] == "inf" and rep["angular"] is False
+    for p in ("2", "inf"):
+        code, out, _ = run_cli(capsys, "bounds", *dom, "--p", p)
+        assert code == 0 and json.loads(out)["value"] == "inf"
+    # the wall family displaces the apex into the domain, as on the square
+    for family in ("u-omega", "u-omega-vertical"):
+        code, out, _ = run_cli(capsys, "families", *dom, "--family", family)
+        rows = json.loads(out)["rows"]
+        assert code == 0 and len(rows) == 5
+        for row in rows:
+            assert row["ratio"] == pytest.approx(0.5 / row["parameter"],
+                                                 rel=1e-9)
+    code, out, _ = run_cli(capsys, "estimate", *dom, "--p", "inf",
+                           "--budget", "20")
+    rep = json.loads(out)
+    assert code == 0 and rep["evaluations"] == 20
+    assert rep["best_ratio"] == pytest.approx(500.0, rel=1e-9)
 
 
 def test_analyze_disc_slope_matches_polygon_angle(capsys):

@@ -33,7 +33,7 @@ from normratio import (
 from normratio.geometry import chords_batch, cross2
 from normratio.sampling import keyed_rng, random_convex_polygon
 
-from conftest import corpus_domains
+from conftest import NEAR_VERTICAL_SQUARES, corpus_domains
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +222,33 @@ def test_chord_endpoints_on_boundary():
         assert dom.contains(mid[None])[0]
 
 
+def _reference_chord(dom, n, t):
+    """Chord endpoints (a, b) from a loop over the edges, or None."""
+    verts = dom.vertices
+    proj = verts @ n
+    lo, hi = float(proj.min()), float(proj.max())
+    tol = dom.tol
+    if t < lo - tol or t > hi + tol:
+        return None
+    s = proj - min(max(t, lo), hi)
+    s_next = np.concatenate((s[1:], s[:1]))
+    ends = dom.edges()[1]
+    pts = []
+    for i in range(len(verts)):
+        si, sj = s[i], s_next[i]
+        if abs(si) <= tol:
+            pts.append(verts[i])
+            continue
+        if si * sj < 0.0:
+            lam = si / (si - sj)
+            pts.append(verts[i] + lam * (ends[i] - verts[i]))
+    if not pts:
+        return None
+    pts = np.array(pts)
+    along = pts @ np.array([n[1], -n[0]])
+    return pts[int(np.argmin(along))], pts[int(np.argmax(along))]
+
+
 def test_chords_batch_matches_scalar():
     dom = corpus_domains(99, 1)[0]
     n = np.array([0.3, 0.9])
@@ -230,13 +257,15 @@ def test_chords_batch_matches_scalar():
     ts = np.linspace(proj.min() - 0.1, proj.max() + 0.1, 41)
     P0, P1, valid = chords_batch(dom, n, ts)
     for i, t in enumerate(ts):
+        ref = _reference_chord(dom, n, float(t))
         ch = chord(dom, n, float(t))
-        if ch is None:
-            assert not valid[i]
+        if ref is None:
+            assert not valid[i] and ch is None
         else:
             assert valid[i]
-            np.testing.assert_allclose(P0[i], ch.a, atol=1e-12)
-            np.testing.assert_allclose(P1[i], ch.b, atol=1e-12)
+            for got in ((P0[i], P1[i]), (ch.a, ch.b)):
+                np.testing.assert_allclose(got[0], ref[0], atol=1e-12)
+                np.testing.assert_allclose(got[1], ref[1], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +281,11 @@ def test_extreme_points_vertical_edge_picks_lower():
 
 
 def test_vertical_classification_square():
-    info = vertical_support_classification(square())
-    assert not info.left_angular and not info.right_angular
-    assert math.isinf(max(abs(s) for s in info.slopes))
+    for dom in [square()] + [ConvexDomain(v) for v in NEAR_VERTICAL_SQUARES]:
+        info = vertical_support_classification(dom)
+        assert not info.left_angular and not info.right_angular
+        assert math.isinf(max(abs(s) for s in info.slopes))
+        assert max_boundary_slope(dom) == math.inf
 
 
 def test_vertical_classification_diamond():

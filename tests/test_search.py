@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from normratio import (
+    ConvexDomain,
     E1,
     E2,
     build_function,
@@ -23,7 +24,7 @@ from normratio import (
 )
 from normratio.search import default_omega_anchor, vertical_omega_anchor
 
-from conftest import corpus_domains
+from conftest import NEAR_VERTICAL_SQUARES, corpus_domains
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +71,13 @@ def test_estimates_never_exceed_bounds():
 
 def test_vertical_anchor_prefers_left_wall():
     assert vertical_omega_anchor(square()) == pytest.approx([0.0, 0.5])
+    for verts in NEAR_VERTICAL_SQUARES:
+        dom = ConvexDomain(verts)
+        assert vertical_omega_anchor(dom) == pytest.approx([0.0, 0.5],
+                                                           abs=1e-9)
+    # with a corner on the left, the right wall is the one to lean on
+    assert vertical_omega_anchor(triangle(0, 0, 1, -1, 1, 1)) == \
+        pytest.approx([1.0, 0.0])
     with pytest.raises(ValueError):
         vertical_omega_anchor(triangle(0, 0, 2, 0, 1, 1))
 

@@ -4,6 +4,7 @@ notice stale inputs."""
 
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from normratio import build_function, domain_from_json, verify
 from normratio.cli import main
 from normratio.verify import SUITES, first_failure, jsonify, replay, run_all, run_suite
 
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
 
 def test_all_suites_pass_on_corpus_sample():
     results = run_all(cases=40)
@@ -19,6 +22,18 @@ def test_all_suites_pass_on_corpus_sample():
         assert res.passed, f"{res.suite}: {res.failures[:1]}"
         assert res.checks > 0
     assert first_failure(results) is None
+
+
+def test_check_counts_match_bench_reference():
+    # the benchmark rejects a run whose per-suite check counts differ from
+    # its recorded reference, so a drift must show here first
+    ref = json.loads(REFERENCE.read_text())
+    (entry,) = ref["verify-corpus"]
+    argv = entry["argv"]
+    cases, seed = (int(argv[argv.index(flag) + 1])
+                   for flag in ("--cases", "--seed"))
+    results = run_all(cases=cases, seed=seed)
+    assert {r.suite: r.checks for r in results} == entry["checks"]
 
 
 def test_suite_results_are_deterministic():
