@@ -53,6 +53,7 @@ class ConcaveFunction:
         self.domain = domain
         self.verts = np.asarray(verts, dtype=float)
         self.vert_values = np.asarray(vert_values, dtype=float)
+        self.max_value = float(self.vert_values.max())
         self.tris = np.asarray(tris, dtype=np.int64)
         self.planes = np.asarray(planes, dtype=float)
         self.mode = mode
@@ -73,10 +74,6 @@ class ConcaveFunction:
     @property
     def n_facets(self) -> int:
         return len(self.tris)
-
-    @property
-    def max_value(self) -> float:
-        return float(self.vert_values.max())
 
     def gradients(self) -> np.ndarray:
         return self.planes[:, :2]

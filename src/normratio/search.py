@@ -110,22 +110,43 @@ def vertical_omega_anchor(dom: ConvexDomain) -> np.ndarray:
 
 
 def _aligned_vertex_pairs(dom: ConvexDomain, h2: Direction, limit: int):
-    """Vertex pairs whose segment is within sin = 0.2 of parallel to h2,
-    best first."""
+    """Vertex pairs (i, j), i < j, whose segment is within sin = 0.2 of
+    parallel to h2, best first: by sin, then i, then j.
+
+    The pairs are walked one index offset d = j - i at a time, and only
+    the best found so far (at most 2·limit between offsets) are kept, so
+    memory is linear in n + limit.  A pair whose sin exceeds the
+    `limit`-th value at the last trim cannot enter; one that ties it can,
+    so the result is exact.
+    """
     if limit <= 0:
         return []
     v = dom.vertices
     n = dom.n
-    ii, jj = np.triu_indices(n, 1)
-    seg = v[jj] - v[ii]
-    lengths = np.hypot(seg[:, 0], seg[:, 1])
-    ok = lengths > dom.tol
-    sin = np.full(len(ii), np.inf)
-    sin[ok] = np.abs(cross2(seg[ok], h2.as_array())) / lengths[ok]
-    keep = sin <= 0.2
-    order = np.lexsort((jj[keep], ii[keep], sin[keep]))
-    ii, jj = ii[keep][order], jj[keep][order]
-    return list(zip(ii[:limit].tolist(), jj[:limit].tolist()))
+    h = h2.as_array()
+    sin_b = np.empty(0)
+    ii_b = jj_b = np.empty(0, dtype=np.intp)
+    cut = 0.2
+    # a segment no longer than tol has no direction; its 0/0 is never kept
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for d in range(1, n):
+            seg = v[d:] - v[:n - d]
+            lengths = np.hypot(seg[:, 0], seg[:, 1])
+            sin = np.abs(cross2(seg, h)) / lengths
+            ii = np.flatnonzero((sin <= cut) & (lengths > dom.tol))
+            if not len(ii):
+                continue
+            sin_b = np.concatenate([sin_b, sin[ii]])
+            ii_b = np.concatenate([ii_b, ii])
+            jj_b = np.concatenate([jj_b, ii + d])
+            # trimming only once the kept set doubles bounds the sorting
+            # by a constant factor of one sort of everything kept
+            if len(sin_b) > 2 * limit:
+                order = np.lexsort((jj_b, ii_b, sin_b))[:limit]
+                sin_b, ii_b, jj_b = sin_b[order], ii_b[order], jj_b[order]
+                cut = sin_b[-1]
+    order = np.lexsort((jj_b, ii_b, sin_b))[:limit]
+    return list(zip(ii_b[order].tolist(), jj_b[order].tolist()))
 
 
 def _grid_apexes(dom: ConvexDomain, g: int) -> np.ndarray:

@@ -81,8 +81,9 @@ def _case(seed: int, index: int) -> Case:
     dom = random_convex_polygon(keyed_rng(seed, index, 0))
     envs = []
     for j in range(ENVELOPES_PER_CASE):
-        desc = random_envelope_descriptor(keyed_rng(seed, index, 1 + j), dom)
-        envs.append((desc, build_function(dom, desc)))
+        u = build_function(
+            dom, random_envelope_descriptor(keyed_rng(seed, index, 1 + j), dom))
+        envs.append((u.descriptor, u))
     return Case(index=index, seed=seed, domain=dom, envelopes=tuple(envs))
 
 

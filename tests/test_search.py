@@ -2,12 +2,14 @@
 divergent families and the direction sweep."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from normratio import (
     ConvexDomain,
+    Direction,
     E1,
     E2,
     build_function,
@@ -18,11 +20,17 @@ from normratio import (
     estimate_kp_pair,
     norm_ratio,
     omega_schedule_ratios,
+    parallelogram,
     phi_eps_schedule_ratios,
     square,
     triangle,
 )
-from normratio.search import default_omega_anchor, vertical_omega_anchor
+from normratio.geometry import cross2
+from normratio.search import (
+    _aligned_vertex_pairs,
+    default_omega_anchor,
+    vertical_omega_anchor,
+)
 
 from conftest import NEAR_VERTICAL_SQUARES, corpus_domains
 
@@ -62,6 +70,66 @@ def test_estimates_never_exceed_bounds():
             assert est.best_ratio <= est.upper_bound + 1e-9, f"case {k} p={p}"
             assert est.gap == pytest.approx(
                 est.upper_bound - est.best_ratio, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# aligned vertex pairs (the p = 1 tents)
+# ---------------------------------------------------------------------------
+
+
+def _reference_aligned_pairs(dom, h2, limit):
+    """All-pairs table: every vertex pair at once, sorted by (sin, i, j)."""
+    if limit <= 0:
+        return []
+    v = dom.vertices
+    n = dom.n
+    ii, jj = np.triu_indices(n, 1)
+    seg = v[jj] - v[ii]
+    lengths = np.hypot(seg[:, 0], seg[:, 1])
+    ok = lengths > dom.tol
+    sin = np.full(len(ii), np.inf)
+    sin[ok] = np.abs(cross2(seg[ok], h2.as_array())) / lengths[ok]
+    keep = sin <= 0.2
+    order = np.lexsort((jj[keep], ii[keep], sin[keep]))
+    ii, jj = ii[keep][order], jj[keep][order]
+    return list(zip(ii[:limit].tolist(), jj[:limit].tolist()))
+
+
+def _rotated(dom, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return ConvexDomain(dom.vertices @ np.array([[c, -s], [s, c]]).T)
+
+
+def test_aligned_vertex_pairs_match_all_pairs():
+    # the disc preset is disc(512)
+    presets = [disc(512), square(), diamond(), triangle(0, 0, 2, 0, 1, 1),
+               parallelogram(2, 1)]
+    domains = (presets + [_rotated(dom, 0.7) for dom in presets]
+               + [disc(n) for n in (3, 4, 7, 64, 128)]
+               + corpus_domains(42, 100))
+    directions = [E1, E2] + [Direction.from_angle(a)
+                             for a in np.linspace(0.0, math.pi, 13)]
+    for k, dom in enumerate(domains):
+        for h in directions:
+            # the reference truncates its full sorted list, so one call
+            # with a limit above the pair count gives every shorter answer
+            full = _reference_aligned_pairs(dom, h, dom.n ** 2)
+            for limit in (0, 1, 2, 5, 99, dom.n ** 2):
+                assert _aligned_vertex_pairs(dom, h, limit) == full[:limit], \
+                    f"domain {k}, angle {h.angle()}, limit {limit}"
+
+
+def test_aligned_vertex_pairs_memory_is_linear():
+    # the all-pairs table allocates about 162 MB at this size
+    dom = disc(2048)
+    tracemalloc.start()
+    try:
+        pairs = _aligned_vertex_pairs(dom, E2, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 100
+    assert peak <= 1_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 from normratio import build_function, domain_from_json, verify
 from normratio.cli import main
+from normratio.sampling import keyed_rng, random_envelope_descriptor
 from normratio.verify import SUITES, first_failure, jsonify, replay, run_all, run_suite
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
@@ -40,6 +41,21 @@ def test_suite_results_are_deterministic():
     a = run_suite("theorem1", cases=10)
     b = run_suite("theorem1", cases=10)
     assert a.to_dict() == b.to_dict()
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_corpus_descriptors_regenerate_and_rebuild(seed):
+    # each corpus envelope keeps one descriptor, its function's own
+    for index in range(40):
+        case = verify._case(seed, index)
+        for j, (desc, u) in enumerate(case.envelopes):
+            assert desc is u.descriptor
+            assert desc == random_envelope_descriptor(
+                keyed_rng(seed, index, 1 + j), case.domain)
+            again = build_function(case.domain, desc)
+            for name in ("verts", "vert_values", "tris", "planes", "trace"):
+                np.testing.assert_array_equal(getattr(again, name),
+                                              getattr(u, name))
 
 
 def test_unknown_suite_rejected():
