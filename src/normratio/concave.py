@@ -266,6 +266,14 @@ def _polygon_ccw(xy: np.ndarray, tol: float) -> list:
     return chain(order)[:-1] + chain(order[::-1])[:-1]
 
 
+def _fan(poly: list):
+    """A counterclockwise id list rotated to start at its lowest id, and
+    the triangles fanned from that id."""
+    lo = poly.index(min(poly))
+    poly = poly[lo:] + poly[:lo]
+    return poly, [[poly[0], poly[j], poly[j + 1]] for j in range(1, len(poly) - 1)]
+
+
 def _interior_facets(xy: np.ndarray, z: np.ndarray, cand: np.ndarray,
                      polys: list, nb: int, tol: float):
     """The upper-hull facets that are not over a domain edge, by gift
@@ -366,14 +374,12 @@ def _interior_facets(xy: np.ndarray, z: np.ndarray, cand: np.ndarray,
                     ids = np.flatnonzero(sel)
                     seen[key] = ids[_polygon_ccw(xy[ids] - xy[a], tol)].tolist()
                 poly = seen[key]
-            lo = poly.index(min(poly))
-            poly = poly[lo:] + poly[:lo]
             if tuple(sorted(poly)) not in known:
+                poly, fan = _fan(poly)
                 add(poly)
                 found = True
-                tris += [[poly[0], poly[j], poly[j + 1]]
-                         for j in range(1, len(poly) - 1)]
-                planes += [plane[i]] * (len(poly) - 2)
+                tris += fan
+                planes += [plane[i]] * len(fan)
         if not found:
             raise ValueError("degenerate envelope input: the wrap found no "
                              "new facet")
@@ -446,13 +452,10 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
         # switch vertex: with it the reduced hull can come out flat
         tied[k] = False
         tied[k, poly[poly >= nb] - nb] = True
-        poly = poly.tolist()
-        lo = poly.index(min(poly))
-        poly = poly[lo:] + poly[:lo]
+        poly, fan = _fan(poly.tolist())
         polys.append(poly)
-        tris.append(np.array([[poly[0], poly[a], poly[a + 1]]
-                              for a in range(1, len(poly) - 1)]))
-        planes.append(np.tile(edge_planes[k], (len(poly) - 2, 1)))
+        tris.append(np.array(fan))
+        planes.append(np.tile(edge_planes[k], (len(fan), 1)))
     switch = np.nonzero((tied != tied[e - 1]).any(axis=1))[0]
     z = np.concatenate([np.zeros(nb), hts])
     if len(switch):
@@ -493,26 +496,6 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
 # ---------------------------------------------------------------------------
 
 
-def _clip_halfplane(poly: np.ndarray, n: np.ndarray, c: float, keep_positive: bool,
-                    tol: float) -> np.ndarray:
-    s = poly @ n - c
-    if not keep_positive:
-        s = -s
-    s_next = np.roll(s, -1)
-    cross = ((s > tol) & (s_next < -tol)) | ((s < -tol) & (s_next > tol))
-    lam = s / np.where(cross, s - s_next, 1.0)
-    # each vertex is followed by the crossing point on its outgoing edge
-    cand = np.stack([poly, poly + lam[:, None] * (np.roll(poly, -1, axis=0) - poly)],
-                    axis=1)
-    out = cand[np.column_stack([s >= -tol, cross])]
-    if len(out) < 3:
-        return np.empty((0, 2))
-    out = out[np.concatenate([[True], np.hypot(*np.diff(out, axis=0).T) > tol])]
-    while len(out) > 1 and np.hypot(*(out[-1] - out[0])) <= tol:
-        out = out[:-1]
-    return out if len(out) >= 3 else np.empty((0, 2))
-
-
 def _fan_triangulate(poly: np.ndarray, offset: int) -> np.ndarray:
     """Fan triangles from the lexicographically smallest vertex."""
     k = int(np.lexsort((poly[:, 1], poly[:, 0]))[0])
@@ -525,40 +508,6 @@ def _polygon_area(poly: np.ndarray) -> float:
         return 0.0
     rel = poly - poly[0]
     return 0.5 * float(cross2(rel, np.roll(rel, -1, axis=0)).sum())
-
-
-def _boundary_trace(dom: ConvexDomain, planes: np.ndarray, split_line):
-    """Mean of min-of-planes along each domain edge, shape (n_edges,).
-
-    The trace is linear between the knots (edge ends, and the crossing with
-    split_line), so each piece adds dt * (va + vb) / 2 in the edge parameter.
-    Products are stacked one row per point, which rounds as a product on a
-    single point does: each knot value is bit-identical to plane_values on
-    that knot alone, where one batched product may round differently.
-    """
-    A, B = dom.edges()
-    n = dom.n
-    knots = np.zeros((n, 3))
-    knots[:, 2] = 1.0
-    used = np.zeros((n, 3), dtype=bool)
-    used[:, [0, 2]] = True
-    nrm, c = split_line
-    sa = (A[:, None, :] @ nrm)[:, 0] - c
-    sb = (B[:, None, :] @ nrm)[:, 0] - c
-    cross = ((sa > 0) != (sb > 0)) & (np.abs(sa - sb) > 0)
-    lam = sa[cross] / (sa[cross] - sb[cross])
-    inner = (1e-12 < lam) & (lam < 1 - 1e-12)
-    split = np.nonzero(cross)[0][inner]
-    knots[split, 1] = lam[inner]
-    used[split, 1] = True
-    edge = np.broadcast_to(np.arange(n)[:, None], (n, 3))[used]
-    t = knots[used]
-    pts = A[edge] + t[:, None] * (B - A)[edge]
-    vals = ((pts[:, None, :] @ planes[:, :2].T)[:, 0, :]
-            + planes[:, 2]).min(axis=1)
-    same = edge[:-1] == edge[1:]
-    piece = np.diff(t) * 0.5 * (vals[:-1] + vals[1:])
-    return np.bincount(edge[:-1][same], weights=piece[same], minlength=n)
 
 
 def tent_function(dom: ConvexDomain, segment, height: float = 1.0) -> ConcaveFunction:
@@ -579,24 +528,41 @@ def tent_function(dom: ConvexDomain, segment, height: float = 1.0) -> ConcaveFun
     if np.abs(bd).max() > 10 * dom.tol:
         raise ValueError("tent segment endpoints must lie on the boundary")
 
-    d = Direction.of(*(q - p))
-    n = d.perp().as_array()
+    n = Direction.of(*(q - p)).perp().as_array()
     s0 = float(p @ n)
-    proj = dom.vertices @ n
+    A, B = dom.edges()
+    proj = A @ n
     smin, smax = float(proj.min()), float(proj.max())
     tol = dom.tol
+
+    # one split of the boundary ring by the line: each vertex is followed
+    # by the point where its outgoing edge changes side.  The mesh takes
+    # only those on edges that run from beyond tol on one side to beyond
+    # tol on the other, and a vertex within tol of the line goes to both
+    # sides.  The trace bends at every such point: a bend next to a vertex
+    # within tol is worth up to tol times the steeper side's slope
+    s = proj - s0
+    s_next = np.roll(s, -1)
+    bend = s * s_next < 0.0
+    cross = bend & (np.abs(s) > tol) & (np.abs(s_next) > tol)
+    lam = s / np.where(bend, s - s_next, 1.0)
+    ring = np.stack([A, A + lam[:, None] * (B - A)], axis=1)
 
     verts_list = []
     fans = []
     sides = []
-    for keep_positive, present in ((False, s0 - smin > 10 * tol),
-                                   (True, smax - s0 > 10 * tol)):
+    for above, present in ((False, s0 - smin > 10 * tol),
+                           (True, smax - s0 > 10 * tol)):
         if not present:
             continue
-        poly = _clip_halfplane(dom.vertices, n, s0, keep_positive, tol)
+        poly = ring[np.column_stack([s >= -tol if above else s <= tol, cross])]
+        step = np.hypot(*np.diff(poly, axis=0).T)
+        poly = poly[np.concatenate([[True], step > tol])]
+        while len(poly) > 1 and np.hypot(*(poly[-1] - poly[0])) <= tol:
+            poly = poly[:-1]
         if _polygon_area(poly) <= tol:
             continue
-        if keep_positive:
+        if above:
             g = -height / (smax - s0) * n
             z0 = height * smax / (smax - s0)
         else:
@@ -613,7 +579,18 @@ def tent_function(dom: ConvexDomain, segment, height: float = 1.0) -> ConcaveFun
     sides = np.array(sides)
     planes = np.repeat(sides, [len(f) for f in fans], axis=0)
     vert_values = (verts @ sides[:, :2].T + sides[:, 2]).min(axis=1)
-    trace = _boundary_trace(dom, sides, (n, s0))
+
+    # trace[e] is the mean of min-of-planes along edge e: one trapezoid, or
+    # two at a bend.  Knot values are products one row per point, which
+    # round as a product on a single point does (a batched one may not)
+    knots = np.vstack([A, ring[bend, 1]])
+    vals = ((knots[:, None, :] @ sides[:, :2].T)[:, 0, :]
+            + sides[:, 2]).min(axis=1)
+    fa, fx, lb = vals[:dom.n], vals[dom.n:], lam[bend]
+    fb = np.roll(fa, -1)
+    trace = 0.5 * (fa + fb)
+    trace[bend] = (lb * 0.5 * (fa[bend] + fx)
+                   + (1.0 - lb) * 0.5 * (fx + fb[bend]))
     return ConcaveFunction(
         domain=dom, verts=verts, vert_values=vert_values,
         tris=np.vstack(fans), planes=planes,

@@ -286,6 +286,29 @@ def directional_sweep(dom: ConvexDomain, p, n_angles: int = 8,
             for h1, h2 in pairs]
 
 
+def _schedule_ratios(key: str, values, build, p, h1: Direction,
+                     h2: Direction) -> list[dict]:
+    """One row per schedule value x: the ratio of the function build(x)
+    returns, with build's extra fields, or the error that stopped it.
+    Raises ValueError when no value gives a function."""
+    rows = []
+    for x in values:
+        try:
+            fn, extra = build(float(x))
+            n1 = norms.lp_directional_norm(fn, h1, p).value
+            n2 = norms.lp_directional_norm(fn, h2, p).value
+        except ValueError as exc:
+            rows.append({key: float(x), "ratio": None, "error": str(exc)})
+            continue
+        r = math.nan if (n1 == 0.0 and n2 == 0.0) else (
+            math.inf if n2 == 0.0 else n1 / n2)
+        rows.append({key: float(x), "norm_h1": n1, "norm_h2": n2,
+                     "ratio": r, **extra, "witness": fn.descriptor})
+    if not any(row.get("ratio") is not None for row in rows):
+        raise ValueError(f"no {key} in the schedule produced a valid function")
+    return rows
+
+
 def omega_schedule_ratios(dom: ConvexDomain, p, h1: Direction = E1,
                           h2: Direction = E2,
                           omegas=OMEGA_SCHEDULE, anchor=None) -> list[dict]:
@@ -297,41 +320,16 @@ def omega_schedule_ratios(dom: ConvexDomain, p, h1: Direction = E1,
     """
     if anchor is None:
         anchor = default_omega_anchor(dom)
-    rows = []
-    for w in omegas:
-        try:
-            fn = family_u_omega(dom, anchor, float(w))
-            n1 = norms.lp_directional_norm(fn, h1, p).value
-            n2 = norms.lp_directional_norm(fn, h2, p).value
-        except ValueError as exc:
-            rows.append({"omega": float(w), "ratio": None, "error": str(exc)})
-            continue
-        r = math.nan if (n1 == 0.0 and n2 == 0.0) else (
-            math.inf if n2 == 0.0 else n1 / n2)
-        rows.append({"omega": float(w), "norm_h1": n1, "norm_h2": n2,
-                     "ratio": r, "witness": fn.descriptor})
-    if not any(row.get("ratio") is not None for row in rows):
-        raise ValueError("no omega in the schedule produced a valid function")
-    return rows
+    return _schedule_ratios(
+        "omega", omegas, lambda w: (family_u_omega(dom, anchor, w), {}),
+        p, h1, h2)
 
 
 def phi_eps_schedule_ratios(dom: ConvexDomain, p, phi: float = math.pi / 6,
                             h1: Direction = E1, h2: Direction = E2) -> list[dict]:
     """Ratio along the cap-sampling family for each eps in EPS_SCHEDULE."""
-    rows = []
-    for eps in EPS_SCHEDULE:
-        try:
-            fn, sample = family_u_phi_eps(dom, phi, float(eps))
-            n1 = norms.lp_directional_norm(fn, h1, p).value
-            n2 = norms.lp_directional_norm(fn, h2, p).value
-        except ValueError as exc:
-            rows.append({"eps": float(eps), "ratio": None, "error": str(exc)})
-            continue
-        r = math.nan if (n1 == 0.0 and n2 == 0.0) else (
-            math.inf if n2 == 0.0 else n1 / n2)
-        rows.append({"eps": float(eps), "norm_h1": n1, "norm_h2": n2,
-                     "ratio": r, "n_sample": len(sample),
-                     "witness": fn.descriptor})
-    if not any(row.get("ratio") is not None for row in rows):
-        raise ValueError("no eps in the schedule produced a valid function")
-    return rows
+    def build(eps):
+        fn, sample = family_u_phi_eps(dom, phi, eps)
+        return fn, {"n_sample": len(sample)}
+
+    return _schedule_ratios("eps", EPS_SCHEDULE, build, p, h1, h2)

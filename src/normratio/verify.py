@@ -23,7 +23,6 @@ import numpy as np
 from . import norms
 from .bounds import affine_normalize, directional_k1_upper
 from .concave import (
-    CLASSICAL,
     build_function,
     chord_max_hull,
     check_concavity,
@@ -270,8 +269,6 @@ def _suite_edge_slope(case: Case, tol: float):
     offs = case.domain.edge_offsets()
     tol_geom = 10 * case.domain.tol
     for desc, u in case.envelopes:
-        if u.mode != CLASSICAL:
-            continue
         # vertex-to-edge-line incidence; interior points of the domain can
         # only touch an edge line inside the actual edge segment
         on_edge = np.abs(u.verts @ normals.T - offs[None, :]) <= tol_geom

@@ -153,9 +153,22 @@ def _sheet_mass_loop(u, h, line=None):
 
 def test_jump_mass_matches_segment_loop():
     dom = disc(512)
+    sq = square()
     tents = [tent_function(dom, [dom.vertices[3], dom.vertices[290]]),
-             tent_function(square(), [(0.0, 0.3), (1.0, 0.9)]),
-             tent_function(square(), [(0.5, 0.0), (0.5, 1.0)])]
+             tent_function(sq, [(0.0, 0.3), (1.0, 0.9)]),
+             tent_function(sq, [(0.5, 0.0), (0.5, 1.0)]),
+             # the line passes tol/2 above the corner (0, 0), so the trace
+             # bends on the left edge inside the tol band; the lower side's
+             # slope of 500 puts the corner 250 tol below the height
+             tent_function(sq, [(0.0, 0.5 * sq.tol), (1.0, 0.002)])]
+    for ang in (0.3, 1.1, 2.5):
+        c, s = math.cos(ang), math.sin(ang)
+        rot = ConvexDomain(sq.vertices @ np.array([[c, s], [-s, c]])
+                           + (2.0 + c, -7.0))
+        v = rot.vertices
+        tents += [tent_function(rot, [v[0], 0.5 * (v[1] + v[2])]),
+                  tent_function(rot, [v[3], 0.5 * (v[1] + v[2])]),
+                  tent_function(rot, [v[1], v[2]])]
     tri = linear_extremal_triangle(triangle(0, 0, 2, 0, 1, 1))
     for h in (E1, E2, Direction.from_angle(0.3)):
         for u in tents:

@@ -4,6 +4,7 @@ notice stale inputs."""
 
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,27 @@ def test_check_counts_match_bench_reference():
                    for flag in ("--cases", "--seed"))
     results = run_all(cases=cases, seed=seed)
     assert {r.suite: r.checks for r in results} == entry["checks"]
+
+
+@pytest.mark.parametrize("workload", ["estimate-disc", "sweep-shared"])
+def test_search_rows_match_bench_reference(workload, capsys):
+    # the benchmark also rejects a search row that moves off its reference
+    # by more than rel 1e-9 (abs 1e-12), or changes witness kind or count
+    def close(a, b):
+        a, b = float(a), float(b)
+        return a == b or math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+
+    for entry in json.loads(REFERENCE.read_text())[workload]:
+        assert main(entry["argv"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        rows = out.get("rows", [out])
+        assert len(rows) == len(entry["rows"])
+        for i, (row, ref) in enumerate(zip(rows, entry["rows"])):
+            for key, want in ref.items():
+                if key == "witness_kind":
+                    assert row["witness"]["kind"] == want, f"row {i}"
+                else:
+                    assert close(row[key], want), f"row {i} {key}"
 
 
 def test_suite_results_are_deterministic():
