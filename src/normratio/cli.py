@@ -319,10 +319,12 @@ def cmd_verify(args):
         except (KeyError, ValueError) as exc:
             raise CliInputError(f"malformed counterexample: {exc}")
     else:
-        names = [args.suite] if args.suite else list(verify.SUITES)
-        results = [verify.run_suite(n, cases=args.cases, seed=args.seed,
-                                    tol=args.tol)
-                   for n in names]
+        if args.suite:
+            results = [verify.run_suite(args.suite, cases=args.cases,
+                                        seed=args.seed, tol=args.tol)]
+        else:
+            results = verify.run_all(cases=args.cases, seed=args.seed,
+                                     tol=args.tol)
         if args.trace:
             for r in results:
                 print(f"[trace] {r.suite}: {r.checks} checks, "

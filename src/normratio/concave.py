@@ -660,8 +660,22 @@ def family_u_omega(dom: ConvexDomain, anchor, omega: float) -> ConcaveFunction:
     else:
         disp = np.array([0.0, -math.copysign(1.0, n_out[1]) * omega])
     apex = anchor + disp
-    if dom.signed_boundary_distance(apex[None, :])[0] <= 10 * dom.tol:
+    margin = 10 * dom.tol
+    depth = dom.signed_boundary_distance(apex[None, :])[0]
+    if depth < 0.0:
         raise ValueError("omega too large: displaced apex leaves the domain")
+    if depth <= margin:
+        # off an edge of slope s a displacement by omega along an axis puts
+        # the apex about omega/|s| from the edge's own line
+        own = float(dom.edge_offsets()[e] - apex @ n_out)
+        if own <= margin:
+            raise ValueError(
+                f"omega too small: displaced apex lies {own:.3g} from its "
+                f"edge (slope {slope:.3g}), inside the interior margin "
+                f"10*tol = {margin:.3g}")
+        raise ValueError(
+            f"omega too large: displaced apex lies {depth:.3g} from the "
+            f"boundary, inside the interior margin 10*tol = {margin:.3g}")
     fn = concave_envelope(dom, [((apex[0], apex[1]), 1.0)])
     fn.descriptor = {"kind": "u-omega",
                      "anchor": [float(anchor[0]), float(anchor[1])],

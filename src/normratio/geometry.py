@@ -300,18 +300,40 @@ def _antipodal_pairs(verts: np.ndarray):
     return pairs
 
 
+WIDTH_BLOCK = 64   # most edge normals per block of the projection table
+
+
+def _edge_widths(dom: ConvexDomain) -> np.ndarray:
+    """Width of the domain along each edge, from column blocks of the
+    table ``verts @ normals.T`` (memory linear in the vertex count).
+
+    The columns split into near-equal blocks of at most WIDTH_BLOCK, so no
+    block is one column wide: BLAS computes a one-column product as a
+    matrix-vector product, which can round differently from the same
+    column of the whole table.
+    """
+    verts = dom.vertices
+    normals = dom.edge_normals()
+    n = len(normals)
+    k = -(-n // WIDTH_BLOCK)
+    cuts = [n * i // k for i in range(k + 1)]
+    widths = np.empty(n)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        projs = verts @ normals[lo:hi].T               # (n, hi - lo)
+        widths[lo:hi] = projs.max(axis=0) - projs.min(axis=0)
+    return widths
+
+
 def width_extremes(dom: ConvexDomain) -> WidthExtremes:
     """Largest and smallest widths with their directions.
 
     Exact for polygons: the minimum width is attained with a support line
-    flush to an edge, the maximum width equals the diameter (realized by an
-    antipodal vertex pair), both enumerated by rotating calipers rather
-    than angle sampling.  Ties resolve to the lowest index encountered.
+    flush to an edge, so every edge is tried, and the maximum width equals
+    the diameter, realized by an antipodal vertex pair that the rotating
+    calipers enumerate.  Ties resolve to the lowest index encountered.
     """
     verts = dom.vertices
-    normals = dom.edge_normals()
-    projs = verts @ normals.T                      # (n, n_edges)
-    widths_by_edge = projs.max(axis=0) - projs.min(axis=0)
+    widths_by_edge = _edge_widths(dom)
     imin = int(np.argmin(widths_by_edge))
     w_min = float(widths_by_edge[imin])
     e = dom.edge_vectors()[imin]

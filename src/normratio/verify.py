@@ -9,14 +9,23 @@ regenerate and re-check the exact case in isolation -- that is what
 :func:`replay` does.
 
 Suites are registered in :data:`SUITES`; ``run_suite`` executes one by
-name, ``run_all`` executes the registry in order.
+name, ``run_all`` executes the registry in order.  ``run_all`` goes case
+by case: it builds one corpus case, runs every suite on it, and drops it
+before building the next, so one case is in memory at a time and peak
+memory does not grow with the number of cases.  Values that several
+suites need (axis widths, axis L1 norms, axis sup reports, the
+normalizing affine map and the images of the first two envelopes) are
+computed once per case on :class:`Case` and dropped with it.  Per suite,
+the case results are merged in case order, so the results, and the
+first failure, are those of running each suite over the whole corpus in
+turn.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -74,8 +83,39 @@ class Case:
         """Extra deterministic draws, disjoint from the corpus streams."""
         return keyed_rng(self.seed, self.index, 100, *key)
 
+    # values shared by several suites, computed on first use
 
-@lru_cache(maxsize=2048)
+    @cached_property
+    def axis_widths(self) -> tuple:
+        """Widths of the domain along E1 and E2."""
+        return tuple(width(self.domain, h) for h in (E1, E2))
+
+    @cached_property
+    def axis_l1(self) -> tuple:
+        """Per envelope, its p = 1 norms along E1 and E2."""
+        return tuple(tuple(norms.lp_directional_norm(u, h, 1).value
+                           for h in (E1, E2))
+                     for _, u in self.envelopes)
+
+    @cached_property
+    def axis_sups(self) -> tuple:
+        """Per envelope, its sup-norm reports along E1 and E2."""
+        return tuple(tuple(norms.sup_directional_norm(u, h) for h in (E1, E2))
+                     for _, u in self.envelopes)
+
+    @cached_property
+    def normalized(self) -> tuple:
+        """``(img, lin, images)``: the normalized domain, the linear part of
+        the normalizing map and the pushforwards of the first two
+        envelopes."""
+        img, lin, shift = affine_normalize(self.domain)
+        images = tuple(transform_function(u, lin, shift, img)
+                       for _, u in self.envelopes[:2])
+        return img, lin, images
+
+
+# one case at a time: run_all visits every suite on a case before the next
+@lru_cache(maxsize=1)
 def _case(seed: int, index: int) -> Case:
     dom = random_convex_polygon(keyed_rng(seed, index, 0))
     envs = []
@@ -157,10 +197,9 @@ def _violation(detail: dict, descriptor=None) -> dict:
 def _suite_sandwich(case: Case, tol: float):
     """w*M <= ||d_h u||_1 <= 2*w*M for every envelope, both axes."""
     checks, bad = 0, []
-    for h in (E1, E2):
-        w = width(case.domain, h)
-        for desc, u in case.envelopes:
-            val = norms.lp_directional_norm(u, h, 1).value
+    for a, (h, w) in enumerate(zip((E1, E2), case.axis_widths)):
+        for (desc, u), l1 in zip(case.envelopes, case.axis_l1):
+            val = l1[a]
             lo = w * u.max_value
             scale = max(1.0, lo)
             checks += 1
@@ -176,7 +215,7 @@ def _suite_cone_mass(case: Case, tol: float):
     checks, bad = 0, []
     rng = case.rng(1)
     pts = random_interior_points(rng, case.domain, 2)
-    widths = [(h, width(case.domain, h)) for h in (E1, E2)]
+    widths = list(zip((E1, E2), case.axis_widths))
     for pt in pts:
         height = float(rng.uniform(0.2, 1.0))
         desc = {"kind": "envelope",
@@ -235,10 +274,9 @@ def _suite_tangent(case: Case, tol: float):
     |u_x| <= (u - y*u_y)/min(x, 2-x).
     """
     checks, bad = 0, []
-    img, lin, shift = affine_normalize(case.domain)
+    img, _, images = case.normalized
     rng = case.rng(3)
-    for desc, u in case.envelopes[:2]:
-        tu = transform_function(u, lin, shift, img)
+    for (desc, _), tu in zip(case.envelopes, images):
         scale = 1.0 + tu.max_value
         pts = random_interior_points(rng, img, 25)
         vals, grads, regular = gradients_at(tu, pts)
@@ -298,8 +336,8 @@ def _suite_sup_boundary(case: Case, tol: float):
     and for any unit h it is at most sqrt(2) times the larger axis sup."""
     checks, bad = 0, []
     dirs = (E1, E2, random_direction(case.rng(4)))
-    for desc, u in case.envelopes:
-        reps = [norms.sup_directional_norm(u, h) for h in dirs]
+    for (desc, u), axis in zip(case.envelopes, case.axis_sups):
+        reps = [*axis, norms.sup_directional_norm(u, dirs[2])]
         axis_cap = math.sqrt(2.0) * max(reps[0].value, reps[1].value)
         for h, rep in zip(dirs, reps):
             checks += 1
@@ -319,9 +357,8 @@ def _suite_oracle_l1(case: Case, tol: float):
     """Facet-sum L1 norms against the scan-line oracle (upper hull of the
     projected vertices, integrated exactly)."""
     checks, bad = 0, []
-    for desc, u in case.envelopes[:3]:
-        for h in (E1, E2):
-            exact = norms.lp_directional_norm(u, h, 1).value
+    for (desc, u), l1 in zip(case.envelopes[:3], case.axis_l1):
+        for h, exact in zip((E1, E2), l1):
             scan = norms.scanline_l1_norm(u, h).value
             checks += 1
             denom = max(exact, scan, 1e-300)
@@ -341,10 +378,9 @@ def _suite_shear_transport(case: Case, tol: float):
       (c) the composed horizontal norm bound from the triangle inequality.
     """
     checks, bad = 0, []
-    img, lin, shift = affine_normalize(case.domain)
+    _, lin, images = case.normalized
     det = abs(float(np.linalg.det(lin)))
-    for desc, u in case.envelopes[:2]:
-        tu = transform_function(u, lin, shift, img)
+    for (desc, u), tu, l1 in zip(case.envelopes, images, case.axis_l1):
         back = tu.planes[:, :2] @ lin
         gscale = 1.0 + float(np.abs(u.planes[:, :2]).max())
         checks += 1
@@ -355,7 +391,9 @@ def _suite_shear_transport(case: Case, tol: float):
                 desc))
         for p in (1.0, 2.0):
             a = norms.lp_directional_norm(tu, E2, p).value ** p
-            b = det * norms.lp_directional_norm(u, E2, p).value ** p
+            src = (l1[1] if p == 1.0
+                   else norms.lp_directional_norm(u, E2, p).value)
+            b = det * src ** p
             checks += 1
             if abs(a - b) > tol * max(1.0, a, b):
                 bad.append(_violation(
@@ -449,9 +487,8 @@ def _suite_slope_cap(case: Case, tol: float):
     m = max_boundary_slope(case.domain)
     if math.isinf(m):
         return 0, []
-    for desc, u in case.envelopes:
-        s1 = norms.sup_directional_norm(u, E1).value
-        s2 = norms.sup_directional_norm(u, E2).value
+    for (desc, _), (rep1, rep2) in zip(case.envelopes, case.axis_sups):
+        s1, s2 = rep1.value, rep2.value
         checks += 1
         if s1 > (m + tol * (1.0 + m)) * s2:
             bad.append(_violation(
@@ -514,12 +551,16 @@ SUITES = {
 }
 
 
+def _suite_tol(name: str, tol: float | None) -> float:
+    return SUITES[name].tol if tol is None else float(tol)
+
+
 def run_suite(name: str, cases: int = DEFAULT_CASES, seed: int = 42,
               tol: float | None = None, case_indices=None) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
     spec = SUITES[name]
-    use_tol = spec.tol if tol is None else float(tol)
+    use_tol = _suite_tol(name, tol)
     indices = list(case_indices) if case_indices is not None else range(cases)
     total_checks = 0
     failures = []
@@ -539,8 +580,23 @@ def run_suite(name: str, cases: int = DEFAULT_CASES, seed: int = 42,
 
 def run_all(cases: int = DEFAULT_CASES, seed: int = 42,
             tol: float | None = None) -> list:
-    return [run_suite(name, cases=cases, seed=seed, tol=tol)
-            for name in SUITES]
+    """Every suite in registry order, run one corpus case at a time.
+
+    Each (case, suite) step is a :func:`run_suite` call on that one case,
+    and the steps of a suite are merged in case order, so the results
+    equal ``[run_suite(name, cases, seed, tol) for name in SUITES]``.
+    """
+    totals = {name: [0, 0, []] for name in SUITES}   # cases, checks, failures
+    for k in range(cases):
+        for name, acc in totals.items():
+            res = run_suite(name, seed=seed, tol=tol, case_indices=[k])
+            acc[0] += res.cases
+            acc[1] += res.checks
+            acc[2] += res.failures
+    return [SuiteResult(suite=name, cases=n, checks=checks,
+                        failures=tuple(failures), seed=seed,
+                        tol=_suite_tol(name, tol))
+            for name, (n, checks, failures) in totals.items()]
 
 
 def first_failure(results) -> dict | None:

@@ -638,10 +638,32 @@ def test_u_omega_interior_anchor_displaces_vertically():
 
 
 def test_u_omega_rejects_apex_outside():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="omega too large: displaced apex "
+                                         "leaves the domain"):
         family_u_omega(square(), (0.0, 0.5), 2.0)
+    with pytest.raises(ValueError, match="omega too large: .* inside the "
+                                         "interior margin"):
+        family_u_omega(square(), (0.0, 0.5), 1.0 - 1e-12)
     with pytest.raises(ValueError):
         family_u_omega(square(), (0.0, 0.5), -0.1)
+
+
+def test_u_omega_names_a_too_small_omega():
+    # walls tilted by 5e-8 (slope 2e7) are not vertical, so the apex moves
+    # straight up from the left wall's midpoint: omega = 1e-3 puts it 5e-11
+    # from the wall, inside the domain but within its 10*tol margin
+    tilted = ConvexDomain([(0, 0), (1, 0), (1 - 5e-8, 1), (-5e-8, 1)])
+    anchor = (-2.5e-8, 0.5)
+    apex = np.array([anchor[0], anchor[1] + 1e-3])
+    depth = tilted.signed_boundary_distance(apex)[0]
+    assert 0.0 < depth <= 10 * tilted.tol
+    with pytest.raises(ValueError, match="omega too small: displaced apex "
+                                         "lies 5e-11 from its edge"):
+        family_u_omega(tilted, anchor, 1e-3)
+    # larger than the domain, the same anchor leaves it
+    with pytest.raises(ValueError, match="omega too large: displaced apex "
+                                         "leaves the domain"):
+        family_u_omega(tilted, anchor, 2.0)
 
 
 def _locate_boundary_edge_loop(dom, pt):

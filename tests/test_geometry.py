@@ -30,7 +30,13 @@ from normratio import (
     width,
     width_extremes,
 )
-from normratio.geometry import chords_batch, cross2
+from normratio.geometry import (
+    WidthExtremes,
+    _antipodal_pairs,
+    _edge_widths,
+    chords_batch,
+    cross2,
+)
 from normratio.sampling import keyed_rng, random_convex_polygon
 
 from conftest import NEAR_VERTICAL_SQUARES, corpus_domains
@@ -147,6 +153,42 @@ def test_width_min_matches_refined_angle_scan():
                               method="bounded",
                               options={"xatol": 1e-12})
         assert we.w_min == pytest.approx(res.fun, abs=1e-6), f"case {k}"
+
+
+def _width_extremes_whole_table(dom):
+    # reference: widths from one n x n projection table, the diameter from
+    # the calipers pairs
+    verts = dom.vertices
+    projs = verts @ dom.edge_normals().T
+    widths_by_edge = projs.max(axis=0) - projs.min(axis=0)
+    imin = int(np.argmin(widths_by_edge))
+    e = dom.edge_vectors()[imin]
+    best = (-1.0, None)
+    for i, j in _antipodal_pairs(verts):
+        d = float(np.hypot(*(verts[j] - verts[i])))
+        if d > best[0]:
+            best = (d, (i, j))
+    sep = verts[best[1][1]] - verts[best[1][0]]
+    return widths_by_edge, WidthExtremes(
+        w_max=best[0], w_min=float(widths_by_edge[imin]),
+        h_max=Direction.of(-sep[1], sep[0]), h_min=Direction.of(e[0], e[1]))
+
+
+def test_width_extremes_match_whole_projection_table():
+    # the blocked table must reproduce every bit of the whole one: on a
+    # disc all edges have the same width up to rounding, so one ulp moves
+    # h_min to another edge, and sweep's direction pairs with it.  Vertex
+    # counts one past a multiple of the block width would leave a lone
+    # column with blocks cut at multiples of it.
+    ns = [*range(3, 200), 255, 256, 257, 511, 512, 513, 641, 769, 1025,
+          1537, 2048, 4096]
+    doms = [disc(n) for n in ns]
+    doms += [random_convex_polygon(keyed_rng(42, k, 0)) for k in range(200)]
+    for dom in doms:
+        widths, extremes = _width_extremes_whole_table(dom)
+        np.testing.assert_array_equal(_edge_widths(dom), widths,
+                                      err_msg=f"{dom!r}")
+        assert width_extremes(dom) == extremes, f"{dom!r}"
 
 
 def test_width_direction_convention():

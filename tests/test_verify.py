@@ -5,6 +5,7 @@ notice stale inputs."""
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,63 @@ def test_search_rows_match_bench_reference(workload, capsys):
                     assert row["witness"]["kind"] == want, f"row {i}"
                 else:
                     assert close(row[key], want), f"row {i} {key}"
+
+
+def test_run_all_matches_one_suite_at_a_time():
+    # run_all goes case by case; merged per suite in case order it must
+    # give what each suite gives over the whole corpus.  tol = -1 makes
+    # (nearly) every check a violation, so the failure order is compared.
+    merged = run_all(cases=5, tol=-1.0)
+    apart = [run_suite(name, cases=5, tol=-1.0) for name in SUITES]
+    assert [r.suite for r in merged] == list(SUITES)
+    for a, b in zip(merged, apart):
+        assert (a.suite, a.cases, a.checks, a.seed, a.tol) \
+            == (b.suite, b.cases, b.checks, b.seed, b.tol)
+        assert a.failures
+        assert json.dumps(jsonify(a.failures)) == json.dumps(jsonify(b.failures))
+    assert jsonify(first_failure(merged)) == jsonify(first_failure(apart))
+
+
+LEMMA_TAN_20 = """{
+  "command": "verify",
+  "passed": true,
+  "suites": [
+    {
+      "suite": "lemma-tan",
+      "cases": 20,
+      "checks": 1000,
+      "violations": 0,
+      "passed": true,
+      "seed": 42,
+      "tol": 1e-09
+    }
+  ],
+  "counterexample_path": null
+}
+"""
+
+
+def test_single_suite_stdout_is_unchanged(capsys):
+    assert main(["verify", "--suite", "lemma-tan", "--cases", "20"]) == 0
+    assert capsys.readouterr().out == LEMMA_TAN_20
+
+
+def test_verify_memory_does_not_grow_with_cases():
+    # one corpus case is alive at a time, so 50 more cases may not raise
+    # the peak by more than the spread between single cases (holding every
+    # case, as a cache of all of them does, adds about 0.75 MB)
+    def peak(cases):
+        verify._case.cache_clear()
+        tracemalloc.start()
+        try:
+            run_all(cases=cases)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_all(cases=1)                 # first-call allocations out of the way
+    grown = peak(60) - peak(10)
+    assert grown < 0.3e6, f"peak grew by {grown / 1e6:.2f} MB"
 
 
 def test_suite_results_are_deterministic():
