@@ -59,10 +59,11 @@ class ConcaveFunction:
         self.mode = mode
         self.trace = np.asarray(trace, dtype=float)
         self.descriptor = dict(descriptor)
-        tri_pts = self.verts[self.tris]                       # (F, 3, 2)
-        self.facet_areas = 0.5 * np.abs(
-            cross2(tri_pts[:, 1] - tri_pts[:, 0], tri_pts[:, 2] - tri_pts[:, 0])
-        )
+        # one coordinate gathered at a time: (F, 3) each
+        X, Y = self.verts[:, 0][self.tris], self.verts[:, 1][self.tris]
+        xa, ya = X[:, 0], Y[:, 0]
+        self.facet_areas = 0.5 * np.abs((X[:, 1] - xa) * (Y[:, 2] - ya)
+                                        - (Y[:, 1] - ya) * (X[:, 2] - xa))
 
     @cached_property
     def facet_on_boundary(self) -> np.ndarray:
@@ -268,10 +269,11 @@ def _polygon_ccw(xy: np.ndarray, tol: float) -> list:
 
 def _fan(poly: list):
     """A counterclockwise id list rotated to start at its lowest id, and
-    the triangles fanned from that id."""
+    the triangles fanned from that id, three ids each in one flat list."""
     lo = poly.index(min(poly))
     poly = poly[lo:] + poly[:lo]
-    return poly, [[poly[0], poly[j], poly[j + 1]] for j in range(1, len(poly) - 1)]
+    return poly, [i for j in range(1, len(poly) - 1)
+                  for i in (poly[0], poly[j], poly[j + 1])]
 
 
 def _interior_facets(xy: np.ndarray, z: np.ndarray, cand: np.ndarray,
@@ -299,24 +301,26 @@ def _interior_facets(xy: np.ndarray, z: np.ndarray, cand: np.ndarray,
     facet, or when there are more facets than a triangulation of the
     points has.
 
+    cand holds the switch vertices, then the constraints, in increasing id
+    order, so each tie set is taken in id order.
+
     Returns triangles indexing xy and their planes, in the frame of xy.
     """
     switch = set(cand[cand < nb].tolist())
     known = set()
     frontier = {}                 # (lo, hi) -> (a, b), known facet on the left
 
-    def add(poly):
-        known.add(tuple(sorted(poly)))
+    def add(poly, facet):
+        known.add(facet)
         for a, b in zip(poly, poly[1:] + poly[:1]):
-            key = (a, b) if a < b else (b, a)
-            if key in frontier:
-                del frontier[key]
-            elif ((a >= nb or b >= nb) and (a >= nb or a in switch)
-                  and (b >= nb or b in switch)):
-                frontier[key] = (a, b)
+            edge = (a, b) if a < b else (b, a)
+            if (frontier.pop(edge, None) is None
+                    and (a >= nb or b >= nb) and (a >= nb or a in switch)
+                    and (b >= nb or b in switch)):
+                frontier[edge] = (a, b)
 
     for poly in polys:
-        add(poly)
+        add(poly, tuple(sorted(poly)))
     X, Y, Z = xy[:, 0].tolist(), xy[:, 1].tolist(), z.tolist()
     # candidate k as the column (x_k, y_k, 1, z_k)
     M = np.ones((4, len(cand)))
@@ -366,20 +370,19 @@ def _interior_facets(xy: np.ndarray, z: np.ndarray, cand: np.ndarray,
             if lone[i]:
                 poly = [b, a, top[i]]
             else:
-                key = np.packbits(tie[i]).tobytes()
-                if key not in seen:
-                    sel = np.zeros(len(xy), dtype=bool)
-                    sel[cand[tie[i]]] = True
-                    sel[[a, b]] = True
-                    ids = np.flatnonzero(sel)
-                    seen[key] = ids[_polygon_ccw(xy[ids] - xy[a], tol)].tolist()
-                poly = seen[key]
-            if tuple(sorted(poly)) not in known:
+                tied = tie[i].tobytes()
+                if tied not in seen:
+                    # the tie set and the edge's ends, in increasing id order
+                    sel = cand[tie[i] | (cand == a) | (cand == b)]
+                    seen[tied] = sel[_polygon_ccw(xy[sel] - xy[a], tol)].tolist()
+                poly = seen[tied]
+            facet = tuple(sorted(poly))
+            if facet not in known:
                 poly, fan = _fan(poly)
-                add(poly)
+                add(poly, facet)
                 found = True
                 tris += fan
-                planes += [plane[i]] * len(fan)
+                planes += plane[i] * (len(fan) // 3)
         if not found:
             raise ValueError("degenerate envelope input: the wrap found no "
                              "new facet")
@@ -418,51 +421,62 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
     vertex.  One constraint has no switch vertex and gives the cone over
     the ring.
     """
-    cons = [((float(p[0]), float(p[1])), float(h)) for p, h in constraints]
+    cons = [(float(p[0]), float(p[1]), float(h)) for p, h in constraints]
     if not cons:
         raise ValueError("need at least one constraint")
-    pts = np.array([p for p, _ in cons])
-    hts = np.array([h for _, h in cons])
-    if np.any(hts <= 0.0):
+    con = np.array(cons)                            # rows (x, y, height)
+    if not np.isfinite(con).all():
+        raise ValueError("constraint points and heights must be finite")
+    pts, hts = con[:, :2], con[:, 2]
+    if (hts <= 0.0).any():
         raise ValueError("constraint heights must be positive")
-    if np.any(dom.signed_boundary_distance(pts) <= dom.tol):
+    if (dom.signed_boundary_distance(pts) <= dom.tol).any():
         raise ValueError("constraint points must lie strictly inside the domain")
 
     v = dom.vertices
     nb = dom.n
     normals = dom.edge_normals()
-    # the slack is taken from the difference rather than as the edge offset
-    # minus n_e . a, which cancels for points near the boundary
-    slack = np.einsum("ej,eij->ei", normals, v[:, None, :] - pts)    # (E, m)
-    ratio = hts / slack
-    top = ratio.argmax(axis=1)
-    s = ratio[np.arange(nb), top]
-    edge_planes = np.column_stack([-s[:, None] * normals, s * dom.edge_offsets()])
-    tied = slack - hts / s[:, None] <= dom.tol
-    single = tied.sum(axis=1) == 1
+    # slack[i, e] of constraint i at edge e, taken from the difference
+    # rather than as the edge offset minus n_e . a, which cancels for points
+    # near the boundary
+    slack = (normals[:, 0] * (v[:, 0] - pts[:, :1])
+             + normals[:, 1] * (v[:, 1] - pts[:, 1:]))            # (m, E)
+    ratio = hts[:, None] / slack
+    top = ratio.argmax(axis=0)
     e = np.arange(nb)
-    tris = [np.column_stack([e, (e + 1) % nb, nb + top])[single]]
-    planes = [edge_planes[single]]
+    s = ratio[top, e]
+    tied = slack - hts[:, None] / s <= dom.tol
+    single = tied.sum(axis=0) == 1
+    # edge facet e is [e, e + 1, apex] on the plane s_e (-n_e, c_e)
+    edge_tris = np.empty((nb, 3), dtype=np.int64)
+    edge_tris[:, 0], edge_tris[:, 1], edge_tris[:, 2] = e, e + 1, nb + top
+    edge_tris[-1, 1] = 0
+    edge_planes = np.empty((nb, 3))
+    np.multiply(-s[:, None], normals, out=edge_planes[:, :2])
+    np.multiply(s, dom.edge_offsets(), out=edge_planes[:, 2])
+    every = single.all()
+    tris = [edge_tris if every else edge_tris[single]]
+    planes = [edge_planes if every else edge_planes[single]]
     polys = []
-    points = np.vstack([v, pts])
-    for k in np.nonzero(~single)[0]:
-        ids = np.concatenate([[k, (k + 1) % nb], nb + np.nonzero(tied[k])[0]])
+    points = np.concatenate((v, pts))
+    for k in np.flatnonzero(~single):
+        ids = np.concatenate([[k, (k + 1) % nb], nb + np.flatnonzero(tied[:, k])])
         poly = ids[_polygon_ccw(points[ids] - v[k], dom.tol)]
         # a tied constraint that is no vertex of the polygon must not make a
         # switch vertex: with it the reduced hull can come out flat
-        tied[k] = False
-        tied[k, poly[poly >= nb] - nb] = True
+        tied[:, k] = False
+        tied[poly[poly >= nb] - nb, k] = True
         poly, fan = _fan(poly.tolist())
         polys.append(poly)
-        tris.append(np.array(fan))
-        planes.append(np.tile(edge_planes[k], (len(fan), 1)))
-    switch = np.nonzero((tied != tied[e - 1]).any(axis=1))[0]
-    z = np.concatenate([np.zeros(nb), hts])
+        tris.append(np.array(fan).reshape(-1, 3))
+        planes.append(np.tile(edge_planes[k], (len(fan) // 3, 1)))
+    switch = np.flatnonzero((tied != tied[:, e - 1]).any(axis=0))
+    z = np.concatenate((np.zeros(nb), hts))
     if len(switch):
-        at_switch = np.zeros(nb, dtype=bool)
-        at_switch[switch] = True
-        near = (at_switch | np.roll(at_switch, -1))[single]
-        polys = tris[0][near].tolist() + polys
+        near = np.zeros(nb, dtype=bool)
+        near[switch] = True
+        near[switch - 1] = True
+        polys = tris[0][near[single]].tolist() + polys
         # called as ConvexHull: see the note at its definition
         inner_tris, inner_planes = ConvexHull(
             points - v[0], z, np.concatenate([switch, nb + np.arange(len(pts))]),
@@ -473,17 +487,18 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
     tris = np.concatenate(tris)
     used = np.zeros(len(points), dtype=bool)
     used[tris] = True
-    remap = np.cumsum(used) - 1
+    if not used.all():
+        tris = (np.cumsum(used) - 1)[tris]
+        points, z = points[used], z[used]
     fn = ConcaveFunction(
         domain=dom,
-        verts=points[used],
-        vert_values=z[used],
-        tris=remap[tris],
+        verts=points,
+        vert_values=z,
+        tris=tris,
         planes=np.concatenate(planes),
         mode=CLASSICAL,
         trace=np.zeros(nb),
-        descriptor={"kind": "envelope",
-                    "constraints": [[p[0], p[1], h] for p, h in cons]},
+        descriptor={"kind": "envelope", "constraints": [list(c) for c in cons]},
     )
     cover = fn.facet_areas.sum()
     if abs(cover - dom.area) > 1e-9 * dom.area:
@@ -497,17 +512,24 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
 
 
 def _fan_triangulate(poly: np.ndarray, offset: int) -> np.ndarray:
-    """Fan triangles from the lexicographically smallest vertex."""
-    k = int(np.lexsort((poly[:, 1], poly[:, 0]))[0])
-    order = np.roll(np.arange(len(poly)), -k) + offset
-    return np.column_stack([np.full(len(poly) - 2, order[0]), order[1:-1], order[2:]])
+    """Fan triangles from the vertex of lowest x, then lowest y, then lowest
+    index, with vertex ids shifted by offset."""
+    low = (poly[:, 0] == poly[:, 0].min()).nonzero()[0]
+    k = int(low[poly[low, 1].argmin()])
+    ids = np.arange(offset, offset + len(poly))
+    order = np.concatenate((ids[k:], ids[:k]))
+    fan = np.empty((len(poly) - 2, 3), dtype=np.int64)
+    fan[:, 0] = order[0]
+    fan[:, 1] = order[1:-1]
+    fan[:, 2] = order[2:]
+    return fan
 
 
 def _polygon_area(poly: np.ndarray) -> float:
     if len(poly) < 3:
         return 0.0
     rel = poly - poly[0]
-    return 0.5 * float(cross2(rel, np.roll(rel, -1, axis=0)).sum())
+    return 0.5 * float(cross2(rel, np.concatenate((rel[1:], rel[:1]))).sum())
 
 
 def tent_function(dom: ConvexDomain, segment, height: float = 1.0) -> ConcaveFunction:
@@ -518,14 +540,15 @@ def tent_function(dom: ConvexDomain, segment, height: float = 1.0) -> ConcaveFun
     boundary edge is allowed as the degenerate one-sided case (then the
     function is a single affine piece, positive on that edge).
     """
-    p = np.asarray(segment[0], dtype=float)
-    q = np.asarray(segment[1], dtype=float)
+    ends = np.array([segment[0], segment[1]], dtype=float)
+    if not (np.isfinite(ends).all() and math.isfinite(height)):
+        raise ValueError("tent segment ends and height must be finite")
     if height <= 0:
         raise ValueError("tent height must be positive")
+    p, q = ends
     if np.hypot(*(q - p)) <= dom.tol:
         raise ValueError("tent segment endpoints must be distinct")
-    bd = dom.signed_boundary_distance(np.array([p, q]))
-    if np.abs(bd).max() > 10 * dom.tol:
+    if np.abs(dom.signed_boundary_distance(ends)).max() > 10 * dom.tol:
         raise ValueError("tent segment endpoints must lie on the boundary")
 
     n = Direction.of(*(q - p)).perp().as_array()
@@ -542,11 +565,14 @@ def tent_function(dom: ConvexDomain, segment, height: float = 1.0) -> ConcaveFun
     # sides.  The trace bends at every such point: a bend next to a vertex
     # within tol is worth up to tol times the steeper side's slope
     s = proj - s0
-    s_next = np.roll(s, -1)
-    bend = s * s_next < 0.0
-    cross = bend & (np.abs(s) > tol) & (np.abs(s_next) > tol)
-    lam = s / np.where(bend, s - s_next, 1.0)
-    ring = np.stack([A, A + lam[:, None] * (B - A)], axis=1)
+    s_next = np.concatenate((s[1:], s[:1]))
+    bend = np.flatnonzero(s * s_next < 0.0)
+    lam = s[bend] / (s[bend] - s_next[bend])
+    ring = np.empty((len(s), 2, 2))     # a point [e, 1] is set at bends only
+    ring[:, 0] = A
+    ring[bend, 1] = A[bend] + lam[:, None] * (B[bend] - A[bend])
+    pick = np.zeros((len(s), 2), dtype=bool)
+    pick[bend, 1] = (np.abs(s[bend]) > tol) & (np.abs(s_next[bend]) > tol)
 
     verts_list = []
     fans = []
@@ -555,9 +581,10 @@ def tent_function(dom: ConvexDomain, segment, height: float = 1.0) -> ConcaveFun
                            (True, smax - s0 > 10 * tol)):
         if not present:
             continue
-        poly = ring[np.column_stack([s >= -tol if above else s <= tol, cross])]
-        step = np.hypot(*np.diff(poly, axis=0).T)
-        poly = poly[np.concatenate([[True], step > tol])]
+        pick[:, 0] = s >= -tol if above else s <= tol
+        poly = ring[pick]
+        step = poly[1:] - poly[:-1]
+        poly = poly[np.concatenate(([True], np.hypot(*step.T) > tol))]
         while len(poly) > 1 and np.hypot(*(poly[-1] - poly[0])) <= tol:
             poly = poly[:-1]
         if _polygon_area(poly) <= tol:
@@ -575,29 +602,29 @@ def tent_function(dom: ConvexDomain, segment, height: float = 1.0) -> ConcaveFun
     if not fans:
         raise ValueError("tent segment does not meet the domain interior")
 
-    verts = np.vstack(verts_list)
+    verts = np.concatenate(verts_list)
     sides = np.array(sides)
     planes = np.repeat(sides, [len(f) for f in fans], axis=0)
-    vert_values = (verts @ sides[:, :2].T + sides[:, 2]).min(axis=1)
+    # min over the one or two side planes, the first and last columns
+    vals = verts @ sides[:, :2].T + sides[:, 2]
+    vert_values = np.minimum(vals[:, 0], vals[:, -1])
 
     # trace[e] is the mean of min-of-planes along edge e: one trapezoid, or
     # two at a bend.  Knot values are products one row per point, which
     # round as a product on a single point does (a batched one may not)
-    knots = np.vstack([A, ring[bend, 1]])
-    vals = ((knots[:, None, :] @ sides[:, :2].T)[:, 0, :]
-            + sides[:, 2]).min(axis=1)
-    fa, fx, lb = vals[:dom.n], vals[dom.n:], lam[bend]
-    fb = np.roll(fa, -1)
+    knots = np.concatenate((A, ring[bend, 1]))
+    vals = (knots[:, None, :] @ sides[:, :2].T)[:, 0, :] + sides[:, 2]
+    vals = np.minimum(vals[:, 0], vals[:, -1])
+    fa, fx = vals[:dom.n], vals[dom.n:]
+    fb = np.concatenate((fa[1:], fa[:1]))
     trace = 0.5 * (fa + fb)
-    trace[bend] = (lb * 0.5 * (fa[bend] + fx)
-                   + (1.0 - lb) * 0.5 * (fx + fb[bend]))
+    trace[bend] = (lam * 0.5 * (fa[bend] + fx)
+                   + (1.0 - lam) * 0.5 * (fx + fb[bend]))
     return ConcaveFunction(
         domain=dom, verts=verts, vert_values=vert_values,
-        tris=np.vstack(fans), planes=planes,
+        tris=np.concatenate(fans), planes=planes,
         mode=DISTRIBUTIONAL, trace=trace,
-        descriptor={"kind": "tent",
-                    "segment": [[float(p[0]), float(p[1])],
-                                [float(q[0]), float(q[1])]],
+        descriptor={"kind": "tent", "segment": ends.tolist(),
                     "height": float(height)},
     )
 

@@ -14,3 +14,24 @@ def test_span_bindings_resolve_and_unwind(monkeypatch):
     with Tracer().installed():
         assert leftover_wrappers()
     assert leftover_wrappers() == []
+
+
+def test_builders_record_their_spans(monkeypatch):
+    # the concave.qhull row times the object bound to concave.ConvexHull: a
+    # build that reached the wrap through any other function object would
+    # leave that row at 0 with nothing failing
+    monkeypatch.syspath_prepend(str(BENCH))
+    from spans import Tracer
+
+    from normratio import concave
+    from normratio.geometry import square
+
+    dom = square()
+    cons = [((0.5, 0.5), 1.0), ((0.3, 0.7), 0.8), ((0.75, 0.3), 0.7)]
+    with Tracer().installed() as tracer:
+        concave.concave_envelope(dom, cons)
+        concave.tent_function(dom, [(0.0, 0.0), (1.0, 1.0)])
+    layers = tracer.layers()
+    assert layers["concave.envelope"]["calls"] == 1
+    assert layers["concave.qhull"]["calls"] >= 1
+    assert layers["concave.tent"]["calls"] == 1

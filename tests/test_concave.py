@@ -32,7 +32,9 @@ from normratio import concave
 from normratio.bounds import affine_normalize
 from normratio.concave import (
     ConcaveFunction,
+    _fan_triangulate,
     _locate_boundary_edge,
+    _polygon_area,
     _polygon_ccw,
     check_concavity,
     check_partition,
@@ -47,7 +49,8 @@ from normratio.sampling import (
     random_envelope_descriptor,
     random_interior_points,
 )
-from normratio.verify import _case
+from normratio.search import _candidates
+from normratio.verify import ENVELOPES_PER_CASE, _case
 
 from conftest import corpus_domains
 
@@ -609,6 +612,27 @@ def test_one_sided_tent_degenerates_to_linear_function():
     assert evaluate(u, pts) == pytest.approx(1.0 - pts[:, 1], abs=1e-12)
 
 
+@pytest.mark.parametrize("cons", [
+    [((math.nan, 0.5), 1.0)],
+    [((0.5, 0.5), 1.0), ((0.25, 0.25), math.nan)],
+    [((0.5, 0.5), math.inf)],
+], ids=["nan-point", "nan-height", "inf-height"])
+def test_envelope_rejects_non_finite_inputs(cons):
+    # rejected before any arithmetic: no warning, and a message that says so
+    with pytest.raises(ValueError, match="must be finite"):
+        concave_envelope(square(), cons)
+
+
+@pytest.mark.parametrize("segment, height", [
+    ([(math.nan, 0.0), (1.0, 1.0)], 1.0),
+    ([(0.0, 0.0), (1.0, math.inf)], 1.0),
+    ([(0.0, 0.0), (1.0, 1.0)], math.nan),
+], ids=["nan-end", "inf-end", "nan-height"])
+def test_tent_rejects_non_finite_inputs(segment, height):
+    with pytest.raises(ValueError, match="must be finite"):
+        tent_function(square(), segment, height)
+
+
 def test_linear_extremal_triangle_matches_tent():
     tri = triangle(0, 0, 2, 0, 1, 1)
     u = linear_extremal_triangle(tri)
@@ -796,3 +820,83 @@ def test_checks_pass_on_random_envelopes():
         assert check_partition(u), f"case {k}"
         assert check_concavity(u), f"case {k}"
         assert check_vertex_consistency(u), f"case {k}"
+
+
+# ---------------------------------------------------------------------------
+# builds against the earlier array expressions, byte for byte
+# ---------------------------------------------------------------------------
+
+
+def _facet_areas_reference(u):
+    tri_pts = u.verts[u.tris]                       # (F, 3, 2)
+    return 0.5 * np.abs(
+        cross2(tri_pts[:, 1] - tri_pts[:, 0], tri_pts[:, 2] - tri_pts[:, 0]))
+
+
+def _fan_triangulate_reference(poly, offset):
+    k = int(np.lexsort((poly[:, 1], poly[:, 0]))[0])
+    order = np.roll(np.arange(len(poly)), -k) + offset
+    return np.column_stack([np.full(len(poly) - 2, order[0]), order[1:-1],
+                            order[2:]])
+
+
+def _polygon_area_reference(poly):
+    if len(poly) < 3:
+        return 0.0
+    rel = poly - poly[0]
+    return 0.5 * float(cross2(rel, np.roll(rel, -1, axis=0)).sum())
+
+
+def _tent_sides(u):
+    """A tent's side polygons: its vertices, cut after the first side's
+    fan, whose triangles share the first plane."""
+    n0 = int((u.planes == u.planes[0]).all(axis=1).sum()) + 2
+    return [u.verts[:n0], u.verts[n0:]] if n0 < len(u.verts) else [u.verts]
+
+
+def _reference_builds():
+    for seed in (42, 7):
+        for k in range(40):
+            case = _case(seed, k)
+            yield from (u for _, u in case.envelopes)
+    dom = disc(512)
+    for p in (1.0, 2.0):
+        for desc in _candidates(dom, p, E1, E2, 200, 42):
+            try:
+                yield build_function(dom, desc)
+            except ValueError:
+                continue
+
+
+def test_builds_match_the_reference_expressions_bytewise():
+    kinds = {}
+    for u in _reference_builds():
+        kind = u.descriptor["kind"]
+        kinds[kind] = kinds.get(kind, 0) + 1
+        assert u.facet_areas.tobytes() == _facet_areas_reference(u).tobytes()
+        if kind != "tent":
+            continue
+        sides = _tent_sides(u)
+        offsets = np.cumsum([0] + [len(poly) for poly in sides[:-1]])
+        fans = [_fan_triangulate_reference(poly, off)
+                for poly, off in zip(sides, offsets.tolist())]
+        assert u.tris.tobytes() == np.concatenate(fans).tobytes()
+        for poly, off, fan in zip(sides, offsets.tolist(), fans):
+            assert _fan_triangulate(poly, off).tobytes() == fan.tobytes()
+            assert (_polygon_area(poly).hex()
+                    == _polygon_area_reference(poly).hex())
+    assert kinds["envelope"] > 2 * 40 * ENVELOPES_PER_CASE
+    assert kinds["tent"] >= 100 and kinds["u-omega"] >= 1
+
+
+@pytest.mark.parametrize("poly, start", [
+    ([[0.0, 1.0], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0]], 1),
+    ([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], 1),
+    ([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]], 0),
+], ids=["shared-lowest-x", "tie-in-both", "tie-across-the-seam"])
+def test_fan_starts_at_lowest_x_then_lowest_y_then_lowest_index(poly, start):
+    poly = np.array(poly)
+    fan = _fan_triangulate(poly, 5)
+    assert fan.tobytes() == _fan_triangulate_reference(poly, 5).tobytes()
+    assert np.all(fan[:, 0] == start + 5)
+    assert _polygon_area(poly).hex() == _polygon_area_reference(poly).hex()
