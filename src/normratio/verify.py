@@ -9,16 +9,18 @@ regenerate and re-check the exact case in isolation -- that is what
 :func:`replay` does.
 
 Suites are registered in :data:`SUITES`; ``run_suite`` executes one by
-name, ``run_all`` executes the registry in order.  ``run_all`` goes case
-by case: it builds one corpus case, runs every suite on it, and drops it
-before building the next, so one case is in memory at a time and peak
-memory does not grow with the number of cases.  Values that several
-suites need (axis widths, axis L1 norms, axis sup reports, the
-normalizing affine map and the images of the first two envelopes) are
-computed once per case on :class:`Case` and dropped with it.  Per suite,
-the case results are merged in case order, so the results, and the
-first failure, are those of running each suite over the whole corpus in
-turn.
+name, ``run_all`` executes the registry in order.  ``run_all`` goes block
+by block: it runs every suite over a block of :data:`CASE_BLOCK`
+consecutive corpus cases, one suite after another, before moving to the
+next block.  At most ``CASE_BLOCK`` cases are in memory at a time, so
+peak memory does not grow with the number of cases, and each suite still
+runs over several cases in a row, which is as fast as running it over
+the whole corpus.  Values that several suites need (axis widths, axis L1
+norms, axis sup reports, the normalizing affine map and the images of
+the first two envelopes) are computed once per case on :class:`Case`
+and dropped with it.  Per suite, the block results are merged in block
+order, so the results, and the first failure, are those of running each
+suite over the whole corpus in turn.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ from .sampling import (
 
 DEFAULT_CASES = 200
 ENVELOPES_PER_CASE = 5
+# cases per run_all block, and the number of cases _case keeps
+CASE_BLOCK = 16
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +118,8 @@ class Case:
         return img, lin, images
 
 
-# one case at a time: run_all visits every suite on a case before the next
-@lru_cache(maxsize=1)
+# one block at a time: run_all visits every suite on a block before the next
+@lru_cache(maxsize=CASE_BLOCK)
 def _case(seed: int, index: int) -> Case:
     dom = random_convex_polygon(keyed_rng(seed, index, 0))
     envs = []
@@ -555,10 +559,21 @@ def _suite_tol(name: str, tol: float | None) -> float:
     return SUITES[name].tol if tol is None else float(tol)
 
 
+def _check_run(cases: int, tol: float | None) -> None:
+    """Reject an empty corpus and a tolerance no check can fail (inf) or
+    that fails checks at random (nan).  A negative tol stays allowed: it
+    forces violations."""
+    if cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
+    if tol is not None and not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
+
+
 def run_suite(name: str, cases: int = DEFAULT_CASES, seed: int = 42,
               tol: float | None = None, case_indices=None) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
+    _check_run(cases, tol)
     spec = SUITES[name]
     use_tol = _suite_tol(name, tol)
     indices = list(case_indices) if case_indices is not None else range(cases)
@@ -580,16 +595,22 @@ def run_suite(name: str, cases: int = DEFAULT_CASES, seed: int = 42,
 
 def run_all(cases: int = DEFAULT_CASES, seed: int = 42,
             tol: float | None = None) -> list:
-    """Every suite in registry order, run one corpus case at a time.
+    """Every suite in registry order, run one block of cases at a time.
 
-    Each (case, suite) step is a :func:`run_suite` call on that one case,
-    and the steps of a suite are merged in case order, so the results
-    equal ``[run_suite(name, cases, seed, tol) for name in SUITES]``.
+    The cases are taken in blocks of :data:`CASE_BLOCK` consecutive
+    indices (the last block may be shorter).  Each (block, suite) step is
+    a :func:`run_suite` call on that block, and the steps of a suite are
+    merged in block order, so the results equal
+    ``[run_suite(name, cases, seed, tol) for name in SUITES]``.  ``_case``
+    keeps one block, so at most ``CASE_BLOCK`` cases are in memory,
+    whatever ``cases`` is.
     """
+    _check_run(cases, tol)
     totals = {name: [0, 0, []] for name in SUITES}   # cases, checks, failures
-    for k in range(cases):
+    for start in range(0, cases, CASE_BLOCK):
+        block = range(start, min(start + CASE_BLOCK, cases))
         for name, acc in totals.items():
-            res = run_suite(name, seed=seed, tol=tol, case_indices=[k])
+            res = run_suite(name, seed=seed, tol=tol, case_indices=block)
             acc[0] += res.cases
             acc[1] += res.checks
             acc[2] += res.failures

@@ -243,6 +243,21 @@ def test_verify_failure_writes_replayable_counterexample(
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--cases", "0"], ["--cases", "-3"],
+    ["--suite", "theorem1", "--cases", "0"],
+    ["--tol", "inf"], ["--tol", "nan"],
+    ["--suite", "theorem1", "--tol=-inf"]])
+def test_verify_empty_corpus_or_non_finite_tol_is_input_error(
+        capsys, tmp_path, monkeypatch, argv):
+    # either would pass suites vacuously, so it is refused before any check
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+    assert not (tmp_path / COUNTEREXAMPLE_PATH).exists()
+
+
 # ---------------------------------------------------------------------------
 # input errors and argument handling
 # ---------------------------------------------------------------------------

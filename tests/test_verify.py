@@ -14,7 +14,8 @@ import pytest
 from normratio import build_function, domain_from_json, verify
 from normratio.cli import main
 from normratio.sampling import keyed_rng, random_envelope_descriptor
-from normratio.verify import SUITES, first_failure, jsonify, replay, run_all, run_suite
+from normratio.verify import (CASE_BLOCK, SUITES, first_failure, jsonify,
+                              replay, run_all, run_suite)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
@@ -60,19 +61,69 @@ def test_search_rows_match_bench_reference(workload, capsys):
                     assert close(row[key], want), f"row {i} {key}"
 
 
-def test_run_all_matches_one_suite_at_a_time():
-    # run_all goes case by case; merged per suite in case order it must
-    # give what each suite gives over the whole corpus.  tol = -1 makes
-    # (nearly) every check a violation, so the failure order is compared.
-    merged = run_all(cases=5, tol=-1.0)
-    apart = [run_suite(name, cases=5, tol=-1.0) for name in SUITES]
+def assert_same_results(merged, apart):
     assert [r.suite for r in merged] == list(SUITES)
+    assert [r.suite for r in apart] == list(SUITES)
     for a, b in zip(merged, apart):
         assert (a.suite, a.cases, a.checks, a.seed, a.tol) \
             == (b.suite, b.cases, b.checks, b.seed, b.tol)
         assert a.failures
         assert json.dumps(jsonify(a.failures)) == json.dumps(jsonify(b.failures))
     assert jsonify(first_failure(merged)) == jsonify(first_failure(apart))
+
+
+def test_run_all_matches_one_suite_at_a_time():
+    # run_all goes block by block; merged per suite in block order it must
+    # give what each suite gives over the whole corpus.  tol = -1 makes
+    # (nearly) every check a violation, so the failure order is compared.
+    merged = run_all(cases=5, tol=-1.0)
+    apart = [run_suite(name, cases=5, tol=-1.0) for name in SUITES]
+    assert_same_results(merged, apart)
+
+
+def test_run_all_merges_across_block_boundaries(monkeypatch):
+    # one full block and a partial one: merging at the boundary keeps the
+    # whole-corpus counts, violation order and first failure
+    cases = CASE_BLOCK + 3
+    merged = run_all(cases=cases, tol=-1.0)
+    apart = [run_suite(name, cases=cases, tol=-1.0) for name in SUITES]
+    assert_same_results(merged, apart)
+    # blocks of one case are the case-by-case order, with the same bytes
+    monkeypatch.setattr(verify, "CASE_BLOCK", 1)
+    assert_same_results(run_all(cases=cases, tol=-1.0), merged)
+
+
+def test_run_all_calls_each_suite_once_per_block(monkeypatch):
+    # the bench times verify.suite.<name>.s around run_suite, so run_all
+    # must call it through the module, one call per (block, suite)
+    calls = []
+    real = verify.run_suite
+
+    def spy(name, *args, **kwargs):
+        calls.append((name, list(kwargs["case_indices"])))
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "run_suite", spy)
+    cases = 2 * CASE_BLOCK + 5
+    verify._case.cache_clear()
+    run_all(cases=cases)
+    assert verify._case.cache_info().currsize <= CASE_BLOCK
+    blocks = [list(range(start, min(start + CASE_BLOCK, cases)))
+              for start in range(0, cases, CASE_BLOCK)]
+    assert len(blocks) == 3
+    assert calls == [(name, block) for block in blocks for name in SUITES]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"cases": 0}, {"cases": -3},
+    {"tol": math.inf}, {"tol": -math.inf}, {"tol": math.nan}])
+def test_runs_reject_empty_corpus_and_non_finite_tol(kwargs):
+    # no case or an infinite tol would pass every suite vacuously, and a
+    # nan tol fails some checks and passes others
+    with pytest.raises(ValueError):
+        run_all(**kwargs)
+    with pytest.raises(ValueError):
+        run_suite("theorem1", **kwargs)
 
 
 LEMMA_TAN_20 = """{
@@ -100,9 +151,11 @@ def test_single_suite_stdout_is_unchanged(capsys):
 
 
 def test_verify_memory_does_not_grow_with_cases():
-    # one corpus case is alive at a time, so 50 more cases may not raise
-    # the peak by more than the spread between single cases (holding every
-    # case, as a cache of all of them does, adds about 0.75 MB)
+    # at most one block of CASE_BLOCK corpus cases is alive at a time, so
+    # 50 more cases may raise the peak only by the CASE_BLOCK - 10 cases
+    # that fill the block, about 0.2 MB at 16 (holding every case, as a
+    # cache of all of them does, adds about 0.75 MB, and blocks of 32 cases
+    # exceed the bound)
     def peak(cases):
         verify._case.cache_clear()
         tracemalloc.start()
