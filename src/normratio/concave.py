@@ -23,8 +23,6 @@ from .geometry import (
     cross2,
 )
 
-CLASSICAL = "classical"
-DISTRIBUTIONAL = "distributional"
 PROFILE_LINES = 33          # scan lines per max_profile
 
 
@@ -42,21 +40,20 @@ class MaxProfile:
 class ConcaveFunction:
     """Concave PL function vanishing-or-jumping on the domain boundary.
 
-    mode 'classical' means the boundary trace is identically zero; in
-    'distributional' mode the trace is nonzero and first-order derivative
-    norms acquire a singular (jump) part along the boundary.  trace[e] is
-    the mean of the boundary trace along domain edge e.
+    trace[e] is the mean of the boundary trace along domain edge e.  A
+    zero trace means the function vanishes on the boundary (the classical
+    case); a nonzero one means it jumps there, and first-order derivative
+    norms acquire a singular (jump) part along the boundary.
     """
 
-    def __init__(self, domain, verts, vert_values, tris, planes, mode,
-                 trace, descriptor):
+    def __init__(self, domain, verts, vert_values, tris, planes, trace,
+                 descriptor):
         self.domain = domain
         self.verts = np.asarray(verts, dtype=float)
         self.vert_values = np.asarray(vert_values, dtype=float)
         self.max_value = float(self.vert_values.max())
         self.tris = np.asarray(tris, dtype=np.int64)
         self.planes = np.asarray(planes, dtype=float)
-        self.mode = mode
         self.trace = np.asarray(trace, dtype=float)
         self.descriptor = dict(descriptor)
         # one coordinate gathered at a time: (F, 3) each
@@ -76,12 +73,9 @@ class ConcaveFunction:
     def n_facets(self) -> int:
         return len(self.tris)
 
-    def gradients(self) -> np.ndarray:
-        return self.planes[:, :2]
-
     def __repr__(self):
         return (f"ConcaveFunction({self.descriptor.get('kind', '?')}, "
-                f"{self.n_facets} facets, mode={self.mode})")
+                f"{self.n_facets} facets)")
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +490,6 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
         vert_values=z,
         tris=tris,
         planes=np.concatenate(planes),
-        mode=CLASSICAL,
         trace=np.zeros(nb),
         descriptor={"kind": "envelope", "constraints": [list(c) for c in cons]},
     )
@@ -507,7 +500,7 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
 
 
 # ---------------------------------------------------------------------------
-# tents and linear extremals (distributional mode)
+# tents and linear extremals (nonzero boundary trace)
 # ---------------------------------------------------------------------------
 
 
@@ -622,8 +615,7 @@ def tent_function(dom: ConvexDomain, segment, height: float = 1.0) -> ConcaveFun
                    + (1.0 - lam) * 0.5 * (fx + fb[bend]))
     return ConcaveFunction(
         domain=dom, verts=verts, vert_values=vert_values,
-        tris=np.concatenate(fans), planes=planes,
-        mode=DISTRIBUTIONAL, trace=trace,
+        tris=np.concatenate(fans), planes=planes, trace=trace,
         descriptor={"kind": "tent", "segment": ends.tolist(),
                     "height": float(height)},
     )
@@ -826,7 +818,7 @@ def transform_function(u: ConcaveFunction, lin: np.ndarray, shift: np.ndarray,
     trace_new = u.trace if det > 0 else np.roll(u.trace[::-1], -1)
     return ConcaveFunction(
         domain=image, verts=verts_new, vert_values=u.vert_values.copy(),
-        tris=u.tris.copy(), planes=planes_new, mode=u.mode, trace=trace_new,
+        tris=u.tris.copy(), planes=planes_new, trace=trace_new,
         descriptor={"kind": "affine-image", "base": u.descriptor},
     )
 

@@ -1,11 +1,11 @@
 """Directional derivative norms of concave piecewise-linear functions.
 
 For a PL function the directional derivative d_h u is constant on each
-facet, so L^p norms reduce to exact finite sums over facets.  Functions in
-distributional mode carry a nonzero boundary trace; their derivative
-acquires a singular sheet along the boundary whose mass enters the L1 norm
-(weighted by |h . n_edge|) and makes every p > 1 norm infinite unless the
-sheet is parallel to h.
+facet, so L^p norms reduce to exact finite sums over facets.  Functions
+with a nonzero boundary trace (the distributional case) jump at the
+boundary; their derivative acquires a singular sheet along the boundary
+whose mass enters the L1 norm (weighted by |h . n_edge|) and makes every
+p > 1 norm infinite unless the sheet is parallel to h.
 """
 
 from __future__ import annotations
@@ -58,15 +58,15 @@ def _jump_mass(u: ConcaveFunction, h: Direction) -> float:
 def lp_directional_norm(u: ConcaveFunction, h: Direction, p) -> NormReport:
     """Exact ||d_h u||_p.  p >= 1 or math.inf.
 
-    In distributional mode only p = 1 is finite when the boundary sheet has
-    a component along h; p > 1 then raises rather than returning infinity.
+    With a nonzero boundary trace only p = 1 is finite when the boundary
+    sheet has a component along h; p > 1 then raises rather than returning infinity.
     """
     if p == math.inf:
         return sup_directional_norm(u, h)
     p = float(p)
     if p < 1.0:
         raise ValueError("p must be at least 1")
-    slopes = np.abs(u.gradients() @ h.as_array())
+    slopes = np.abs(u.planes[:, :2] @ h.as_array())
     jump = _jump_mass(u, h)
     scale = 1e-12 * (1.0 + u.max_value)
     if p == 1.0:
@@ -93,7 +93,7 @@ def sup_directional_norm(u: ConcaveFunction, h: Direction) -> NormReport:
         raise ValueError(
             "||d_h u||_inf is infinite: distributional boundary sheet has a "
             "component along h")
-    slopes = np.abs(u.gradients() @ h.as_array())
+    slopes = np.abs(u.planes[:, :2] @ h.as_array())
     k = int(np.argmax(slopes))
     best = float(slopes[k])
     near_bd = (slopes >= best * (1.0 - 1e-12)) & u.facet_on_boundary

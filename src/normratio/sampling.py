@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .concave import ConcaveFunction, _polygon_ccw, concave_envelope
+from .concave import _polygon_ccw
 from .geometry import ConvexDomain, Direction
 
 
@@ -87,10 +87,3 @@ def random_envelope_descriptor(rng: np.random.Generator,
     return {"kind": "envelope",
             "constraints": [[float(p[0]), float(p[1]), float(h)]
                             for p, h in zip(pts, hts)]}
-
-
-def random_envelope(rng: np.random.Generator,
-                    dom: ConvexDomain) -> ConcaveFunction:
-    """Envelope over 1..5 random interior heights in [0.2, 1]."""
-    desc = random_envelope_descriptor(rng, dom)
-    return concave_envelope(dom, [((x, y), h) for x, y, h in desc["constraints"]])

@@ -9,13 +9,15 @@ regenerate and re-check the exact case in isolation -- that is what
 :func:`replay` does.
 
 Suites are registered in :data:`SUITES`; ``run_suite`` executes one by
-name, ``run_all`` executes the registry in order.  ``run_all`` goes block
-by block: it runs every suite over a block of :data:`CASE_BLOCK`
-consecutive corpus cases, one suite after another, before moving to the
-next block.  At most ``CASE_BLOCK`` cases are in memory at a time, so
-peak memory does not grow with the number of cases, and each suite still
-runs over several cases in a row, which is as fast as running it over
-the whole corpus.  Values that several suites need (axis widths, axis L1
+name over a given list of cases, and ``run_all`` is the one path that
+walks the corpus.  It goes block by block: it builds a block of
+:data:`CASE_BLOCK` consecutive corpus cases as a local list, runs every
+requested suite over it, one suite after another, and drops the list
+before it builds the next block.  At most ``CASE_BLOCK`` cases are in
+memory at a time, so peak memory does not grow with the number of cases,
+and each suite still runs over several cases in a row, which is as fast
+as running it over the whole corpus.  Nothing is cached between blocks
+or between runs.  Values that several suites need (axis widths, axis L1
 norms, axis sup reports, the normalizing affine map and the images of
 the first two envelopes) are computed once per case on :class:`Case`
 and dropped with it.  Per suite, the block results are merged in block
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +67,7 @@ from .sampling import (
 
 DEFAULT_CASES = 200
 ENVELOPES_PER_CASE = 5
-# cases per run_all block, and the number of cases _case keeps
+# cases per run_all block
 CASE_BLOCK = 16
 
 
@@ -118,8 +120,6 @@ class Case:
         return img, lin, images
 
 
-# one block at a time: run_all visits every suite on a block before the next
-@lru_cache(maxsize=CASE_BLOCK)
 def _case(seed: int, index: int) -> Case:
     dom = random_convex_polygon(keyed_rng(seed, index, 0))
     envs = []
@@ -569,55 +569,54 @@ def _check_run(cases: int, tol: float | None) -> None:
         raise ValueError(f"tol must be finite, got {tol}")
 
 
-def run_suite(name: str, cases: int = DEFAULT_CASES, seed: int = 42,
-              tol: float | None = None, case_indices=None) -> SuiteResult:
+def run_suite(name: str, corpus, tol: float | None = None) -> SuiteResult:
+    """One suite over the given list of cases, in order."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
-    _check_run(cases, tol)
+    _check_run(len(corpus), tol)
     spec = SUITES[name]
     use_tol = _suite_tol(name, tol)
-    indices = list(case_indices) if case_indices is not None else range(cases)
     total_checks = 0
     failures = []
-    n_cases = 0
-    for k in indices:
-        case = _case(seed, int(k))
-        n_cases += 1
+    for case in corpus:
         checks, bad = spec.fn(case, use_tol)
         total_checks += checks
         for v in bad:
-            v.update({"suite": name, "case": case.index, "seed": seed,
+            v.update({"suite": name, "case": case.index, "seed": case.seed,
                       "tol": use_tol, "domain": domain_to_json(case.domain)})
             failures.append(v)
-    return SuiteResult(suite=name, cases=n_cases, checks=total_checks,
-                       failures=tuple(failures), seed=seed, tol=use_tol)
+    return SuiteResult(suite=name, cases=len(corpus), checks=total_checks,
+                       failures=tuple(failures), seed=corpus[0].seed,
+                       tol=use_tol)
 
 
 def run_all(cases: int = DEFAULT_CASES, seed: int = 42,
-            tol: float | None = None) -> list:
-    """Every suite in registry order, run one block of cases at a time.
+            tol: float | None = None, suites=tuple(SUITES)) -> list:
+    """The given suites, in order, over corpus cases ``0 .. cases - 1``.
 
-    The cases are taken in blocks of :data:`CASE_BLOCK` consecutive
-    indices (the last block may be shorter).  Each (block, suite) step is
-    a :func:`run_suite` call on that block, and the steps of a suite are
-    merged in block order, so the results equal
-    ``[run_suite(name, cases, seed, tol) for name in SUITES]``.  ``_case``
-    keeps one block, so at most ``CASE_BLOCK`` cases are in memory,
-    whatever ``cases`` is.
+    The cases are built in blocks of :data:`CASE_BLOCK` consecutive
+    indices (the last block may be shorter), each a local list that is
+    dropped before the next one is built; there is no cache.  Each
+    (block, suite) step is a :func:`run_suite` call on that block, and the
+    steps of a suite are merged in block order, so the results equal
+    ``[run_suite(name, corpus, tol) for name in suites]`` over the whole
+    corpus, with at most ``CASE_BLOCK`` cases in memory whatever ``cases``
+    is.
     """
     _check_run(cases, tol)
-    totals = {name: [0, 0, []] for name in SUITES}   # cases, checks, failures
+    totals = {name: [0, []] for name in suites}    # checks, failures
     for start in range(0, cases, CASE_BLOCK):
-        block = range(start, min(start + CASE_BLOCK, cases))
+        block = [_case(seed, k)
+                 for k in range(start, min(start + CASE_BLOCK, cases))]
         for name, acc in totals.items():
-            res = run_suite(name, seed=seed, tol=tol, case_indices=block)
-            acc[0] += res.cases
-            acc[1] += res.checks
-            acc[2] += res.failures
-    return [SuiteResult(suite=name, cases=n, checks=checks,
+            res = run_suite(name, block, tol)
+            acc[0] += res.checks
+            acc[1] += res.failures
+        del block       # else two blocks are alive while the next is built
+    return [SuiteResult(suite=name, cases=cases, checks=checks,
                         failures=tuple(failures), seed=seed,
                         tol=_suite_tol(name, tol))
-            for name, (n, checks, failures) in totals.items()]
+            for name, (checks, failures) in totals.items()]
 
 
 def first_failure(results) -> dict | None:
@@ -638,13 +637,12 @@ def replay(counterexample: dict) -> SuiteResult:
     name = counterexample["suite"]
     seed = int(counterexample["seed"])
     index = int(counterexample["case"])
+    case = _case(seed, index)
     stored = counterexample.get("domain")
     if stored is not None:
-        regen = _case(seed, index).domain
         ref = domain_from_json(stored)
-        if not np.array_equal(regen.vertices, ref.vertices):
+        if not np.array_equal(case.domain.vertices, ref.vertices):
             raise ValueError(
                 "serialized domain does not match the regenerated corpus "
                 "case; was the file produced with a different version?")
-    return run_suite(name, seed=seed, tol=counterexample.get("tol"),
-                     case_indices=[index])
+    return run_suite(name, [case], counterexample.get("tol"))

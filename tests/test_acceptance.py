@@ -18,6 +18,7 @@ import pytest
 from normratio import (
     E1,
     E2,
+    build_function,
     concave_envelope,
     diamond,
     directional_k1_upper,
@@ -36,10 +37,9 @@ from normratio import (
     triangle,
     width,
 )
-from normratio.sampling import keyed_rng, random_envelope
+from normratio.sampling import keyed_rng, random_envelope_descriptor
 from normratio.search import vertical_omega_anchor
-from normratio.verify import run_suite
-import normratio.verify
+from normratio.verify import run_all
 
 from conftest import corpus_domains
 
@@ -62,9 +62,8 @@ def test_criterion_1_disc_tent_ratio():
 
 
 def test_criterion_2_sandwich_corpus():
-    normratio.verify._case.cache_clear()
     t0 = time.perf_counter()
-    res = run_suite("theorem1", cases=200)
+    (res,) = run_all(cases=200, suites=["theorem1"])
     dt = time.perf_counter() - t0
     ok = res.passed and res.checks >= 1000 and dt < 30.0
     _report(2, ok, f"{res.checks} sandwich checks over {res.cases}x5 seeded "
@@ -84,7 +83,8 @@ def test_criterion_3_cone_mass_exact():
 def test_criterion_4_scanline_oracle():
     worst = 0.0
     for k, dom in enumerate(corpus_domains(2026, 100)):
-        u = random_envelope(keyed_rng(2026, k), dom)
+        u = build_function(
+            dom, random_envelope_descriptor(keyed_rng(2026, k), dom))
         for h in (E1, E2):
             exact = lp_directional_norm(u, h, 1).value
             scan = scanline_l1_norm(u, h).value
@@ -99,8 +99,7 @@ def test_criterion_4_scanline_oracle():
 
 
 def test_criterion_5_tangent_and_edge_suites():
-    res_tan = run_suite("lemma-tan", cases=200)
-    res_edge = run_suite("edge-slope", cases=200)
+    res_tan, res_edge = run_all(cases=200, suites=["lemma-tan", "edge-slope"])
     ok = (res_tan.passed and res_edge.passed
           and res_tan.tol == 1e-9 and res_edge.tol == 1e-9)
     _report(5, ok, f"lemma-tan {res_tan.checks} checks "

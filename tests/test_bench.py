@@ -35,3 +35,12 @@ def test_builders_record_their_spans(monkeypatch):
     assert layers["concave.envelope"]["calls"] == 1
     assert layers["concave.qhull"]["calls"] >= 1
     assert layers["concave.tent"]["calls"] == 1
+
+
+def test_package_keeps_no_functools_cache(monkeypatch):
+    # the bench clears every module-level functools cache before each CLI
+    # call; with none in the package, no state outlives a call to clear
+    monkeypatch.syspath_prepend(str(BENCH))
+    from harness import program_caches
+
+    assert program_caches() == []

@@ -45,7 +45,6 @@ from normratio.geometry import chords_batch, cross2
 from normratio.norms import lp_directional_norm
 from normratio.sampling import (
     keyed_rng,
-    random_envelope,
     random_envelope_descriptor,
     random_interior_points,
 )
@@ -62,10 +61,10 @@ from conftest import corpus_domains
 
 def test_square_pyramid_structure():
     u = concave_envelope(square(), [((0.5, 0.5), 1.0)])
-    assert u.mode == "classical"
+    assert not u.trace.any()
     assert u.max_value == pytest.approx(1.0, abs=1e-14)
     assert u.n_facets == 4
-    grads = sorted(map(tuple, np.round(u.gradients(), 9)))
+    grads = sorted(map(tuple, np.round(u.planes[:, :2], 9)))
     assert grads == [(-2.0, 0.0), (0.0, -2.0), (0.0, 2.0), (2.0, 0.0)]
     # facet areas partition the square
     assert u.facet_areas.sum() == pytest.approx(1.0, abs=1e-12)
@@ -76,7 +75,7 @@ def test_coplanar_facets_are_merged():
     # two constraints at equal height create a flat ridge; the side walls on
     # either side of each apex must come out as single planes, not slivers
     u = concave_envelope(square(), [((1 / 3, 0.5), 1.0), ((2 / 3, 0.5), 1.0)])
-    distinct = np.unique(np.round(u.gradients(), 9), axis=0)
+    distinct = np.unique(np.round(u.planes[:, :2], 9), axis=0)
     assert len(distinct) == 4
     assert u.n_facets == 6
     assert evaluate(u, (0.5, 0.5)) == pytest.approx(1.0, abs=1e-12)
@@ -183,7 +182,7 @@ def _full_ring_envelope(dom, cons):
     remap = -np.ones(len(points3), dtype=np.int64)
     remap[used] = np.arange(len(used))
     return ConcaveFunction(dom, points3[used, :2], points3[used, 2],
-                           remap[tris], planes, "classical", np.zeros(dom.n),
+                           remap[tris], planes, np.zeros(dom.n),
                            {"kind": "envelope"})
 
 
@@ -285,7 +284,7 @@ def test_cover_checks_are_relative_to_the_area(monkeypatch):
     # shrinking the mesh by 1e-4 leaves a gap of 2e-12, far below 1e-9 but
     # 2e-4 of the area
     shrunk = ConcaveFunction(dom, (u.verts - 0.5e-4) * (1 - 1e-4) + 0.5e-4,
-                             u.vert_values, u.tris, u.planes, u.mode, u.trace,
+                             u.vert_values, u.tris, u.planes, u.trace,
                              u.descriptor)
     assert not check_partition(shrunk)
     # a hull step that loses a facet must fail the build's own cover check
@@ -365,7 +364,7 @@ def test_translated_envelopes_build(offset):
 def test_envelope_peak_equals_top_constraint():
     for k, dom in enumerate(corpus_domains(7102, 20)):
         rng = keyed_rng(7102, k)
-        u = random_envelope(rng, dom)
+        u = build_function(dom, random_envelope_descriptor(rng, dom))
         tops = [h for (_, h) in
                 [((x, y), h) for x, y, h in u.descriptor["constraints"]]]
         assert u.max_value <= max(tops) + 1e-12, f"case {k}"
@@ -374,7 +373,8 @@ def test_envelope_peak_equals_top_constraint():
 def test_envelope_midpoint_concavity():
     rng = keyed_rng(7103)
     for k, dom in enumerate(corpus_domains(7103, 15)):
-        u = random_envelope(keyed_rng(7103, k), dom)
+        u = build_function(
+            dom, random_envelope_descriptor(keyed_rng(7103, k), dom))
         a = random_interior_points(keyed_rng(7103, k, 1), dom, 60)
         b = random_interior_points(keyed_rng(7103, k, 2), dom, 60)
         mid = 0.5 * (a + b)
@@ -415,12 +415,13 @@ def test_gradient_at_regular_and_ridge_points():
 
 def test_chord_maxima_against_dense_sampling():
     for k, dom in enumerate(corpus_domains(7104, 12)):
-        u = random_envelope(keyed_rng(7104, k), dom)
+        u = build_function(
+            dom, random_envelope_descriptor(keyed_rng(7104, k), dom))
         ends = random_interior_points(keyed_rng(7104, k, 1), dom, 20)
         P0, P1 = ends[:10], ends[10:]
         m, tstar = chord_maxima(u, P0, P1)
         assert np.all((tstar >= -1e-12) & (tstar <= 1 + 1e-12))
-        lip = np.abs(u.gradients()).max()
+        lip = np.abs(u.planes[:, :2]).max()
         ts = np.linspace(0.0, 1.0, 2001)
         for i in range(10):
             pts = P0[i] + ts[:, None] * (P1[i] - P0[i])
@@ -462,12 +463,14 @@ def _chord_max_oracle(u, P0, P1):
 def test_chord_maxima_matches_plane_crossing_oracle():
     funcs = []
     for k, dom in enumerate(corpus_domains(7113, 40)):
-        funcs.append(random_envelope(keyed_rng(7113, k), dom))
+        desc = random_envelope_descriptor(keyed_rng(7113, k), dom)
+        funcs.append(build_function(dom, desc))
         v, i = dom.vertices, dom.n // 2
         funcs.append(tent_function(dom, [v[0], 0.5 * (v[i - 1] + v[i])]))
     for j, n in enumerate((16, 24, 40, 48)):
         dom = disc(n)
-        funcs.append(random_envelope(keyed_rng(7113, 100 + j), dom))
+        desc = random_envelope_descriptor(keyed_rng(7113, 100 + j), dom)
+        funcs.append(build_function(dom, desc))
         funcs.append(tent_function(dom, dom.vertices[[1, n // 2 + 3]]))
     funcs = [u for u in funcs if u.n_facets <= 60]
     assert len(funcs) >= 80 and max(u.n_facets for u in funcs) >= 40
@@ -490,7 +493,8 @@ def test_chord_maxima_matches_plane_crossing_oracle():
 
 
 def test_chord_max_hull_matches_chord_maxima():
-    funcs = [random_envelope(keyed_rng(7112, k), dom)
+    funcs = [build_function(
+                 dom, random_envelope_descriptor(keyed_rng(7112, k), dom))
              for k, dom in enumerate(corpus_domains(7112, 40))]
     funcs += [family_u_phi_eps(square(), math.pi / 6, 0.05)[0],
               family_u_phi_eps(disc(64), math.pi / 6, 0.05)[0]]
@@ -560,7 +564,7 @@ def test_max_profile_matches_chords_of_the_domain():
                   tent_function(dom, [v[1], v[i + 1]])]
     funcs += [family_u_phi_eps(dom, phi, eps)[0] for dom in (square(), disc(64))
               for phi, eps in ((math.pi / 6, 0.05), (math.pi / 4, 0.01))]
-    assert sum(u.mode == "distributional" for u in funcs) >= 10
+    assert sum(u.trace.any() for u in funcs) >= 10
     dirs = [E1, E2] + [Direction.from_angle(a)
                        for a in np.linspace(0.1, 3.0, 11)]
     for k, u in enumerate(funcs):
@@ -583,8 +587,8 @@ def test_max_profile_matches_chords_of_the_domain():
 def test_tent_over_diamond_diameter():
     # ridge along the horizontal diameter: u = 1 - |y|, flat in x
     u = tent_function(diamond(), [(-1.0, 0.0), (1.0, 0.0)])
-    assert u.mode == "distributional"
-    distinct = np.unique(np.round(u.gradients(), 9), axis=0)
+    assert u.trace.any()
+    distinct = np.unique(np.round(u.planes[:, :2], 9), axis=0)
     assert sorted(map(tuple, distinct)) == [(0.0, -1.0), (0.0, 1.0)]
     assert evaluate(u, (0.75, 0.0)) == pytest.approx(1.0, abs=1e-14)
     assert evaluate(u, (0.0, 0.5)) == pytest.approx(0.5, abs=1e-12)
@@ -595,8 +599,8 @@ def test_tent_over_diamond_diameter():
 
 def test_tent_with_boundary_ridge_is_distributional():
     u = tent_function(square(), [(0.5, 0.0), (0.5, 1.0)])
-    assert u.mode == "distributional"
-    distinct = np.unique(np.round(u.gradients(), 9), axis=0)
+    assert u.trace.any()
+    distinct = np.unique(np.round(u.planes[:, :2], 9), axis=0)
     assert sorted(map(tuple, distinct)) == [(-2.0, 0.0), (2.0, 0.0)]
     assert evaluate(u, (0.25, 0.77)) == pytest.approx(0.5, abs=1e-12)
     # mean trace 1/2 along the bottom and top edges, none on the sides
@@ -607,7 +611,7 @@ def test_one_sided_tent_degenerates_to_linear_function():
     # ridge along the whole bottom edge: the hull collapses to 1 - y
     tri = triangle(0, 0, 2, 0, 1, 1)
     u = tent_function(tri, [(0.0, 0.0), (2.0, 0.0)])
-    assert u.mode == "distributional"
+    assert u.trace.any()
     pts = random_interior_points(keyed_rng(7105), tri, 120)
     assert evaluate(u, pts) == pytest.approx(1.0 - pts[:, 1], abs=1e-12)
 
@@ -636,7 +640,7 @@ def test_tent_rejects_non_finite_inputs(segment, height):
 def test_linear_extremal_triangle_matches_tent():
     tri = triangle(0, 0, 2, 0, 1, 1)
     u = linear_extremal_triangle(tri)
-    assert u.mode == "distributional"
+    assert u.trace.any()
     pts = random_interior_points(keyed_rng(7106), tri, 80)
     assert evaluate(u, pts) == pytest.approx(1.0 - pts[:, 1], abs=1e-12)
 
@@ -777,7 +781,8 @@ def _assert_planes_match_reference(tu, u, lin, shift):
 
 def test_transform_preserves_values():
     for k, dom in enumerate(corpus_domains(7108, 10)):
-        u = random_envelope(keyed_rng(7108, k), dom)
+        u = build_function(
+            dom, random_envelope_descriptor(keyed_rng(7108, k), dom))
         image, lin, shift = affine_normalize(dom)
         tu = transform_function(u, lin, shift, image)
         pts = random_interior_points(keyed_rng(7108, k, 1), dom, 40)
@@ -816,7 +821,8 @@ def test_transform_keeps_trace_on_its_edges(lin):
 
 def test_checks_pass_on_random_envelopes():
     for k, dom in enumerate(corpus_domains(7109, 15)):
-        u = random_envelope(keyed_rng(7109, k), dom)
+        u = build_function(
+            dom, random_envelope_descriptor(keyed_rng(7109, k), dom))
         assert check_partition(u), f"case {k}"
         assert check_concavity(u), f"case {k}"
         assert check_vertex_consistency(u), f"case {k}"

@@ -17,6 +17,7 @@ from normratio import (
     E2,
     ConvexDomain,
     Direction,
+    build_function,
     chord,
     chord_maxima,
     concave_envelope,
@@ -33,10 +34,10 @@ from normratio import (
     triangle,
     square,
 )
-from normratio.concave import CLASSICAL, ConcaveFunction, plane_values
+from normratio.concave import ConcaveFunction, plane_values
 from normratio.geometry import cross2
 from normratio.norms import _jump_mass
-from normratio.sampling import keyed_rng, random_envelope
+from normratio.sampling import keyed_rng, random_envelope_descriptor
 
 from conftest import corpus_domains
 
@@ -120,7 +121,8 @@ def test_disc_tent_scanline_values():
 
 def test_scanline_matches_facet_sum_on_corpus():
     for k, dom in enumerate(corpus_domains(6201, 40)):
-        u = random_envelope(keyed_rng(6201, k), dom)
+        u = build_function(
+            dom, random_envelope_descriptor(keyed_rng(6201, k), dom))
         for h in (E1, E2):
             exact = lp_directional_norm(u, h, 1)
             scan = scanline_l1_norm(u, h)
@@ -229,7 +231,8 @@ def test_line_integral_of_many_offsets_matches_scalar_calls():
     funcs = []
     for k, dom in enumerate(corpus_domains(6204, 20)):
         v = dom.vertices
-        funcs += [random_envelope(keyed_rng(6204, k), dom),
+        desc = random_envelope_descriptor(keyed_rng(6204, k), dom)
+        funcs += [build_function(dom, desc),
                   tent_function(dom, [v[0], 0.5 * (v[-2] + v[-1])])]
     funcs.append(family_u_phi_eps(square(), math.pi / 6, 0.05)[0])
     rng = keyed_rng(6204, 1000)
@@ -305,7 +308,8 @@ def test_line_integral_matches_facet_clipping_loop():
     funcs = []
     for k, dom in enumerate(corpus_domains(6203, 30)):
         v = dom.vertices
-        funcs += [random_envelope(keyed_rng(6203, k), dom),
+        desc = random_envelope_descriptor(keyed_rng(6203, k), dom)
+        funcs += [build_function(dom, desc),
                   tent_function(dom, [v[0], 0.5 * (v[-2] + v[-1])])]
     funcs.append(family_u_phi_eps(square(), math.pi / 6, 0.05)[0])
     rng = keyed_rng(6203, 1000)
@@ -321,11 +325,12 @@ def test_line_integral_matches_facet_clipping_loop():
 
 def test_sup_norm_reports_boundary_facet():
     for k, dom in enumerate(corpus_domains(6202, 10)):
-        u = random_envelope(keyed_rng(6202, k), dom)
+        u = build_function(
+            dom, random_envelope_descriptor(keyed_rng(6202, k), dom))
         for h in (E1, E2):
             rep = sup_directional_norm(u, h)
             assert rep.attained_on_boundary, f"case {k}"
-            g = u.gradients()[rep.argmax_facet]
+            g = u.planes[:, :2][rep.argmax_facet]
             assert abs(g @ h.as_array()) == pytest.approx(rep.value, rel=1e-12)
 
 
@@ -375,7 +380,7 @@ def _affine_sheet(gx, gy, z0):
     return ConcaveFunction(
         domain=dom, verts=v.copy(), vert_values=v @ planes[0, :2] + z0,
         tris=np.array([[0, 1, 2], [0, 2, 3]]), planes=planes,
-        mode=CLASSICAL, trace=(), descriptor={"kind": "affine-sheet"},
+        trace=(), descriptor={"kind": "affine-sheet"},
     )
 
 

@@ -72,12 +72,17 @@ def assert_same_results(merged, apart):
     assert jsonify(first_failure(merged)) == jsonify(first_failure(apart))
 
 
+def whole_corpus(cases, seed=42):
+    return [verify._case(seed, k) for k in range(cases)]
+
+
 def test_run_all_matches_one_suite_at_a_time():
     # run_all goes block by block; merged per suite in block order it must
     # give what each suite gives over the whole corpus.  tol = -1 makes
     # (nearly) every check a violation, so the failure order is compared.
     merged = run_all(cases=5, tol=-1.0)
-    apart = [run_suite(name, cases=5, tol=-1.0) for name in SUITES]
+    corpus = whole_corpus(5)
+    apart = [run_suite(name, corpus, tol=-1.0) for name in SUITES]
     assert_same_results(merged, apart)
 
 
@@ -86,7 +91,8 @@ def test_run_all_merges_across_block_boundaries(monkeypatch):
     # whole-corpus counts, violation order and first failure
     cases = CASE_BLOCK + 3
     merged = run_all(cases=cases, tol=-1.0)
-    apart = [run_suite(name, cases=cases, tol=-1.0) for name in SUITES]
+    corpus = whole_corpus(cases)
+    apart = [run_suite(name, corpus, tol=-1.0) for name in SUITES]
     assert_same_results(merged, apart)
     # blocks of one case are the case-by-case order, with the same bytes
     monkeypatch.setattr(verify, "CASE_BLOCK", 1)
@@ -99,15 +105,13 @@ def test_run_all_calls_each_suite_once_per_block(monkeypatch):
     calls = []
     real = verify.run_suite
 
-    def spy(name, *args, **kwargs):
-        calls.append((name, list(kwargs["case_indices"])))
-        return real(name, *args, **kwargs)
+    def spy(name, corpus, *args, **kwargs):
+        calls.append((name, [case.index for case in corpus]))
+        return real(name, corpus, *args, **kwargs)
 
     monkeypatch.setattr(verify, "run_suite", spy)
     cases = 2 * CASE_BLOCK + 5
-    verify._case.cache_clear()
     run_all(cases=cases)
-    assert verify._case.cache_info().currsize <= CASE_BLOCK
     blocks = [list(range(start, min(start + CASE_BLOCK, cases)))
               for start in range(0, cases, CASE_BLOCK)]
     assert len(blocks) == 3
@@ -122,8 +126,9 @@ def test_runs_reject_empty_corpus_and_non_finite_tol(kwargs):
     # nan tol fails some checks and passes others
     with pytest.raises(ValueError):
         run_all(**kwargs)
+    corpus = whole_corpus(max(kwargs.get("cases", 1), 0))
     with pytest.raises(ValueError):
-        run_suite("theorem1", **kwargs)
+        run_suite("theorem1", corpus, tol=kwargs.get("tol"))
 
 
 LEMMA_TAN_20 = """{
@@ -150,14 +155,27 @@ def test_single_suite_stdout_is_unchanged(capsys):
     assert capsys.readouterr().out == LEMMA_TAN_20
 
 
+def test_single_suite_row_matches_the_full_run(capsys, tmp_path, monkeypatch):
+    # --suite takes the same blocked path as a full run, so each suite's row
+    # is the one the full run prints for it, across a block boundary too
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "--cases", str(CASE_BLOCK + 3), "--tol", "-1"]
+    assert main(argv) == 1
+    full = json.loads(capsys.readouterr().out)["suites"]
+    assert [row["suite"] for row in full] == list(SUITES)
+    for row in full:
+        assert main(argv + ["--suite", row["suite"]]) == 1
+        (alone,) = json.loads(capsys.readouterr().out)["suites"]
+        assert alone == row
+
+
 def test_verify_memory_does_not_grow_with_cases():
     # at most one block of CASE_BLOCK corpus cases is alive at a time, so
     # 50 more cases may raise the peak only by the CASE_BLOCK - 10 cases
-    # that fill the block, about 0.2 MB at 16 (holding every case, as a
-    # cache of all of them does, adds about 0.75 MB, and blocks of 32 cases
-    # exceed the bound)
+    # that fill the block, about 0.2 MB at 16 (holding every case adds
+    # about 0.75 MB, blocks of 32 cases exceed the bound, and so does
+    # building a block while the previous one is still alive)
     def peak(cases):
-        verify._case.cache_clear()
         tracemalloc.start()
         try:
             run_all(cases=cases)
@@ -171,8 +189,8 @@ def test_verify_memory_does_not_grow_with_cases():
 
 
 def test_suite_results_are_deterministic():
-    a = run_suite("theorem1", cases=10)
-    b = run_suite("theorem1", cases=10)
+    (a,) = run_all(cases=10, suites=["theorem1"])
+    (b,) = run_all(cases=10, suites=["theorem1"])
     assert a.to_dict() == b.to_dict()
 
 
@@ -193,20 +211,22 @@ def test_corpus_descriptors_regenerate_and_rebuild(seed):
 
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
-        run_suite("no-such-suite")
+        run_suite("no-such-suite", whole_corpus(1))
+    with pytest.raises(KeyError):
+        run_all(cases=1, suites=["no-such-suite"])
 
 
 def test_oracle_suite_takes_no_line_count():
-    res = run_suite("oracle-l1", cases=5)
+    (res,) = run_all(cases=5, suites=["oracle-l1"])
     assert res.passed
     # the hull oracle is exact, so there is no line count to set
     with pytest.raises(TypeError):
-        run_suite("oracle-l1", cases=5, n_lines=64)
+        run_all(cases=5, suites=["oracle-l1"], n_lines=64)
 
 
 def test_forced_violation_serializes_and_replays():
     # an impossible tolerance guarantees failures without touching the code
-    res = run_suite("theorem1", cases=3, tol=-1.0)
+    (res,) = run_all(cases=3, tol=-1.0, suites=["theorem1"])
     assert not res.passed
     bad = dict(res.failures[0])
     for field in ("suite", "case", "seed", "tol", "domain"):
@@ -224,7 +244,7 @@ def test_forced_violation_serializes_and_replays():
 
 
 def test_edge_slope_forced_violations_name_boundary_facets():
-    res = run_suite("edge-slope", cases=5, tol=-1.0)
+    (res,) = run_all(cases=5, tol=-1.0, suites=["edge-slope"])
     fields = ["facet", "edge", "grad", "edge_dir", "tangential"]
     for bad in res.failures:
         assert list(bad["detail"]) == fields
@@ -252,7 +272,7 @@ def test_edge_slope_forced_violations_name_boundary_facets():
 
 
 def test_replay_rejects_stale_domain(tmp_path, capsys):
-    res = run_suite("theorem1", cases=1, tol=-1.0)
+    (res,) = run_all(cases=1, tol=-1.0, suites=["theorem1"])
     good = json.loads(json.dumps(jsonify(dict(res.failures[0]))))
     for move in (0.5, 1e-9):
         bad = json.loads(json.dumps(good))
