@@ -2,124 +2,25 @@
 planar domains: exact norms for piecewise-linear functions, closed-form
 upper bounds, witness search for lower bounds, and randomized property
 verification.
+
+The package exports the names of the README quickstart; every other name
+imports from its module, ``normratio.<module>``.
 """
 
-from .geometry import (
-    ConvexDomain,
-    Direction,
-    DomainError,
-    E1,
-    E2,
-    chord,
-    circumscribed_rectangle,
-    diamond,
-    disc,
-    domain_from_json,
-    domain_to_json,
-    extreme_x_points,
-    load_domain,
-    max_boundary_slope,
-    parallelogram,
-    save_domain,
-    square,
-    support_line,
-    triangle,
-    vertical_support_classification,
-    width,
-    width_extremes,
-)
-from .concave import (
-    build_function,
-    chord_maxima,
-    concave_envelope,
-    evaluate,
-    family_u_omega,
-    family_u_phi_eps,
-    gradient_at,
-    linear_extremal_triangle,
-    max_profile,
-    tent_function,
-    transform_function,
-)
-from .norms import (
-    line_integral_abs_dh,
-    lp_directional_norm,
-    norm_ratio,
-    scanline_l1_norm,
-    sup_directional_norm,
-)
-from .bounds import (
-    directional_k1_upper,
-    directional_upper_bound,
-    k1_certificate,
-    k_infinity,
-    kp_upper_bound,
-    minimax_bounds,
-    poincare_constant,
-    uniform_k1_upper,
-)
-from .search import (
-    directional_sweep,
-    estimate_kp_lower,
-    estimate_kp_pair,
-    omega_schedule_ratios,
-    phi_eps_schedule_ratios,
-)
-from .verify import replay
+from .bounds import directional_k1_upper
+from .concave import concave_envelope
+from .geometry import E1, E2, diamond
+from .norms import lp_directional_norm
+from .search import estimate_kp_lower
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvexDomain",
-    "Direction",
-    "DomainError",
     "E1",
     "E2",
-    "build_function",
-    "chord",
-    "chord_maxima",
-    "circumscribed_rectangle",
     "concave_envelope",
     "diamond",
     "directional_k1_upper",
-    "directional_sweep",
-    "directional_upper_bound",
-    "disc",
-    "domain_from_json",
-    "domain_to_json",
     "estimate_kp_lower",
-    "estimate_kp_pair",
-    "evaluate",
-    "extreme_x_points",
-    "family_u_omega",
-    "family_u_phi_eps",
-    "gradient_at",
-    "k1_certificate",
-    "k_infinity",
-    "kp_upper_bound",
-    "line_integral_abs_dh",
-    "linear_extremal_triangle",
-    "load_domain",
     "lp_directional_norm",
-    "max_boundary_slope",
-    "max_profile",
-    "minimax_bounds",
-    "norm_ratio",
-    "omega_schedule_ratios",
-    "parallelogram",
-    "phi_eps_schedule_ratios",
-    "poincare_constant",
-    "replay",
-    "save_domain",
-    "scanline_l1_norm",
-    "square",
-    "sup_directional_norm",
-    "support_line",
-    "tent_function",
-    "transform_function",
-    "triangle",
-    "uniform_k1_upper",
-    "vertical_support_classification",
-    "width",
-    "width_extremes",
 ]

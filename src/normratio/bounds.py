@@ -158,6 +158,8 @@ def minimax_bounds(dom: ConvexDomain, p) -> BoundReport:
 # one-dimensional Poincare constant
 # ---------------------------------------------------------------------------
 
+POINCARE_GRID = 2000   # cells of the grid every bound and `poincare` use
+
 
 def _p_rayleigh_quotient(v: np.ndarray, h: float, p: float) -> float:
     vp = np.concatenate([[0.0], v, [0.0]])
@@ -165,7 +167,7 @@ def _p_rayleigh_quotient(v: np.ndarray, h: float, p: float) -> float:
     return float((np.abs(v) ** p).sum() * h) / float((q ** p).sum() * h)
 
 
-def poincare_constant(p: float, n: int = 2000) -> float:
+def poincare_constant(p: float, n: int = POINCARE_GRID) -> float:
     """Best constant C_p with int |v|^p <= C_p int |v'|^p on (0,1), v(0)=v(1)=0.
 
     Maximizes the discrete p-Rayleigh quotient on a uniform grid of n cells

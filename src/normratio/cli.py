@@ -25,7 +25,7 @@ import math
 import sys
 
 from . import search, verify
-from .bounds import directional_upper_bound, poincare_constant
+from .bounds import POINCARE_GRID, directional_upper_bound, poincare_constant
 from .geometry import (
     E1,
     E2,
@@ -105,8 +105,6 @@ def _parser() -> argparse.ArgumentParser:
         description="Ratios of directional derivative norms of concave "
                     "functions on convex domains: bounds, witnesses, and "
                     "property verification.")
-    ap.add_argument("--trace", action="store_true",
-                    help="progress notes on stderr")
     sp = ap.add_subparsers(dest="command", required=True)
 
     s = sp.add_parser("analyze", help="domain geometry report")
@@ -149,7 +147,6 @@ def _parser() -> argparse.ArgumentParser:
     s = sp.add_parser("poincare", help="one-dimensional variational constant")
     _add_output_flags(s)
     s.add_argument("--p", type=_parse_p, default=2.0)
-    s.add_argument("--n", type=int, default=2000, help="grid size")
 
     s = sp.add_parser("sweep", help="estimates over a grid of orthogonal "
                                     "direction pairs")
@@ -322,10 +319,6 @@ def cmd_verify(args):
         results = verify.run_all(
             cases=args.cases, seed=args.seed, tol=args.tol,
             suites=[args.suite] if args.suite else verify.SUITES)
-        if args.trace:
-            for r in results:
-                print(f"[trace] {r.suite}: {r.checks} checks, "
-                      f"{len(r.failures)} violations", file=sys.stderr)
     passed = all(r.passed for r in results)
     ce_path = None
     if not passed and not args.replay:
@@ -374,8 +367,9 @@ def cmd_families(args):
 
 
 def cmd_poincare(args):
-    value = poincare_constant(args.p, args.n)
-    obj = {"command": "poincare", "p": args.p, "n": args.n, "value": value}
+    value = poincare_constant(args.p)
+    obj = {"command": "poincare", "p": args.p, "n": POINCARE_GRID,
+           "value": value}
     cols = ["p", "n", "value"]
     return obj, cols, [obj], 0
 
@@ -422,8 +416,13 @@ def main(argv=None) -> int:
         return 2
     text = _render(obj, cols, rows, args.format)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
+        try:
+            with open(args.out, "w") as f:
+                f.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

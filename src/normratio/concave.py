@@ -30,11 +30,8 @@ PROFILE_LINES = 33          # scan lines per max_profile
 class MaxProfile:
     """Per-chord maxima of a function along parallel scan lines."""
 
-    h: Direction
     offsets: np.ndarray      # positions along the scan normal
     values: np.ndarray       # chord maxima m_h(t)
-    M: float                 # global maximum of the function
-    z: np.ndarray            # a point where M is attained
 
 
 class ConcaveFunction:
@@ -66,7 +63,7 @@ class ConcaveFunction:
     def facet_on_boundary(self) -> np.ndarray:
         """Facets with a vertex on the domain boundary."""
         dom = self.domain
-        bd = np.abs(dom.signed_boundary_distance(self.verts)) <= 10 * dom.tol
+        bd = np.abs(dom.signed_boundary_distance(self.verts)) <= dom.margin
         return bd[self.tris].any(axis=1)
 
     @property
@@ -86,7 +83,7 @@ class ConcaveFunction:
 def evaluate(u: ConcaveFunction, pts):
     """Exact values at points inside the domain (min over facet planes)."""
     arr = np.atleast_2d(np.asarray(pts, dtype=float))
-    inside = u.domain.contains(arr, 10 * u.domain.tol)
+    inside = u.domain.contains(arr, u.domain.margin)
     if not np.all(inside):
         raise ValueError("evaluation point outside the domain")
     vals = plane_values(u, arr).min(axis=1)
@@ -104,8 +101,8 @@ def gradients_at(u: ConcaveFunction, pts: np.ndarray):
 
     The planes within 1e-11 of the minimum at a point are its active
     planes; the point is regular when their gradients agree to 1e-9 and it
-    lies within 10 tol of the domain.  Returns (values, gradients of the
-    first active plane, regular).
+    lies inside the domain widened by its margin.  Returns (values,
+    gradients of the first active plane, regular).
     """
     vals = plane_values(u, pts)
     vmin = vals.min(axis=1)
@@ -115,7 +112,7 @@ def gradients_at(u: ConcaveFunction, pts: np.ndarray):
     spread = np.where(tie[:, :, None], np.abs(grads - first[:, None, :]), 0.0)
     mag = np.where(tie[:, :, None], np.abs(grads), 0.0)
     regular = ((spread.max(axis=(1, 2)) <= 1e-9 * (1.0 + mag.max(axis=(1, 2))))
-               & u.domain.contains(pts, 10 * u.domain.tol))
+               & u.domain.contains(pts, u.domain.margin))
     return vmin, first, regular
 
 
@@ -230,9 +227,7 @@ def max_profile(u: ConcaveFunction, h: Direction) -> MaxProfile:
     lam = (ts[:, None] - ta) / np.where(span == 0.0, np.nan, span)  # (L, 3F)
     on = (lam >= 0.0) & (lam <= 1.0)
     ms = np.where(on, za + lam * (u.vert_values[b] - za), -np.inf).max(axis=1)
-    k = int(np.argmax(u.vert_values))
-    return MaxProfile(h=h, offsets=ts, values=ms, M=float(u.vert_values[k]),
-                      z=u.verts[k].copy())
+    return MaxProfile(offsets=ts, values=ms)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +536,7 @@ def tent_function(dom: ConvexDomain, segment, height: float = 1.0) -> ConcaveFun
     p, q = ends
     if np.hypot(*(q - p)) <= dom.tol:
         raise ValueError("tent segment endpoints must be distinct")
-    if np.abs(dom.signed_boundary_distance(ends)).max() > 10 * dom.tol:
+    if np.abs(dom.signed_boundary_distance(ends)).max() > dom.margin:
         raise ValueError("tent segment endpoints must lie on the boundary")
 
     n = Direction.of(*(q - p)).perp().as_array()
@@ -570,8 +565,8 @@ def tent_function(dom: ConvexDomain, segment, height: float = 1.0) -> ConcaveFun
     verts_list = []
     fans = []
     sides = []
-    for above, present in ((False, s0 - smin > 10 * tol),
-                           (True, smax - s0 > 10 * tol)):
+    for above, present in ((False, s0 - smin > dom.margin),
+                           (True, smax - s0 > dom.margin)):
         if not present:
             continue
         pick[:, 0] = s >= -tol if above else s <= tol
@@ -654,7 +649,7 @@ def _locate_boundary_edge(dom: ConvexDomain, pt: np.ndarray) -> int:
     for e, d in enumerate(dist.tolist()):
         if d < best - 1e-15:
             best, edge = d, e
-    if best > 10 * dom.tol:
+    if best > dom.margin:
         raise ValueError("anchor must lie on the boundary")
     return edge
 
@@ -679,7 +674,7 @@ def family_u_omega(dom: ConvexDomain, anchor, omega: float) -> ConcaveFunction:
     else:
         disp = np.array([0.0, -math.copysign(1.0, n_out[1]) * omega])
     apex = anchor + disp
-    margin = 10 * dom.tol
+    margin = dom.margin
     depth = dom.signed_boundary_distance(apex[None, :])[0]
     if depth < 0.0:
         raise ValueError("omega too large: displaced apex leaves the domain")
@@ -748,7 +743,7 @@ def family_u_phi_eps(dom: ConvexDomain, phi: float, eps: float):
         n = np.array([math.cos(ang), math.sin(ang)])
         lines.append((n, float((dom.vertices @ n).max())))
     r = min(off - float(xi @ n) for n, off in lines)
-    if r <= 10 * dom.tol:
+    if r <= dom.margin:
         raise ValueError("cap point sits on the widened body's boundary")
 
     delta = eps / 4.0

@@ -7,7 +7,6 @@ arguments and safe to call from parallel workers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -39,7 +38,8 @@ class Direction:
 
     def __post_init__(self):
         norm = math.hypot(self.dx, self.dy)
-        if abs(norm - 1.0) > 1e-12:
+        # written so that a NaN norm fails too
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"direction must be a unit vector, got norm {norm!r}")
 
     @classmethod
@@ -52,6 +52,8 @@ class Direction:
 
     @classmethod
     def from_angle(cls, theta: float) -> "Direction":
+        if not math.isfinite(theta):
+            raise ValueError("direction angle must be finite")
         return cls(math.cos(theta), math.sin(theta))
 
     def perp(self) -> "Direction":
@@ -173,6 +175,13 @@ class ConvexDomain:
         return self._tol
 
     @property
+    def margin(self) -> float:
+        """Interior margin, ten times tol: a point this close to the
+        boundary counts as on it, and sampled or displaced interior points
+        keep farther away."""
+        return 10 * self._tol
+
+    @property
     def area(self) -> float:
         return self._area
 
@@ -227,16 +236,6 @@ class ConvexDomain:
 
 
 @dataclass(frozen=True)
-class SupportLine:
-    """Line touching the domain with a given outward normal."""
-
-    point: np.ndarray      # a touching vertex
-    direction: np.ndarray  # unit vector along the line
-    normal: np.ndarray     # outward unit normal
-    offset: float          # support value max_v <v, normal>
-
-
-@dataclass(frozen=True)
 class Chord:
     """Intersection of the domain with a line, possibly a single point."""
 
@@ -255,19 +254,6 @@ class WidthExtremes:
     w_min: float
     h_max: Direction  # direction of the support-line pair realizing w_max
     h_min: Direction
-
-
-def support_line(dom: ConvexDomain, alpha: float) -> SupportLine:
-    """Support line with outward normal at angle alpha.
-
-    Ties between touching vertices resolve to the lowest index.
-    """
-    n = np.array([math.cos(alpha), math.sin(alpha)])
-    proj = dom.vertices @ n
-    k = int(np.argmax(proj))
-    d = np.array([-n[1], n[0]])
-    return SupportLine(point=dom.vertices[k], direction=d, normal=n,
-                       offset=float(proj[k]))
 
 
 def width(dom: ConvexDomain, h: Direction) -> float:
@@ -542,19 +528,6 @@ def domain_to_json(dom: ConvexDomain) -> dict:
 
 
 def domain_from_json(obj) -> ConvexDomain:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise DomainError('domain JSON must be an object with a "vertices" key')
     return ConvexDomain(obj["vertices"])
-
-
-def load_domain(path: str) -> ConvexDomain:
-    with open(path) as f:
-        return domain_from_json(json.load(f))
-
-
-def save_domain(dom: ConvexDomain, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(domain_to_json(dom), f, indent=2)
-        f.write("\n")

@@ -32,15 +32,6 @@ class NormReport:
     argmax_facet: int = -1          # sup norm only
     attained_on_boundary: bool = False
 
-    def to_dict(self) -> dict:
-        out = {"p": self.p, "h": [self.h.dx, self.h.dy], "value": self.value,
-               "method": self.method, "ac_part": self.ac_part,
-               "jump_part": self.jump_part}
-        if self.p == math.inf:
-            out["argmax_facet"] = self.argmax_facet
-            out["attained_on_boundary"] = self.attained_on_boundary
-        return out
-
 
 def _jump_mass(u: ConcaveFunction, h: Direction) -> float:
     """Total variation of the singular boundary sheet in direction h.

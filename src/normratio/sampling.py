@@ -56,9 +56,8 @@ def random_convex_polygon(rng: np.random.Generator) -> ConvexDomain:
 
 def random_interior_points(rng: np.random.Generator, dom: ConvexDomain,
                            k: int) -> np.ndarray:
-    """k points uniform over the domain shrunk by ten geometry tolerances
-    from the boundary, by rejection from the bounding box."""
-    margin = 10.0 * dom.tol
+    """k points uniform over the domain shrunk by its margin from the
+    boundary, by rejection from the bounding box."""
     v = dom.vertices
     lo = v.min(axis=0)
     hi = v.max(axis=0)
@@ -68,7 +67,7 @@ def random_interior_points(rng: np.random.Generator, dom: ConvexDomain,
         if have >= k:
             break
         cand = rng.uniform(lo, hi, size=(max(4 * (k - have), 16), 2))
-        good = cand[dom.signed_boundary_distance(cand) > margin]
+        good = cand[dom.signed_boundary_distance(cand) > dom.margin]
         take = min(len(good), k - have)
         out[have:have + take] = good[:take]
         have += take

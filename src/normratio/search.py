@@ -32,6 +32,8 @@ from .sampling import keyed_rng, random_envelope_descriptor, random_interior_poi
 
 OMEGA_SCHEDULE = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 EPS_SCHEDULE = (0.05, 0.02, 0.01, 0.005)
+PHI = math.pi / 6       # cap half-angle of the u-phi-eps schedule
+SWEEP_ANGLES = 8        # grid angles of directional_sweep in [0, pi)
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,7 @@ def _grid_apexes(dom: ConvexDomain, g: int) -> np.ndarray:
     ys = lo[1] + span[1] * (np.arange(1, g + 1)) / (g + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    return pts[dom.signed_boundary_distance(pts) > 10 * dom.tol]
+    return pts[dom.signed_boundary_distance(pts) > dom.margin]
 
 
 def _candidates(dom: ConvexDomain, p: float, h1: Direction, h2: Direction,
@@ -267,14 +269,12 @@ def estimate_kp_pair(dom: ConvexDomain, p, budget: int = 200,
                         swapped=swapped)
 
 
-def directional_sweep(dom: ConvexDomain, p, n_angles: int = 8,
-                      budget: int = 60, seed: int = 42) -> list[RatioEstimate]:
-    """Estimates over orthogonal direction pairs on an angle grid, plus the
-    width-extreme pairs."""
-    if n_angles < 2:
-        raise ValueError("n_angles must be at least 2")
+def directional_sweep(dom: ConvexDomain, p, budget: int = 60,
+                      seed: int = 42) -> list[RatioEstimate]:
+    """Estimates over orthogonal direction pairs on a grid of SWEEP_ANGLES
+    angles, plus the width-extreme pairs."""
     pairs = []
-    for theta in np.linspace(0.0, math.pi, n_angles, endpoint=False):
+    for theta in np.linspace(0.0, math.pi, SWEEP_ANGLES, endpoint=False):
         pairs.append((Direction.from_angle(theta),
                       Direction.from_angle(theta + 0.5 * math.pi)))
     we = width_extremes(dom)
@@ -310,9 +310,9 @@ def _schedule_ratios(key: str, values, build, p, h1: Direction,
 
 
 def omega_schedule_ratios(dom: ConvexDomain, p, h1: Direction = E1,
-                          h2: Direction = E2,
-                          omegas=OMEGA_SCHEDULE, anchor=None) -> list[dict]:
-    """Ratio along the inward-displacement family for each omega.
+                          h2: Direction = E2, anchor=None) -> list[dict]:
+    """Ratio along the inward-displacement family for each omega in
+    OMEGA_SCHEDULE.
 
     On domains with a vertical support edge the ratios increase without
     bound as omega shrinks; on angular domains they approach the maximal
@@ -321,15 +321,16 @@ def omega_schedule_ratios(dom: ConvexDomain, p, h1: Direction = E1,
     if anchor is None:
         anchor = default_omega_anchor(dom)
     return _schedule_ratios(
-        "omega", omegas, lambda w: (family_u_omega(dom, anchor, w), {}),
-        p, h1, h2)
+        "omega", OMEGA_SCHEDULE,
+        lambda w: (family_u_omega(dom, anchor, w), {}), p, h1, h2)
 
 
-def phi_eps_schedule_ratios(dom: ConvexDomain, p, phi: float = math.pi / 6,
-                            h1: Direction = E1, h2: Direction = E2) -> list[dict]:
-    """Ratio along the cap-sampling family for each eps in EPS_SCHEDULE."""
+def phi_eps_schedule_ratios(dom: ConvexDomain, p, h1: Direction = E1,
+                            h2: Direction = E2) -> list[dict]:
+    """Ratio along the cap-sampling family at cap half-angle PHI for each
+    eps in EPS_SCHEDULE."""
     def build(eps):
-        fn, sample = family_u_phi_eps(dom, phi, eps)
+        fn, sample = family_u_phi_eps(dom, PHI, eps)
         return fn, {"n_sample": len(sample)}
 
     return _schedule_ratios("eps", EPS_SCHEDULE, build, p, h1, h2)

@@ -309,7 +309,7 @@ def _suite_edge_slope(case: Case, tol: float):
     edge_dirs /= np.hypot(edge_dirs[:, 0], edge_dirs[:, 1])[:, None]
     normals = case.domain.edge_normals()
     offs = case.domain.edge_offsets()
-    tol_geom = 10 * case.domain.tol
+    tol_geom = case.domain.margin
     for desc, u in case.envelopes:
         # vertex-to-edge-line incidence; interior points of the domain can
         # only touch an edge line inside the actual edge segment

@@ -15,30 +15,31 @@ import time
 import numpy as np
 import pytest
 
-from normratio import (
+from normratio.bounds import (
+    directional_k1_upper,
+    k_infinity,
+    minimax_bounds,
+    poincare_constant,
+)
+from normratio.concave import build_function, concave_envelope, tent_function
+from normratio.geometry import (
     E1,
     E2,
-    build_function,
-    concave_envelope,
     diamond,
-    directional_k1_upper,
     disc,
-    estimate_kp_pair,
-    k_infinity,
-    lp_directional_norm,
-    minimax_bounds,
-    omega_schedule_ratios,
     parallelogram,
-    phi_eps_schedule_ratios,
-    poincare_constant,
-    scanline_l1_norm,
     square,
-    tent_function,
     triangle,
     width,
 )
+from normratio.norms import lp_directional_norm, scanline_l1_norm
 from normratio.sampling import keyed_rng, random_envelope_descriptor
-from normratio.search import vertical_omega_anchor
+from normratio.search import (
+    estimate_kp_pair,
+    omega_schedule_ratios,
+    phi_eps_schedule_ratios,
+    vertical_omega_anchor,
+)
 from normratio.verify import run_all
 
 from conftest import corpus_domains
@@ -168,7 +169,7 @@ def test_criterion_9_estimates_below_bounds():
                        k_infinity(dom).value))
 
     final = phi_eps_schedule_ratios(disc(512), 2.0)[-1]["ratio"]
-    from normratio import kp_upper_bound
+    from normratio.bounds import kp_upper_bound
     checks.append(("disc cap family vs lp bound", final,
                    kp_upper_bound(disc(512), 2.0).value))
 

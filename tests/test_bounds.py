@@ -6,30 +6,32 @@ import math
 import numpy as np
 import pytest
 
-from normratio import (
+from normratio.bounds import (
+    _p_rayleigh_quotient,
+    affine_normalize,
+    directional_k1_upper,
+    directional_upper_bound,
+    k1_certificate,
+    k_infinity,
+    kp_upper_bound,
+    minimax_bounds,
+    poincare_constant,
+    uniform_k1_upper,
+)
+from normratio.concave import tent_function
+from normratio.geometry import (
     ConvexDomain,
     Direction,
     E1,
     E2,
     diamond,
-    directional_k1_upper,
-    directional_upper_bound,
     disc,
-    k1_certificate,
-    k_infinity,
-    kp_upper_bound,
-    lp_directional_norm,
-    minimax_bounds,
-    norm_ratio,
+    extreme_x_points,
     parallelogram,
-    poincare_constant,
     square,
-    tent_function,
     triangle,
-    uniform_k1_upper,
 )
-from normratio.bounds import _p_rayleigh_quotient, affine_normalize
-from normratio.geometry import extreme_x_points
+from normratio.norms import lp_directional_norm, norm_ratio
 from normratio.sampling import keyed_rng
 
 from conftest import corpus_domains

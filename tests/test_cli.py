@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: output formats, exit
 codes, determinism, and the counterexample/replay loop."""
 
+import ast
 import csv
 import io
 import json
@@ -141,7 +142,7 @@ def test_poincare_default(capsys):
 
 
 def test_poincare_rejects_bad_p(capsys):
-    code, _, err = run_cli(capsys, "poincare", "--p", "16", "--n", "8")
+    code, _, err = run_cli(capsys, "poincare", "--p", "1")
     assert code == 2 and "error" in err
 
 
@@ -295,6 +296,23 @@ def test_invalid_p_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--trace", "verify", "--cases", "1"], ["poincare", "--n", "8"]])
+def test_removed_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--h1", "nan"), ("--h2", "inf")])
+def test_non_finite_direction_is_input_error(capsys, flag, value):
+    code, out, err = run_cli(capsys, "bounds", "--preset", "square", flag,
+                             value)
+    assert code == 2 and out == ""
+    assert err == "error: direction angle must be finite\n"
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "analyze", "--preset", "diamond",
@@ -302,6 +320,15 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["area"] == pytest.approx(2.0)
+
+
+def test_out_to_unwritable_path_is_input_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "analyze", "--preset", "square",
+                             "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
 
 
 def test_output_is_byte_identical_across_runs(capsys):
@@ -392,6 +419,19 @@ def test_runtime_dependencies_leave_out_scipy():
     test_extra = [_requirement_name(r)
                   for r in project["optional-dependencies"]["test"]]
     assert "scipy" in test_extra
+
+
+def test_readme_quickstart_runs_on_the_package_exports(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    [code] = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    res = _run([sys.executable, "-c", code], tmp_path)
+    assert res.returncode == 0, res.stderr.decode()
+    assert res.stdout.decode().splitlines() == ["2.0", "2.0", "2.0 tent"]
+    # the package exports exactly what the quickstart imports
+    imported = [alias.name for node in ast.walk(ast.parse(code))
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "normratio" for alias in node.names]
+    assert sorted(normratio.__all__) == sorted(imported)
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,36 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normratio import (
+from normratio.geometry import (
     ConvexDomain,
     Direction,
     DomainError,
     E1,
     E2,
+    WidthExtremes,
+    _antipodal_pairs,
+    _edge_widths,
     chord,
+    chords_batch,
     circumscribed_rectangle,
+    cross2,
     diamond,
     disc,
     domain_from_json,
     domain_to_json,
     extreme_x_points,
-    load_domain,
     max_boundary_slope,
     parallelogram,
-    save_domain,
     square,
-    support_line,
     triangle,
     vertical_support_classification,
     width,
     width_extremes,
-)
-from normratio.geometry import (
-    WidthExtremes,
-    _antipodal_pairs,
-    _edge_widths,
-    chords_batch,
-    cross2,
 )
 from normratio.sampling import keyed_rng, random_convex_polygon
 
@@ -211,16 +205,6 @@ def test_width_extremes_scaled_rotated_square(s, ang):
     assert we.w_max == pytest.approx(s * math.sqrt(2), rel=1e-12)
 
 
-def test_support_line_touches_and_bounds():
-    rng = keyed_rng(7, 3)
-    for dom in corpus_domains(7, 20):
-        for alpha in rng.uniform(0.0, 2 * math.pi, size=5):
-            sl = support_line(dom, float(alpha))
-            proj = dom.vertices @ sl.normal
-            assert proj.max() <= sl.offset + 1e-9
-            assert proj.max() >= sl.offset - 1e-9
-
-
 # ---------------------------------------------------------------------------
 # chords
 # ---------------------------------------------------------------------------
@@ -370,15 +354,10 @@ def test_parallelogram_equal_slopes():
     assert max_boundary_slope(dom) == pytest.approx(1.0)
 
 
-def test_json_roundtrip(tmp_path):
+def test_json_roundtrip():
     dom = corpus_domains(5, 1)[0]
     again = domain_from_json(domain_to_json(dom))
     assert again == dom
-    path = tmp_path / "dom.json"
-    save_domain(dom, str(path))
-    assert load_domain(str(path)) == dom
-    # also through a plain string
-    assert domain_from_json(json.dumps(domain_to_json(dom))) == dom
 
 
 def test_direction_helpers():
@@ -387,6 +366,13 @@ def test_direction_helpers():
     assert h.perp().dot(h) == pytest.approx(0.0)
     assert Direction.from_angle(0.0).as_array() == pytest.approx([1.0, 0.0])
     assert E1.dot(E2) == 0.0
+    # a NaN norm is not within 1e-12 of 1
+    for dx, dy in ((math.nan, math.nan), (math.nan, 0.0), (math.inf, 0.0)):
+        with pytest.raises(ValueError, match="unit vector"):
+            Direction(dx, dy)
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            Direction.from_angle(theta)
 
 
 def test_random_polygon_contract():

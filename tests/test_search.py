@@ -7,28 +7,29 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from normratio import (
+from normratio.concave import build_function
+from normratio.geometry import (
     ConvexDomain,
     Direction,
     E1,
     E2,
-    build_function,
+    cross2,
     diamond,
-    directional_sweep,
     disc,
-    estimate_kp_lower,
-    estimate_kp_pair,
-    norm_ratio,
-    omega_schedule_ratios,
     parallelogram,
-    phi_eps_schedule_ratios,
     square,
     triangle,
 )
-from normratio.geometry import cross2
+from normratio.norms import norm_ratio
 from normratio.search import (
+    OMEGA_SCHEDULE,
     _aligned_vertex_pairs,
     default_omega_anchor,
+    directional_sweep,
+    estimate_kp_lower,
+    estimate_kp_pair,
+    omega_schedule_ratios,
+    phi_eps_schedule_ratios,
     vertical_omega_anchor,
 )
 
@@ -189,13 +190,21 @@ def test_angular_domains_saturate_at_max_slope():
 
 
 def test_omega_schedule_skips_invalid_entries():
-    rows = omega_schedule_ratios(square(), math.inf, omegas=(0.25, 2.0),
-                                 anchor=(0.0, 0.5))
-    assert rows[0]["ratio"] == pytest.approx(2.0, rel=1e-12)
-    assert rows[1]["ratio"] is None and "error" in rows[1]
+    # a wall 0.05 wide: the first omega of the schedule leaves the domain
+    strip = ConvexDomain([(0, 0), (0.05, 0), (0.05, 1), (0, 1)])
+    rows = omega_schedule_ratios(strip, math.inf, anchor=(0.0, 0.5))
+    assert rows[0]["ratio"] is None and "error" in rows[0]
+    assert len(rows) == len(OMEGA_SCHEDULE)
+    for row in rows[1:]:
+        # the cone rises 1 over omega or 0.05 - omega to the walls and
+        # over 0.5 to the ends
+        w = row["omega"]
+        assert row["ratio"] == pytest.approx(
+            max(1.0 / w, 1.0 / (0.05 - w)) / 2.0, rel=1e-12)
     with pytest.raises(ValueError):
-        omega_schedule_ratios(square(), math.inf, omegas=(5.0,),
-                              anchor=(0.0, 0.5))
+        omega_schedule_ratios(
+            ConvexDomain([(0, 0), (0.0005, 0), (0.0005, 1), (0, 1)]),
+            math.inf, anchor=(0.0, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +222,7 @@ def test_disc_phi_eps_schedule_increases():
 
 def test_phi_eps_rejects_angular_domain():
     with pytest.raises(ValueError):
-        phi_eps_schedule_ratios(diamond(), 2.0, phi=0.4)
+        phi_eps_schedule_ratios(diamond(), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +239,9 @@ def test_diamond_pair_product_is_one():
 
 def test_sweep_triangle_peaks_at_width_extreme_pair():
     tri = triangle(0, 0, 2, 0, 1, 1)
-    results = directional_sweep(tri, 1, n_angles=4, budget=40, seed=42)
+    results = directional_sweep(tri, 1, budget=40, seed=42)
     best = max(results, key=lambda r: r.best_ratio)
     assert best.best_ratio == pytest.approx(4.0, abs=1e-9)
     assert math.degrees(best.h1.angle()) == pytest.approx(90.0, abs=1e-9)
     for r in results:
         assert r.best_ratio <= r.upper_bound + 1e-9
-    with pytest.raises(ValueError):
-        directional_sweep(tri, 1, n_angles=1)

@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normratio import build_function, domain_from_json, verify
+from normratio import verify
 from normratio.cli import main
+from normratio.concave import build_function
+from normratio.geometry import domain_from_json
 from normratio.sampling import keyed_rng, random_envelope_descriptor
 from normratio.verify import (CASE_BLOCK, SUITES, first_failure, jsonify,
                               replay, run_all, run_suite)
