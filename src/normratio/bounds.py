@@ -24,6 +24,7 @@ from .geometry import (
     ConvexDomain,
     Direction,
     chord,
+    dot2,
     extreme_x_points,
     max_boundary_slope,
     vertical_support_classification,
@@ -85,12 +86,12 @@ def k1_certificate(dom: ConvexDomain, h1: Direction, h2: Direction) -> Chord | N
     n1 = h1.perp().as_array()
     n2 = h2.perp().as_array()
     verts = dom.vertices
-    proj1 = verts @ n1
+    proj1 = dot2(verts, n1)
     tol = dom.tol
     lo_set = verts[proj1 <= proj1.min() + tol]
     hi_set = verts[proj1 >= proj1.max() - tol]
-    s_lo = lo_set @ n2
-    s_hi = hi_set @ n2
+    s_lo = dot2(lo_set, n2)
+    s_hi = dot2(hi_set, n2)
     a = max(s_lo.min(), s_hi.min())
     b = min(s_lo.max(), s_hi.max())
     if b < a - tol:
@@ -219,7 +220,7 @@ def poincare_constant(p: float, n: int = POINCARE_GRID) -> float:
 def affine_normalize(dom: ConvexDomain):
     """Shear-and-scale taking the horizontal extremes to (0,0) and (2,0).
 
-    Returns (image, lin, shift) with image = lin @ x + shift applied to the
+    Returns (image, lin, shift) with image = lin x + shift applied to the
     domain; lin = [[2/w_x, 0], [-c/w_x, 1]] where w_x is the horizontal
     extent and c the rise between the extreme points.  The map preserves
     vertical lines, so vertical derivative norms transform by the area
@@ -230,8 +231,8 @@ def affine_normalize(dom: ConvexDomain):
     if w_x <= dom.tol:
         raise ValueError("degenerate horizontal extent")
     lin = np.array([[2.0 / w_x, 0.0], [-c / w_x, 1.0]])
-    shift = -lin @ A
-    image = ConvexDomain(dom.vertices @ lin.T + shift)
+    shift = -dot2(lin, A)
+    image = ConvexDomain(dot2(dom.vertices[:, None, :], lin) + shift)
     return image, lin, shift
 
 
@@ -300,7 +301,7 @@ def directional_upper_bound(dom: ConvexDomain, h1: Direction, h2: Direction,
                                "when p > 1"},
         )
     R = _rotation_to_axes(h1, h2)
-    rotated = ConvexDomain(dom.vertices @ R.T)
+    rotated = ConvexDomain(dot2(dom.vertices[:, None, :], R))
     if p == math.inf:
         rep = k_infinity(rotated)
     else:

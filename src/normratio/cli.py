@@ -322,11 +322,15 @@ def cmd_verify(args):
     passed = all(r.passed for r in results)
     ce_path = None
     if not passed and not args.replay:
-        ce_path = COUNTEREXAMPLE_PATH
-        with open(ce_path, "w") as f:
-            json.dump(verify.jsonify(verify.first_failure(results)), f,
-                      indent=2)
-        print(f"counterexample written to {ce_path}", file=sys.stderr)
+        try:
+            with open(COUNTEREXAMPLE_PATH, "w") as f:
+                json.dump(verify.jsonify(verify.first_failure(results)), f,
+                          indent=2)
+            ce_path = COUNTEREXAMPLE_PATH
+            print(f"counterexample written to {ce_path}", file=sys.stderr)
+        except OSError as exc:
+            print(f"error: cannot write {COUNTEREXAMPLE_PATH}: "
+                  f"{exc.strerror}", file=sys.stderr)
     obj = {
         "command": "verify",
         "passed": passed,

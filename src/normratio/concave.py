@@ -21,6 +21,7 @@ from .geometry import (
     _edge_slope,
     _extreme_x_indices,
     cross2,
+    dot2,
 )
 
 PROFILE_LINES = 33          # scan lines per max_profile
@@ -93,7 +94,7 @@ def evaluate(u: ConcaveFunction, pts):
 
 
 def plane_values(u: ConcaveFunction, arr: np.ndarray) -> np.ndarray:
-    return arr @ u.planes[:, :2].T + u.planes[:, 2]
+    return dot2(arr[:, None, :], u.planes[:, :2]) + u.planes[:, 2]
 
 
 def gradients_at(u: ConcaveFunction, pts: np.ndarray):
@@ -178,7 +179,7 @@ def chord_max_hull(u: ConcaveFunction, normal) -> tuple[np.ndarray, np.ndarray]:
     projections within tol of the two support values are snapped onto
     them: the highest vertex on each support line then stays on the hull.
     """
-    t = u.verts @ np.asarray(normal, dtype=float)
+    t = dot2(u.verts, np.asarray(normal, dtype=float))
     lo, hi = t.min(), t.max()
     t[t <= lo + u.domain.tol] = lo
     t[t >= hi - u.domain.tol] = hi
@@ -214,10 +215,10 @@ def max_profile(u: ConcaveFunction, h: Direction) -> MaxProfile:
     the two support values are snapped onto them.
     """
     normal = h.perp().as_array()
-    proj = u.domain.vertices @ normal
+    proj = dot2(u.domain.vertices, normal)
     c, d = float(proj.min()), float(proj.max())
     ts = np.linspace(c, d, PROFILE_LINES)
-    t = u.verts @ normal
+    t = dot2(u.verts, normal)
     t[t <= c + u.domain.tol] = c
     t[t >= d - u.domain.tol] = d
     a, b = u.tris.ravel(), u.tris[:, [1, 2, 0]].ravel()
@@ -311,28 +312,28 @@ def _interior_facets(xy: np.ndarray, z: np.ndarray, cand: np.ndarray,
     for poly in polys:
         add(poly, tuple(sorted(poly)))
     X, Y, Z = xy[:, 0].tolist(), xy[:, 1].tolist(), z.tolist()
-    # candidate k as the column (x_k, y_k, 1, z_k)
-    M = np.ones((4, len(cand)))
-    M[:2] = xy[cand].T
-    M[3] = z[cand]
+    pc, zc = xy[cand], z[cand]
     tris, planes = [], []
     while frontier:
         edges = list(frontier.values())
         # per edge a -> b, with U = p_b - p_a and q = (z_b - z_a) / |U|^2,
-        # rows giving cr_k = (uy, -ux) . (p_k - p_a), |U| times k's distance
-        # beyond the edge, and r_k = z_k - z_a - q U . (p_k - p_a), k's
-        # height over the edge
+        # a row (g, c) of rows gives cr_k = g . p_k + c = (uy, -ux) .
+        # (p_k - p_a), |U| times k's distance beyond the edge, and one of
+        # lin gives r_k = g . p_k + c + z_k = z_k - z_a - q U . (p_k - p_a),
+        # k's height over the edge
         rows, lin, reach = [], [], []
         for a, b in edges:
             ax, ay, za = X[a], Y[a], Z[a]
             ux, uy = X[b] - ax, Y[b] - ay
             len2 = ux * ux + uy * uy
             q = (Z[b] - za) / len2
-            rows.append([uy, -ux, ay * ux - ax * uy, 0.0])
-            lin.append([-q * ux, -q * uy, q * (ax * ux + ay * uy) - za, 1.0])
+            rows.append([uy, -ux, ay * ux - ax * uy])
+            lin.append([-q * ux, -q * uy, q * (ax * ux + ay * uy) - za])
             reach.append(tol * math.sqrt(len2))
         f = len(edges)
-        cr, r = (np.array(rows + lin) @ M).reshape(2, f, -1)
+        g = np.array(rows + lin)
+        cr, r = (dot2(g[:, None, :], pc) + g[:, 2:]).reshape(2, f, -1)
+        r += zc
         reach = np.array(reach)[:, None]
         beyond = cr > reach
         rho = np.divide(r, cr, out=np.full(r.shape, -np.inf), where=beyond)
@@ -341,7 +342,7 @@ def _interior_facets(xy: np.ndarray, z: np.ndarray, cand: np.ndarray,
         # the plane z_a + q U . (x - p_a) + s (uy, -ux) . (x - p_a), and a
         # tie within tol of it, measured normal to it
         plane, thr = [], []
-        for (nx, ny, n0, _), (lx, ly, l0, _), si in zip(rows, lin, s.tolist()):
+        for (nx, ny, n0), (lx, ly, l0), si in zip(rows, lin, s.tolist()):
             if si == -math.inf:
                 raise ValueError("degenerate envelope input: a facet edge "
                                  "has no point beyond it")
@@ -470,7 +471,7 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
         inner_tris, inner_planes = ConvexHull(
             points - v[0], z, np.concatenate([switch, nb + np.arange(len(pts))]),
             polys, nb, dom.tol)
-        inner_planes[:, 2] -= inner_planes[:, :2] @ v[0]
+        inner_planes[:, 2] -= dot2(inner_planes[:, :2], v[0])
         tris.append(inner_tris)
         planes.append(inner_planes)
     tris = np.concatenate(tris)
@@ -540,9 +541,9 @@ def tent_function(dom: ConvexDomain, segment, height: float = 1.0) -> ConcaveFun
         raise ValueError("tent segment endpoints must lie on the boundary")
 
     n = Direction.of(*(q - p)).perp().as_array()
-    s0 = float(p @ n)
+    s0 = float(dot2(p, n))
     A, B = dom.edges()
-    proj = A @ n
+    proj = dot2(A, n)
     smin, smax = float(proj.min()), float(proj.max())
     tol = dom.tol
 
@@ -593,17 +594,15 @@ def tent_function(dom: ConvexDomain, segment, height: float = 1.0) -> ConcaveFun
     verts = np.concatenate(verts_list)
     sides = np.array(sides)
     planes = np.repeat(sides, [len(f) for f in fans], axis=0)
-    # min over the one or two side planes, the first and last columns
-    vals = verts @ sides[:, :2].T + sides[:, 2]
-    vert_values = np.minimum(vals[:, 0], vals[:, -1])
+    # min over the one or two side planes, the first and last columns, at
+    # the mesh vertices, then the ring vertices and the bends
+    pts = np.concatenate((verts, A, ring[bend, 1]))
+    vals = dot2(pts[:, None, :], sides[:, :2]) + sides[:, 2]
+    vert_values, fa, fx = np.split(np.minimum(vals[:, 0], vals[:, -1]),
+                                   [len(verts), len(verts) + dom.n])
 
     # trace[e] is the mean of min-of-planes along edge e: one trapezoid, or
-    # two at a bend.  Knot values are products one row per point, which
-    # round as a product on a single point does (a batched one may not)
-    knots = np.concatenate((A, ring[bend, 1]))
-    vals = (knots[:, None, :] @ sides[:, :2].T)[:, 0, :] + sides[:, 2]
-    vals = np.minimum(vals[:, 0], vals[:, -1])
-    fa, fx = vals[:dom.n], vals[dom.n:]
+    # two at a bend
     fb = np.concatenate((fa[1:], fa[:1]))
     trace = 0.5 * (fa + fb)
     trace[bend] = (lam * 0.5 * (fa[bend] + fx)
@@ -642,8 +641,7 @@ def _locate_boundary_edge(dom: ConvexDomain, pt: np.ndarray) -> int:
     """
     A, B = dom.edges()
     ab = B - A
-    lam = np.clip(np.einsum("ij,ij->i", pt - A, ab)
-                  / np.einsum("ij,ij->i", ab, ab), 0.0, 1.0)
+    lam = np.clip(dot2(pt - A, ab) / dot2(ab, ab), 0.0, 1.0)
     dist = np.hypot(*(A + lam[:, None] * ab - pt).T)
     best, edge = math.inf, -1
     for e, d in enumerate(dist.tolist()):
@@ -681,7 +679,7 @@ def family_u_omega(dom: ConvexDomain, anchor, omega: float) -> ConcaveFunction:
     if depth <= margin:
         # off an edge of slope s a displacement by omega along an axis puts
         # the apex about omega/|s| from the edge's own line
-        own = float(dom.edge_offsets()[e] - apex @ n_out)
+        own = float(dom.edge_offsets()[e] - dot2(apex, n_out))
         if own <= margin:
             raise ValueError(
                 f"omega too small: displaced apex lies {own:.3g} from its "
@@ -741,8 +739,8 @@ def family_u_phi_eps(dom: ConvexDomain, phi: float, eps: float):
     lines = [(normals[k], offsets[k]) for k in np.nonzero(np.abs(alphas) >= phi)[0]]
     for ang in (phi, -phi):
         n = np.array([math.cos(ang), math.sin(ang)])
-        lines.append((n, float((dom.vertices @ n).max())))
-    r = min(off - float(xi @ n) for n, off in lines)
+        lines.append((n, float(dot2(dom.vertices, n).max())))
+    r = min(off - float(dot2(xi, n)) for n, off in lines)
     if r <= dom.margin:
         raise ValueError("cap point sits on the widened body's boundary")
 
@@ -791,12 +789,12 @@ def build_function(dom: ConvexDomain, descriptor: dict) -> ConcaveFunction:
 
 def transform_function(u: ConcaveFunction, lin: np.ndarray, shift: np.ndarray,
                        image: ConvexDomain) -> ConcaveFunction:
-    """Pushforward of u under the affine map x -> lin @ x + shift.
+    """Pushforward of u under the affine map x -> lin x + shift.
 
     Values are preserved pointwise, so the plane g . x + z0 becomes
     g~ . y + z0 - g~ . shift with g~ = g lin^-1: gradients transform by the
-    inverse transpose of the linear part.  image is
-    ConvexDomain(u.domain.vertices @ lin.T + shift).
+    inverse transpose of the linear part.  image is the domain of u under
+    the same map.
     """
     lin = np.asarray(lin, dtype=float)
     shift = np.asarray(shift, dtype=float)
@@ -804,9 +802,10 @@ def transform_function(u: ConcaveFunction, lin: np.ndarray, shift: np.ndarray,
     det = a * d - b * c
     if det == 0.0:
         raise ValueError("the linear part of the map is singular")
-    verts_new = u.verts @ lin.T + shift
-    grads_new = u.planes[:, :2] @ (np.array([[d, -b], [-c, a]]) / det)
-    z0_new = u.planes[:, 2] - grads_new @ shift
+    verts_new = dot2(u.verts[:, None, :], lin) + shift
+    # row j of the inverse transpose, (d, -c) / det and (-b, a) / det
+    grads_new = dot2(u.planes[:, None, :2], np.array([[d, -c], [-b, a]]) / det)
+    z0_new = u.planes[:, 2] - dot2(grads_new, shift)
     planes_new = np.column_stack([grads_new, z0_new])
     # an affine map keeps means along segments; a reflection reverses the
     # image's vertex order, so image edge j is source edge n - 2 - j
@@ -833,9 +832,7 @@ def check_concavity(u: ConcaveFunction, tol: float = 1e-8) -> bool:
     tri_pts = u.verts[u.tris]
     cents = tri_pts.mean(axis=1)
     vals = plane_values(u, cents)
-    # the own plane is read from the same product as the others, so that a
-    # plane is never compared with a differently rounded copy of itself
-    own = vals[np.arange(len(vals)), np.arange(len(vals))]
+    own = dot2(cents, u.planes[:, :2]) + u.planes[:, 2]
     scale = 1.0 + np.abs(u.vert_values).max()
     return bool(np.all(vals.min(axis=1) >= own - tol * scale))
 

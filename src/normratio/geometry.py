@@ -24,9 +24,15 @@ class DomainError(ValueError):
 
 def cross2(a, b):
     """z-component of the cross product of stacked 2D vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def dot2(a, b):
+    """a_x b_x + a_y b_y of stacked 2D vectors; broadcasts.  Every product
+    of 2-vectors in the package goes through here: elementwise, it rounds
+    the same on every machine, where a BLAS product (``@``, ``einsum``)
+    rounds as the kernel that numpy loads decides."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
 @dataclass(frozen=True)
@@ -154,7 +160,7 @@ class ConvexDomain:
         e = nxt - pts
         normals = np.stack([e[:, 1], -e[:, 0]], axis=1)
         normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
-        offsets = np.einsum("ij,ij->i", pts, normals)
+        offsets = dot2(pts, normals)
         for arr in (pts, nxt, normals, offsets):
             arr.setflags(write=False)
         self._normals = normals
@@ -222,7 +228,7 @@ class ConvexDomain:
         edge half-planes, which is exact for interior points.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        slack = self._offsets[None, :] - pts @ self._normals.T
+        slack = self._offsets - dot2(pts[:, None, :], self._normals)
         return slack.min(axis=1)
 
     def contains(self, pts, tol: float | None = None) -> np.ndarray:
@@ -258,8 +264,7 @@ class WidthExtremes:
 
 def width(dom: ConvexDomain, h: Direction) -> float:
     """Distance between the two support lines parallel to h."""
-    n = h.perp().as_array()
-    proj = dom.vertices @ n
+    proj = dot2(dom.vertices, h.perp().as_array())
     return float(proj.max() - proj.min())
 
 
@@ -291,22 +296,14 @@ WIDTH_BLOCK = 64   # most edge normals per block of the projection table
 
 def _edge_widths(dom: ConvexDomain) -> np.ndarray:
     """Width of the domain along each edge, from column blocks of the
-    table ``verts @ normals.T`` (memory linear in the vertex count).
-
-    The columns split into near-equal blocks of at most WIDTH_BLOCK, so no
-    block is one column wide: BLAS computes a one-column product as a
-    matrix-vector product, which can round differently from the same
-    column of the whole table.
+    vertex-by-normal projection table (memory linear in the vertex count).
     """
-    verts = dom.vertices
+    verts = dom.vertices[:, None, :]
     normals = dom.edge_normals()
-    n = len(normals)
-    k = -(-n // WIDTH_BLOCK)
-    cuts = [n * i // k for i in range(k + 1)]
-    widths = np.empty(n)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        projs = verts @ normals[lo:hi].T               # (n, hi - lo)
-        widths[lo:hi] = projs.max(axis=0) - projs.min(axis=0)
+    widths = np.empty(len(normals))
+    for lo in range(0, len(normals), WIDTH_BLOCK):
+        projs = dot2(verts, normals[lo:lo + WIDTH_BLOCK])   # (n, block)
+        widths[lo:lo + WIDTH_BLOCK] = projs.max(axis=0) - projs.min(axis=0)
     return widths
 
 
@@ -368,7 +365,7 @@ def chords_batch(dom: ConvexDomain, normal: np.ndarray, ts: np.ndarray):
     """
     verts, ends = dom.edges()
     n = np.asarray(normal, dtype=float)
-    proj = verts @ n
+    proj = dot2(verts, n)
     lo, hi = float(proj.min()), float(proj.max())
     tol = dom.tol
     ts = np.asarray(ts, dtype=float)
@@ -387,8 +384,7 @@ def chords_batch(dom: ConvexDomain, normal: np.ndarray, ts: np.ndarray):
     pts = np.where(crossing[..., None], v + lam[..., None] * e, v)
     use = crossing | on_vert
 
-    d = np.array([n[1], -n[0]])
-    along = pts[..., 0] * d[0] + pts[..., 1] * d[1]
+    along = dot2(pts, np.array([n[1], -n[0]]))
     i_min = np.argmin(np.where(use, along, np.inf), axis=0)
     i_max = np.argmax(np.where(use, along, -np.inf), axis=0)
     cols = np.arange(len(ts))

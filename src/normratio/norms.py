@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concave import ConcaveFunction, chord_max_hull
-from .geometry import Direction
+from .geometry import Direction, dot2
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ def _jump_mass(u: ConcaveFunction, h: Direction) -> float:
     if not u.trace.any():
         return 0.0
     dom = u.domain
-    w = np.abs(dom.edge_normals() @ h.as_array())
-    return float(w * np.hypot(*dom.edge_vectors().T) @ u.trace)
+    w = np.abs(dot2(dom.edge_normals(), h.as_array()))
+    return float((w * np.hypot(*dom.edge_vectors().T) * u.trace).sum())
 
 
 def lp_directional_norm(u: ConcaveFunction, h: Direction, p) -> NormReport:
@@ -57,17 +57,17 @@ def lp_directional_norm(u: ConcaveFunction, h: Direction, p) -> NormReport:
     p = float(p)
     if p < 1.0:
         raise ValueError("p must be at least 1")
-    slopes = np.abs(u.planes[:, :2] @ h.as_array())
+    slopes = np.abs(dot2(u.planes[:, :2], h.as_array()))
     jump = _jump_mass(u, h)
     scale = 1e-12 * (1.0 + u.max_value)
     if p == 1.0:
-        ac = float(slopes @ u.facet_areas)
+        ac = float((slopes * u.facet_areas).sum())
         return NormReport(value=ac + jump, p=p, h=h, ac_part=ac, jump_part=jump)
     if jump > scale:
         raise ValueError(
             f"||d_h u||_{p} is infinite: distributional boundary sheet has a "
             "component along h")
-    ac = float((slopes ** p) @ u.facet_areas) ** (1.0 / p)
+    ac = float((slopes ** p * u.facet_areas).sum()) ** (1.0 / p)
     return NormReport(value=ac, p=p, h=h, ac_part=ac, jump_part=0.0)
 
 
@@ -84,7 +84,7 @@ def sup_directional_norm(u: ConcaveFunction, h: Direction) -> NormReport:
         raise ValueError(
             "||d_h u||_inf is infinite: distributional boundary sheet has a "
             "component along h")
-    slopes = np.abs(u.planes[:, :2] @ h.as_array())
+    slopes = np.abs(dot2(u.planes[:, :2], h.as_array()))
     k = int(np.argmax(slopes))
     best = float(slopes[k])
     near_bd = (slopes >= best * (1.0 - 1e-12)) & u.facet_on_boundary
@@ -136,17 +136,17 @@ def line_integral_abs_dh(u: ConcaveFunction, h: Direction,
     n, harr = h.perp().as_array(), h.as_array()
     dom = u.domain
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    proj = dom.vertices @ n
+    proj = dot2(dom.vertices, n)
     lo, hi = float(proj.min()), float(proj.max())
     meets = (ts >= lo - dom.tol) & (ts <= hi + dom.tol)
-    dist = (u.verts @ n)[None, :] - np.clip(ts, lo, hi)[:, None]    # (L, V)
+    dist = dot2(u.verts, n) - np.clip(ts, lo, hi)[:, None]         # (L, V)
     dist[np.abs(dist) <= dom.tol] = 0.0
     s = dist[:, u.tris]                                           # (L, F, 3)
     nxt = [1, 2, 0]
     cross = s * s[..., nxt] < 0.0
     lam = s / np.where(cross, s - s[..., nxt], 1.0)
     # (position along h, value) at the vertices, then at the edge crossings
-    qz = np.column_stack([u.verts @ harr, u.vert_values])[u.tris]  # (F, 3, 2)
+    qz = np.column_stack([dot2(u.verts, harr), u.vert_values])[u.tris]  # (F, 3, 2)
     qz = np.concatenate(
         [np.broadcast_to(qz, lam.shape + (2,)),
          qz + lam[..., None] * (qz[:, nxt] - qz)], axis=2)         # (L, F, 6, 2)
@@ -163,7 +163,7 @@ def line_integral_abs_dh(u: ConcaveFunction, h: Direction,
         _, first = np.unique(ends[:, 0] * len(u.verts) + ends[:, 1],
                              return_index=True)
         length[i, np.delete(edge_facets, first)] = 0.0
-    ac = length @ np.abs(u.planes[:, :2] @ harr)
+    ac = (length * np.abs(dot2(u.planes[:, :2], harr))).sum(axis=1)
     z = qz[..., 1].reshape(len(ts), -1)
     rows = np.arange(len(ts))
     out = (ac + z[rows, q_lo.reshape(len(ts), -1).argmin(axis=1)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .concave import _polygon_ccw
-from .geometry import ConvexDomain, Direction
+from .geometry import ConvexDomain, Direction, dot2
 
 
 def keyed_rng(seed: int, *key: int) -> np.random.Generator:
@@ -38,7 +38,7 @@ def random_convex_polygon(rng: np.random.Generator) -> ConvexDomain:
         stretch = np.array([rng.uniform(0.5, 1.8), rng.uniform(0.5, 1.8)])
         ang = rng.uniform(0.0, np.pi)
         R = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
-        pts = (pts * stretch) @ R.T
+        pts = dot2((pts * stretch)[:, None, :], R)
         verts = pts[_polygon_ccw(pts, 0.0)]
         if len(verts) > max_vertices:
             keep = np.sort(rng.choice(len(verts), size=max_vertices,

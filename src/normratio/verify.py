@@ -52,8 +52,10 @@ from .geometry import (
     E2,
     ConvexDomain,
     Direction,
+    cross2,
     domain_from_json,
     domain_to_json,
+    dot2,
     max_boundary_slope,
     width,
 )
@@ -250,7 +252,7 @@ def _suite_line_mass(case: Case, tol: float):
     for desc, u in case.envelopes[:2]:
         for h in dirs:
             n = h.perp().as_array()
-            proj = case.domain.vertices @ n
+            proj = dot2(case.domain.vertices, n)
             lo, hi = float(proj.min()), float(proj.max())
             hull_t, hull_m = chord_max_hull(u, n)
             # No line here meets a degenerate chord: the chord length is
@@ -313,7 +315,7 @@ def _suite_edge_slope(case: Case, tol: float):
     for desc, u in case.envelopes:
         # vertex-to-edge-line incidence; interior points of the domain can
         # only touch an edge line inside the actual edge segment
-        on_edge = np.abs(u.verts @ normals.T - offs[None, :]) <= tol_geom
+        on_edge = np.abs(dot2(u.verts[:, None, :], normals) - offs) <= tol_geom
         pairs = u.tris[:, [[0, 1], [1, 2], [0, 2]]]             # (F, 3, 2)
         inc = on_edge[pairs[..., 0]] & on_edge[pairs[..., 1]]    # (F, 3, E)
         seg = u.verts[pairs[..., 0]] - u.verts[pairs[..., 1]]
@@ -321,8 +323,7 @@ def _suite_edge_slope(case: Case, tol: float):
         facet, pair = np.nonzero(hit)
         edge = inc[facet, pair].argmax(axis=1)
         g = u.planes[facet, :2]
-        # one 2-vector product per row, rounded as g @ edge_dir on its own
-        tangential = (g[:, None, :] @ edge_dirs[edge][:, :, None])[:, 0, 0]
+        tangential = dot2(g, edge_dirs[edge])
         worse = np.abs(tangential) > tol * (1.0 + np.hypot(g[:, 0], g[:, 1]))
         checks += len(facet) + 1
         bad += [_violation({"facet": facet[i], "edge": edge[i], "grad": g[i],
@@ -376,16 +377,16 @@ def _suite_oracle_l1(case: Case, tol: float):
 def _suite_shear_transport(case: Case, tol: float):
     """Affine pushforward: gradient transport and norm change of variables.
 
-    Checks, with T the normalizing shear (image = lin @ x + shift):
+    Checks, with T the normalizing shear (image = lin x + shift):
       (a) facet gradients satisfy g = lin^T g-tilde;
       (b) vertical p-norms scale by |det lin|^(1/p), p in {1, 2};
       (c) the composed horizontal norm bound from the triangle inequality.
     """
     checks, bad = 0, []
     _, lin, images = case.normalized
-    det = abs(float(np.linalg.det(lin)))
+    det = abs(float(cross2(lin[0], lin[1])))
     for (desc, u), tu, l1 in zip(case.envelopes, images, case.axis_l1):
-        back = tu.planes[:, :2] @ lin
+        back = dot2(tu.planes[:, None, :2], lin.T)
         gscale = 1.0 + float(np.abs(u.planes[:, :2]).max())
         checks += 1
         if float(np.abs(back - u.planes[:, :2]).max()) > tol * gscale:

@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import normratio
@@ -244,6 +245,20 @@ def test_verify_failure_writes_replayable_counterexample(
     assert code == 2
 
 
+def test_verify_reports_a_counterexample_it_cannot_write(
+        capsys, tmp_path, monkeypatch):
+    # a directory in the way: the report still prints, with no path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / COUNTEREXAMPLE_PATH).mkdir()
+    code, out, err = run_cli(capsys, "verify", "--suite", "theorem1",
+                             "--cases", "1", "--tol", "-1")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["passed"] is False
+    assert rep["counterexample_path"] is None
+    assert err == f"error: cannot write {COUNTEREXAMPLE_PATH}: Is a directory\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["--cases", "0"], ["--cases", "-3"],
     ["--suite", "theorem1", "--cases", "0"],
@@ -362,11 +377,11 @@ def _declared_entry_point():
     return module, attr
 
 
-def _run(cmd, cwd):
+def _run(cmd, cwd, **env_vars):
     """Run ``cmd`` in ``cwd`` with the package under test first on
-    ``PYTHONPATH``."""
+    ``PYTHONPATH`` and ``env_vars`` added to the environment."""
     src = str(Path(normratio.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(cmd, capture_output=True, cwd=cwd, env=env,
                           timeout=60)
@@ -379,6 +394,37 @@ def _run_entry_point(tmp_path, *argv):
     module, attr = _declared_entry_point()
     code = f"import sys; from {module} import {attr}; sys.exit({attr}())"
     return _run([sys.executable, "-c", code, *argv], tmp_path)
+
+
+def _blas_kernel_not_selectable():
+    """Why ``OPENBLAS_CORETYPE`` cannot pick numpy's BLAS kernel per
+    process, or None when numpy's BLAS is a DYNAMIC_ARCH OpenBLAS."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = blas.get("openblas configuration", "")
+    if "openblas" in blas.get("name", "").lower() and \
+            "DYNAMIC_ARCH" in config.split():
+        return None
+    return (f"numpy's BLAS is {blas.get('name')!r} ({config!r}), not a "
+            "DYNAMIC_ARCH OpenBLAS, so OPENBLAS_CORETYPE selects no kernel")
+
+
+def test_stdout_is_the_same_on_every_blas_kernel(tmp_path):
+    # Prescott has no fused multiply-add and Haswell has; a product that
+    # went through BLAS would round differently on the two
+    reason = _blas_kernel_not_selectable()
+    if reason:
+        pytest.skip(reason)
+    for argv in (("estimate", "--preset", "disc", "--n", "512", "--p", "1",
+                  "--budget", "200"),
+                 ("sweep", "--preset", "disc", "--n", "128", "--p", "2",
+                  "--budget", "60")):
+        outs = []
+        for core in ("Prescott", "Haswell"):
+            res = _run([sys.executable, "-m", "normratio.cli", *argv],
+                       tmp_path, OPENBLAS_CORETYPE=core)
+            assert res.returncode == 0, res.stderr.decode()
+            outs.append(res.stdout)
+        assert outs[0] == outs[1], argv
 
 
 def test_console_script_entry_point(tmp_path):

@@ -40,6 +40,7 @@ from normratio.geometry import (
     cross2,
     diamond,
     disc,
+    dot2,
     square,
     triangle,
 )
@@ -507,7 +508,7 @@ def test_chord_max_hull_matches_chord_maxima():
         for h in (E1, E2, Direction.from_angle(0.7)):
             normal = h.perp().as_array()
             ht, hm = chord_max_hull(u, normal)
-            proj = u.domain.vertices @ normal
+            proj = dot2(u.domain.vertices, normal)
             # the hull spans exactly the domain's projection
             assert ht[0] == proj.min() and ht[-1] == proj.max(), f"case {k}"
             assert np.all(np.diff(ht) > 0), f"case {k}"

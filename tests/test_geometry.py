@@ -1,10 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import normratio
 from normratio.geometry import (
     ConvexDomain,
     Direction,
@@ -22,6 +25,7 @@ from normratio.geometry import (
     disc,
     domain_from_json,
     domain_to_json,
+    dot2,
     extreme_x_points,
     max_boundary_slope,
     parallelogram,
@@ -69,8 +73,9 @@ def test_edge_frame_is_stored_read_only():
         n = np.stack([e[:, 1], -e[:, 0]], axis=1)
         n = n / np.hypot(n[:, 0], n[:, 1])[:, None]
         assert np.array_equal(dom.edge_normals(), n)
-        assert np.array_equal(dom.edge_offsets(),
-                              np.einsum("ij,ij->i", dom.vertices, n))
+        assert np.array_equal(dom.edge_offsets(), [
+            x * nx + y * ny
+            for (x, y), (nx, ny) in zip(dom.vertices.tolist(), n.tolist())])
         with pytest.raises(ValueError):
             dom.edge_normals()[0, 0] = 0.0
         with pytest.raises(ValueError):
@@ -83,6 +88,55 @@ def test_edge_frame_is_stored_read_only():
             dom.area = 0.0
         with pytest.raises(ValueError):
             dom.edges()[1][0, 0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# products of 2-vectors
+# ---------------------------------------------------------------------------
+
+
+def test_dot2_rounds_as_python_floats():
+    # magnitudes 1e-6 .. 1e6, so the two products often nearly cancel and a
+    # fused multiply-add would round the sum differently
+    rng = keyed_rng(2026, 10)
+    a = rng.standard_normal((9, 1, 2)) * 10.0 ** rng.integers(-6, 7, (9, 1, 2))
+    b = rng.standard_normal((6, 2)) * 10.0 ** rng.integers(-6, 7, (6, 2))
+    out = dot2(a, b)
+    assert out.shape == (9, 6)
+    want = [[x * bx + y * by for bx, by in b.tolist()]
+            for [[x, y]] in a.tolist()]
+    assert out.tobytes() == np.array(want).tobytes()
+    # pairwise rows, and many vectors against one
+    rows = a[:6, 0]
+    assert dot2(rows, b).tobytes() == np.array(
+        [x * bx + y * by for (x, y), (bx, by)
+         in zip(rows.tolist(), b.tolist())]).tobytes()
+    assert dot2(b, b[0]).tobytes() == np.array(
+        [x * b[0, 0] + y * b[0, 1] for x, y in b.tolist()]).tobytes()
+
+
+def test_package_has_no_blas_products():
+    # every product of 2-vectors goes through dot2: a BLAS product rounds as
+    # the kernel numpy loads decides
+    banned = {"einsum", "dot", "matmul", "inner"}
+    found = []
+    for path in sorted(Path(normratio.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
+                    isinstance(node.op, ast.MatMult):
+                found.append(f"{where} @")
+            elif isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute) and \
+                    node.func.attr in banned and \
+                    isinstance(node.func.value, ast.Name) and \
+                    node.func.value.id in ("np", "numpy"):
+                found.append(f"{where} np.{node.func.attr}")
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module == "numpy" and \
+                    banned & {alias.name for alias in node.names}:
+                found.append(f"{where} from numpy import")
+    assert found == []
 
 
 def test_repeated_near_and_collinear_vertices_collapse():
@@ -153,7 +207,7 @@ def _width_extremes_whole_table(dom):
     # reference: widths from one n x n projection table, the diameter from
     # the calipers pairs
     verts = dom.vertices
-    projs = verts @ dom.edge_normals().T
+    projs = dot2(verts[:, None, :], dom.edge_normals())
     widths_by_edge = projs.max(axis=0) - projs.min(axis=0)
     imin = int(np.argmin(widths_by_edge))
     e = dom.edge_vectors()[imin]
@@ -172,8 +226,8 @@ def test_width_extremes_match_whole_projection_table():
     # the blocked table must reproduce every bit of the whole one: on a
     # disc all edges have the same width up to rounding, so one ulp moves
     # h_min to another edge, and sweep's direction pairs with it.  Vertex
-    # counts one past a multiple of the block width would leave a lone
-    # column with blocks cut at multiples of it.
+    # counts one past a multiple of the block width leave a last block of
+    # one column.
     ns = [*range(3, 200), 255, 256, 257, 511, 512, 513, 641, 769, 1025,
           1537, 2048, 4096]
     doms = [disc(n) for n in ns]
