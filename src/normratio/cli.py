@@ -78,7 +78,7 @@ def _add_domain_flags(sub):
                      choices=["disc", "square", "diamond", "triangle",
                               "parallelogram"],
                      help="built-in domain")
-    sub.add_argument("--n", type=int, default=512,
+    sub.add_argument("--n", type=int,
                      help="vertex count for the disc preset (default 512)")
     sub.add_argument("--params", metavar="CSV",
                      help="preset parameters: triangle 'ax,ay,bx,by,cx,cy', "
@@ -160,9 +160,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _resolve_domain(args) -> ConvexDomain:
-    if bool(args.domain) == bool(args.preset):
+    if (args.domain is None) == (args.preset is None):
         raise CliInputError("exactly one of --domain or --preset is required")
-    if args.domain:
+    source = f"--preset {args.preset}" if args.preset else "--domain"
+    if args.n is not None and args.preset != "disc":
+        raise CliInputError(f"--n does not apply to {source}")
+    if args.params is not None and args.preset not in _PRESET_PARAM_DEFAULTS:
+        raise CliInputError(f"--params does not apply to {source}")
+    if args.domain is not None:
         try:
             with open(args.domain) as f:
                 obj = json.load(f)
@@ -175,12 +180,13 @@ def _resolve_domain(args) -> ConvexDomain:
         return domain_from_json(obj)
     name = args.preset
     if name == "disc":
-        return disc(args.n)
+        return disc(512 if args.n is None else args.n)
     if name == "square":
         return square()
     if name == "diamond":
         return diamond()
-    params_text = args.params or _PRESET_PARAM_DEFAULTS[name]
+    params_text = (_PRESET_PARAM_DEFAULTS[name] if args.params is None
+                   else args.params)
     try:
         params = [float(tok) for tok in params_text.split(",")]
     except ValueError:

@@ -19,9 +19,9 @@ from .geometry import (
     ConvexDomain,
     Direction,
     _edge_slope,
-    _extreme_x_indices,
     cross2,
     dot2,
+    vertical_support_classification,
 )
 
 PROFILE_LINES = 33          # scan lines per max_profile
@@ -420,17 +420,17 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
     pts, hts = con[:, :2], con[:, 2]
     if (hts <= 0.0).any():
         raise ValueError("constraint heights must be positive")
-    if (dom.signed_boundary_distance(pts) <= dom.tol).any():
-        raise ValueError("constraint points must lie strictly inside the domain")
 
     v = dom.vertices
     nb = dom.n
     normals = dom.edge_normals()
     # slack[i, e] of constraint i at edge e, taken from the difference
     # rather than as the edge offset minus n_e . a, which cancels for points
-    # near the boundary
+    # near the boundary; its row minimum is the distance to the boundary
     slack = (normals[:, 0] * (v[:, 0] - pts[:, :1])
              + normals[:, 1] * (v[:, 1] - pts[:, 1:]))            # (m, E)
+    if (slack.min(axis=1) <= dom.tol).any():
+        raise ValueError("constraint points must lie strictly inside the domain")
     ratio = hts[:, None] / slack
     top = ratio.argmax(axis=0)
     e = np.arange(nb)
@@ -444,9 +444,8 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
     edge_planes = np.empty((nb, 3))
     np.multiply(-s[:, None], normals, out=edge_planes[:, :2])
     np.multiply(s, dom.edge_offsets(), out=edge_planes[:, 2])
-    every = single.all()
-    tris = [edge_tris if every else edge_tris[single]]
-    planes = [edge_planes if every else edge_planes[single]]
+    tris = [edge_tris[single]]
+    planes = [edge_planes[single]]
     polys = []
     points = np.concatenate((v, pts))
     for k in np.flatnonzero(~single):
@@ -489,8 +488,7 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
         trace=np.zeros(nb),
         descriptor={"kind": "envelope", "constraints": [list(c) for c in cons]},
     )
-    cover = fn.facet_areas.sum()
-    if abs(cover - dom.area) > 1e-9 * dom.area:
+    if not check_partition(fn):
         raise ValueError("upper hull does not triangulate the domain")
     return fn
 
@@ -622,7 +620,7 @@ def linear_extremal_triangle(dom: ConvexDomain) -> ConcaveFunction:
     if dom.n != 3:
         raise ValueError("linear extremal requires a triangle domain")
     A, B = dom.edges()
-    e = int(np.argmax(np.hypot(*(B - A).T)))
+    e = int(np.argmax(dom.edge_lengths()))
     fn = tent_function(dom, (A[e], B[e]))
     fn.descriptor = {"kind": "triangle-linear"}
     return fn
@@ -700,13 +698,11 @@ def _support_arc_point(dom: ConvexDomain, phi: float):
     angle within (-phi, phi), or None if the cap is angular for phi."""
     normals = dom.edge_normals()
     alphas = np.arctan2(normals[:, 1], normals[:, 0])
-    iA, iB, _, n_right = _extreme_x_indices(dom)
-    nv = dom.n
-    if n_right == 1:
-        a_prev = alphas[(iB - 1) % nv]
-        a_next = alphas[iB]
-        if abs(a_prev) < phi and abs(a_next) < phi:
-            return dom.vertices[iB].copy()
+    info = vertical_support_classification(dom)
+    if info.right_angular:
+        _, _, low_right, up_right = info.edges
+        if abs(alphas[low_right]) < phi and abs(alphas[up_right]) < phi:
+            return dom.vertices[info.extremes[1]].copy()
     qual = np.nonzero(np.abs(alphas) < phi)[0]
     if len(qual) == 0:
         return None

@@ -126,7 +126,8 @@ class ConvexDomain:
     convex beyond what coincident/collinear collapse can repair.
     """
 
-    __slots__ = ("_verts", "_tol", "_ends", "_area", "_normals", "_offsets")
+    __slots__ = ("_verts", "_tol", "_ends", "_area", "_lengths", "_normals",
+                 "_offsets")
 
     def __init__(self, vertices):
         pts = np.asarray(vertices, dtype=float)
@@ -158,11 +159,12 @@ class ConvexDomain:
         self._ends = nxt
         self._area = 0.5 * area2
         e = nxt - pts
-        normals = np.stack([e[:, 1], -e[:, 0]], axis=1)
-        normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
+        lengths = np.hypot(e[:, 0], e[:, 1])
+        normals = np.stack([e[:, 1], -e[:, 0]], axis=1) / lengths[:, None]
         offsets = dot2(pts, normals)
-        for arr in (pts, nxt, normals, offsets):
+        for arr in (pts, nxt, lengths, normals, offsets):
             arr.setflags(write=False)
+        self._lengths = lengths
         self._normals = normals
         self._offsets = offsets
 
@@ -196,9 +198,9 @@ class ConvexDomain:
         (read-only)."""
         return self._verts, self._ends
 
-    def edge_vectors(self) -> np.ndarray:
-        a, b = self.edges()
-        return b - a
+    def edge_lengths(self) -> np.ndarray:
+        """Length of each edge (read-only)."""
+        return self._lengths
 
     def edge_normals(self) -> np.ndarray:
         """Outward unit normals, one per edge (read-only)."""
@@ -319,8 +321,8 @@ def width_extremes(dom: ConvexDomain) -> WidthExtremes:
     widths_by_edge = _edge_widths(dom)
     imin = int(np.argmin(widths_by_edge))
     w_min = float(widths_by_edge[imin])
-    e = dom.edge_vectors()[imin]
-    h_min = Direction.of(e[0], e[1])
+    A, B = dom.edges()
+    h_min = Direction.of(*(B[imin] - A[imin]))
 
     best = (-1.0, None)
     for i, j in _antipodal_pairs(verts):
@@ -399,35 +401,20 @@ def chords_batch(dom: ConvexDomain, normal: np.ndarray, ts: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _extreme_x_indices(dom: ConvexDomain):
-    """Lower extreme-x vertices iA, iB and the sizes of the two extreme
-    sets (vertices within tol of the least / greatest x): one vertex is a
-    corner, two a vertical wall."""
-    v = dom.vertices
-    tol = dom.tol
-    xmin, xmax = v[:, 0].min(), v[:, 0].max()
-    left = np.nonzero(v[:, 0] <= xmin + tol)[0]
-    right = np.nonzero(v[:, 0] >= xmax - tol)[0]
-    iA = int(left[np.argmin(v[left, 1])])
-    iB = int(right[np.argmin(v[right, 1])])
-    return iA, iB, len(left), len(right)
-
-
 def extreme_x_points(dom: ConvexDomain):
     """Leftmost and rightmost boundary points A, B and the rise c = B_y - A_y.
 
     When a vertical edge realizes the extreme, the lower endpoint is chosen.
     """
-    iA, iB, _, _ = _extreme_x_indices(dom)
-    A = dom.vertices[iA]
-    B = dom.vertices[iB]
+    iA, iB = vertical_support_classification(dom).extremes
+    A, B = dom.vertices[iA], dom.vertices[iB]
     return A, B, float(B[1] - A[1])
 
 
 def _edge_slope(p: np.ndarray, q: np.ndarray, tol: float) -> float:
     """Slope dy/dx of segment p->q; +/-inf (the sign of dy) when its ends
     are within tol in x, which at an extreme vertex means both ends lie in
-    one extreme set of :func:`_extreme_x_indices`."""
+    one extreme set of :func:`vertical_support_classification`."""
     dx = q[0] - p[0]
     dy = q[1] - p[1]
     if abs(dx) <= tol:
@@ -437,33 +424,46 @@ def _edge_slope(p: np.ndarray, q: np.ndarray, tol: float) -> float:
 
 @dataclass(frozen=True)
 class VerticalSupportInfo:
-    """Angular flags of the two vertical support lines plus the four
-    one-sided boundary slopes at the extreme points.
+    """Angular flags of the two vertical support lines, the vertex indices
+    (iA, iB) of the points A, B of :func:`extreme_x_points`, and the four
+    boundary edges that meet them.
 
-    slopes = (lower-left, upper-left, lower-right, upper-right), i.e. the
-    slopes of the lower/upper boundary chains where they meet the extreme
-    points; vertical edges report as signed infinity.
+    edges = (lower-left, upper-left, lower-right, upper-right) indexes
+    ``dom.edges()``, and slopes holds their slopes in that order, each from
+    the edge's start to its end except upper-left, from A to the edge's
+    start; vertical edges report as signed infinity.
     """
 
     left_angular: bool
     right_angular: bool
     slopes: tuple
+    extremes: tuple
+    edges: tuple
 
 
 def vertical_support_classification(dom: ConvexDomain) -> VerticalSupportInfo:
+    """The one place that decides the extreme sets, the vertices within tol
+    of the least / greatest x: one vertex is a corner, two a vertical wall.
+    """
     v = dom.vertices
-    nv = dom.n
-    iA, iB, n_left, n_right = _extreme_x_indices(dom)
     tol = dom.tol
-    # CCW order runs A -> lower chain -> B -> upper chain -> A.
-    s1_left = _edge_slope(v[iA], v[(iA + 1) % nv], tol)
-    s2_left = _edge_slope(v[iA], v[(iA - 1) % nv], tol)
-    s1_right = _edge_slope(v[(iB - 1) % nv], v[iB], tol)
-    s2_right = _edge_slope(v[iB], v[(iB + 1) % nv], tol)
+    xmin, xmax = v[:, 0].min(), v[:, 0].max()
+    left = np.nonzero(v[:, 0] <= xmin + tol)[0]
+    right = np.nonzero(v[:, 0] >= xmax - tol)[0]
+    iA = int(left[np.argmin(v[left, 1])])
+    iB = int(right[np.argmin(v[right, 1])])
+    # CCW order runs A -> lower chain -> B -> upper chain -> A: edge iA
+    # leaves A and iA - 1 reaches it, edge iB - 1 reaches B and iB leaves it
+    up_left, low_right = (iA - 1) % dom.n, (iB - 1) % dom.n
+    A, B = dom.edges()
+    ends = ((A[iA], B[iA]), (B[up_left], A[up_left]),
+            (A[low_right], B[low_right]), (A[iB], B[iB]))
     return VerticalSupportInfo(
-        left_angular=n_left == 1,
-        right_angular=n_right == 1,
-        slopes=(s1_left, s2_left, s1_right, s2_right),
+        left_angular=len(left) == 1,
+        right_angular=len(right) == 1,
+        slopes=tuple(_edge_slope(p, q, tol) for p, q in ends),
+        extremes=(iA, iB),
+        edges=(iA, up_left, low_right, iB),
     )
 
 

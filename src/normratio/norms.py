@@ -43,7 +43,7 @@ def _jump_mass(u: ConcaveFunction, h: Direction) -> float:
         return 0.0
     dom = u.domain
     w = np.abs(dot2(dom.edge_normals(), h.as_array()))
-    return float((w * np.hypot(*dom.edge_vectors().T) * u.trace).sum())
+    return float((w * dom.edge_lengths() * u.trace).sum())
 
 
 def lp_directional_norm(u: ConcaveFunction, h: Direction, p) -> NormReport:

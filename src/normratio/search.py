@@ -26,7 +26,6 @@ from .geometry import (
     cross2,
     vertical_support_classification,
     width_extremes,
-    _extreme_x_indices,
 )
 from .sampling import keyed_rng, random_envelope_descriptor, random_interior_points
 
@@ -82,10 +81,9 @@ def default_omega_anchor(dom: ConvexDomain) -> np.ndarray:
     wins, ties to the lower vertex index; among its two incident edges the
     steeper one wins, ties to the lower edge index.
     """
-    iA, iB, _, _ = _extreme_x_indices(dom)
-    slopes = np.abs(vertical_support_classification(dom).slopes)
-    entries = [(iA, iA, slopes[0]), (iA, (iA - 1) % dom.n, slopes[1]),
-               (iB, (iB - 1) % dom.n, slopes[2]), (iB, iB, slopes[3])]
+    info = vertical_support_classification(dom)
+    iA, iB = info.extremes
+    entries = zip((iA, iA, iB, iB), info.edges, np.abs(info.slopes))
     _, edge, _ = max(entries, key=lambda t: (t[2], -t[0], -t[1]))
     A, B = dom.edges()
     return 0.5 * (A[edge] + B[edge])
@@ -98,13 +96,13 @@ def vertical_omega_anchor(dom: ConvexDomain) -> np.ndarray:
     either horizontal extreme), since the divergent vertical-wall family
     needs a wall to lean on.
     """
-    iA, iB, n_left, n_right = _extreme_x_indices(dom)
-    # counterclockwise, the upper-left vertex comes just before the lower
-    # one iA, and the upper-right vertex just after the lower one iB
-    if n_left == 2:
-        edge = (iA - 1) % dom.n
-    elif n_right == 2:
-        edge = iB
+    info = vertical_support_classification(dom)
+    # a wall is the upper-left or upper-right edge: it joins the lower
+    # extreme vertex to the upper one
+    if not info.left_angular:
+        edge = info.edges[1]
+    elif not info.right_angular:
+        edge = info.edges[3]
     else:
         raise ValueError("domain has no vertical support edge")
     A, B = dom.edges()

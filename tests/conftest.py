@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
 
+from normratio.geometry import (
+    ConvexDomain,
+    diamond,
+    disc,
+    parallelogram,
+    square,
+    triangle,
+)
 from normratio.sampling import keyed_rng, random_convex_polygon
 
 
@@ -21,3 +29,12 @@ NEAR_VERTICAL_SQUARES = (
     [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (5e-10, 1.0)],
     [(0.0, 0.0), (1.0, 0.0), (1.0 - 5e-10, 1.0), (-5e-10, 1.0)],
 )
+
+
+def frame_domains():
+    """The seed-42 verify corpus, the five presets and the near-vertical
+    squares: corners, walls and walls within tol of vertical."""
+    return ([random_convex_polygon(keyed_rng(42, k, 0)) for k in range(200)]
+            + [disc(512), square(), diamond(), triangle(0, 0, 2, 0, 1, 1),
+               parallelogram(2.0, 1.0)]
+            + [ConvexDomain(v) for v in NEAR_VERTICAL_SQUARES])

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 import normratio
-from normratio.cli import COUNTEREXAMPLE_PATH, main
-from normratio.geometry import domain_to_json, square
+from normratio.cli import COUNTEREXAMPLE_PATH, _parser, _resolve_domain, main
+from normratio.geometry import disc, domain_to_json, square
 
 from conftest import NEAR_VERTICAL_SQUARES
 
@@ -289,6 +289,15 @@ def test_domain_source_must_be_exactly_one(capsys, tmp_path):
     assert code == 2
 
 
+def test_empty_domain_path_is_not_ignored(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--preset", "square",
+                             "--domain", "")
+    assert code == 2 and out == ""
+    assert err == "error: exactly one of --domain or --preset is required\n"
+    code, out, err = run_cli(capsys, "analyze", "--domain", "")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_domain_file_parse_error_reports_location(capsys, tmp_path):
     f = tmp_path / "broken.json"
     f.write_text('{"vertices": [[0, 0], [1, 0],')
@@ -303,6 +312,57 @@ def test_domain_file_round_trip(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "analyze", "--domain", str(f))
     assert code == 0
     assert json.loads(out)["area"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("source, flag", [
+    ("square", ["--params", "2,3"]),
+    ("diamond", ["--n", "7"]),
+    ("disc", ["--params", "2,3"]),
+    ("square", ["--n", "7"]),
+    ("diamond", ["--params", "2,3"]),
+    ("triangle", ["--n", "7"]),
+    ("parallelogram", ["--n", "7"]),
+    (None, ["--params", "2,3"]),
+    (None, ["--n", "7"]),
+], ids=lambda v: v[0] if isinstance(v, list) else v or "domain")
+def test_domain_flag_the_source_ignores_is_input_error(capsys, tmp_path,
+                                                       source, flag):
+    if source is None:
+        f = tmp_path / "dom.json"
+        f.write_text(json.dumps(domain_to_json(square())))
+        argv, named = ["--domain", str(f)], "--domain"
+    else:
+        argv, named = ["--preset", source], f"--preset {source}"
+    code, out, err = run_cli(capsys, "analyze", *argv, *flag)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag[0]} does not apply to {named}\n"
+
+
+@pytest.mark.parametrize("params", ["", "0,0,2,0,1,x"])
+def test_malformed_params_is_input_error(capsys, params):
+    # an empty --params is malformed too, not the preset's default
+    code, out, err = run_cli(capsys, "analyze", "--preset", "triangle",
+                             "--params", params)
+    assert code == 2 and out == ""
+    assert err == f"error: malformed --params: {params!r}\n"
+
+
+def test_bench_domain_flags_still_apply(monkeypatch):
+    # the bench's estimate and sweep runs pass --n with the disc preset;
+    # without --n the disc keeps its 512 vertices
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "bench"))
+    from harness import WORKLOADS
+
+    runs = [argv for make in WORKLOADS.values() for argv in make("42")
+            if "--n" in argv]
+    assert len(runs) == 3
+    for argv in runs:
+        args = _parser().parse_args(argv)
+        n = int(argv[argv.index("--n") + 1])
+        assert _resolve_domain(args) == disc(n)
+    args = _parser().parse_args(["analyze", "--preset", "disc"])
+    assert _resolve_domain(args) == disc(512)
 
 
 def test_invalid_p_is_usage_error(capsys):

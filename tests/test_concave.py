@@ -628,6 +628,36 @@ def test_envelope_rejects_non_finite_inputs(cons):
         concave_envelope(square(), cons)
 
 
+@pytest.mark.parametrize("dom", [square(), disc(512)], ids=["square", "disc"])
+def test_envelope_interior_rule_reads_its_slack_table(dom, monkeypatch):
+    calls = []
+    sbd = ConvexDomain.signed_boundary_distance
+
+    def counted(self, pts):
+        calls.append(len(pts))
+        return sbd(self, pts)
+
+    monkeypatch.setattr(ConvexDomain, "signed_boundary_distance", counted)
+    # points at a signed depth from the middle of edge 0, with a central
+    # constraint beside them or not
+    a, b = dom.edges()
+    mid, n_out = 0.5 * (a[0] + b[0]), dom.edge_normals()[0]
+    centre = dom.vertices.mean(axis=0)
+    for depth in (-0.1, 0.0, 0.5 * dom.tol):
+        pt = mid - depth * n_out
+        for cons in ([(pt, 1.0)], [(centre, 1.0), (pt, 0.5)]):
+            with pytest.raises(ValueError, match="constraint points must lie "
+                               "strictly inside the domain"):
+                concave_envelope(dom, cons)
+    u = concave_envelope(dom, [(mid - 2 * dom.tol * n_out, 1.0)])
+    assert check_partition(u) and check_concavity(u)
+    concave_envelope(dom, [(centre, 1.0), (mid - 2 * dom.tol * n_out, 0.5)])
+    assert calls == []
+    # the count is live: the domain's own test goes through it
+    dom.contains(centre[None])
+    assert calls == [1]
+
+
 @pytest.mark.parametrize("segment, height", [
     ([(math.nan, 0.0), (1.0, 1.0)], 1.0),
     ([(0.0, 0.0), (1.0, math.inf)], 1.0),

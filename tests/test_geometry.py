@@ -16,6 +16,7 @@ from normratio.geometry import (
     E2,
     WidthExtremes,
     _antipodal_pairs,
+    _edge_slope,
     _edge_widths,
     chord,
     chords_batch,
@@ -37,7 +38,7 @@ from normratio.geometry import (
 )
 from normratio.sampling import keyed_rng, random_convex_polygon
 
-from conftest import NEAR_VERTICAL_SQUARES, corpus_domains
+from conftest import NEAR_VERTICAL_SQUARES, corpus_domains, frame_domains
 
 
 # ---------------------------------------------------------------------------
@@ -69,13 +70,17 @@ def test_rejects_degenerate_input():
 
 def test_edge_frame_is_stored_read_only():
     for dom in corpus_domains(13, 20) + [disc(512), square()]:
-        e = dom.edge_vectors()
+        a, b = dom.edges()
+        e = b - a
+        assert np.array_equal(dom.edge_lengths(), np.hypot(e[:, 0], e[:, 1]))
         n = np.stack([e[:, 1], -e[:, 0]], axis=1)
         n = n / np.hypot(n[:, 0], n[:, 1])[:, None]
         assert np.array_equal(dom.edge_normals(), n)
         assert np.array_equal(dom.edge_offsets(), [
             x * nx + y * ny
             for (x, y), (nx, ny) in zip(dom.vertices.tolist(), n.tolist())])
+        with pytest.raises(ValueError):
+            dom.edge_lengths()[0] = 0.0
         with pytest.raises(ValueError):
             dom.edge_normals()[0, 0] = 0.0
         with pytest.raises(ValueError):
@@ -210,7 +215,8 @@ def _width_extremes_whole_table(dom):
     projs = dot2(verts[:, None, :], dom.edge_normals())
     widths_by_edge = projs.max(axis=0) - projs.min(axis=0)
     imin = int(np.argmin(widths_by_edge))
-    e = dom.edge_vectors()[imin]
+    a, b = dom.edges()
+    e = (b - a)[imin]
     best = (-1.0, None)
     for i, j in _antipodal_pairs(verts):
         d = float(np.hypot(*(verts[j] - verts[i])))
@@ -366,6 +372,27 @@ def test_vertical_classification_square():
         assert not info.left_angular and not info.right_angular
         assert math.isinf(max(abs(s) for s in info.slopes))
         assert max_boundary_slope(dom) == math.inf
+
+
+def test_extreme_frame_slopes_run_over_their_edges():
+    for dom in frame_domains():
+        info = vertical_support_classification(dom)
+        iA, iB = info.extremes
+        a, b = dom.edges()
+        # lower-left leaves A and upper-left reaches it; lower-right
+        # reaches B and upper-right leaves it
+        assert np.array_equal(a[info.edges[0]], dom.vertices[iA])
+        assert np.array_equal(b[info.edges[1]], dom.vertices[iA])
+        assert np.array_equal(b[info.edges[2]], dom.vertices[iB])
+        assert np.array_equal(a[info.edges[3]], dom.vertices[iB])
+        # each slope runs from its edge's start to its end, except
+        # upper-left, which runs from A back to its edge's start
+        for k, e in enumerate(info.edges):
+            p, q = (b[e], a[e]) if k == 1 else (a[e], b[e])
+            assert info.slopes[k] == _edge_slope(p, q, dom.tol), f"{dom!r}"
+        A, B, _ = extreme_x_points(dom)
+        assert np.array_equal(A, dom.vertices[iA])
+        assert np.array_equal(B, dom.vertices[iB])
 
 
 def test_vertical_classification_diamond():

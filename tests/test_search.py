@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from normratio.concave import build_function
+from normratio.concave import _support_arc_point, build_function
 from normratio.geometry import (
     ConvexDomain,
     Direction,
@@ -19,6 +19,7 @@ from normratio.geometry import (
     parallelogram,
     square,
     triangle,
+    vertical_support_classification,
 )
 from normratio.norms import norm_ratio
 from normratio.search import (
@@ -33,7 +34,7 @@ from normratio.search import (
     vertical_omega_anchor,
 )
 
-from conftest import NEAR_VERTICAL_SQUARES, corpus_domains
+from conftest import NEAR_VERTICAL_SQUARES, corpus_domains, frame_domains
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +154,84 @@ def test_vertical_anchor_prefers_left_wall():
 
 def test_default_anchor_on_diamond():
     assert default_omega_anchor(diamond()) == pytest.approx([0.5, 0.5])
+
+
+# Reference copies of the counterclockwise index arithmetic of each anchor,
+# written without the extreme frame of vertical_support_classification.
+
+def _extreme_x_indices_reference(dom):
+    v = dom.vertices
+    tol = dom.tol
+    xmin, xmax = v[:, 0].min(), v[:, 0].max()
+    left = np.nonzero(v[:, 0] <= xmin + tol)[0]
+    right = np.nonzero(v[:, 0] >= xmax - tol)[0]
+    iA = int(left[np.argmin(v[left, 1])])
+    iB = int(right[np.argmin(v[right, 1])])
+    return iA, iB, len(left), len(right)
+
+
+def _default_omega_anchor_reference(dom):
+    iA, iB, _, _ = _extreme_x_indices_reference(dom)
+    slopes = np.abs(vertical_support_classification(dom).slopes)
+    entries = [(iA, iA, slopes[0]), (iA, (iA - 1) % dom.n, slopes[1]),
+               (iB, (iB - 1) % dom.n, slopes[2]), (iB, iB, slopes[3])]
+    _, edge, _ = max(entries, key=lambda t: (t[2], -t[0], -t[1]))
+    A, B = dom.edges()
+    return 0.5 * (A[edge] + B[edge])
+
+
+def _vertical_omega_anchor_reference(dom):
+    iA, iB, n_left, n_right = _extreme_x_indices_reference(dom)
+    if n_left == 2:
+        edge = (iA - 1) % dom.n
+    elif n_right == 2:
+        edge = iB
+    else:
+        return None
+    A, B = dom.edges()
+    return 0.5 * (A[edge] + B[edge])
+
+
+def _support_arc_point_reference(dom, phi):
+    normals = dom.edge_normals()
+    alphas = np.arctan2(normals[:, 1], normals[:, 0])
+    iA, iB, _, n_right = _extreme_x_indices_reference(dom)
+    nv = dom.n
+    if n_right == 1:
+        a_prev = alphas[(iB - 1) % nv]
+        a_next = alphas[iB]
+        if abs(a_prev) < phi and abs(a_next) < phi:
+            return dom.vertices[iB].copy()
+    qual = np.nonzero(np.abs(alphas) < phi)[0]
+    if len(qual) == 0:
+        return None
+    k = int(qual[np.argmin(np.abs(alphas[qual]))])
+    A, B = dom.edges()
+    return 0.5 * (A[k] + B[k])
+
+
+def test_anchors_match_the_index_arithmetic():
+    walls = 0
+    for dom in frame_domains():
+        iA, iB, n_left, n_right = _extreme_x_indices_reference(dom)
+        info = vertical_support_classification(dom)
+        assert info.extremes == (iA, iB), f"{dom!r}"
+        assert (info.left_angular, info.right_angular) == (n_left == 1,
+                                                           n_right == 1)
+        assert np.array_equal(default_omega_anchor(dom),
+                              _default_omega_anchor_reference(dom))
+        ref = _vertical_omega_anchor_reference(dom)
+        if ref is None:
+            with pytest.raises(ValueError, match="no vertical support edge"):
+                vertical_omega_anchor(dom)
+        else:
+            walls += 1
+            assert np.array_equal(vertical_omega_anchor(dom), ref)
+        for phi in (0.05, math.pi / 6, 0.5 * math.pi - 0.05):
+            ref = _support_arc_point_reference(dom, phi)
+            got = _support_arc_point(dom, phi)
+            assert (got is None and ref is None) or np.array_equal(got, ref)
+    assert walls == 1 + len(NEAR_VERTICAL_SQUARES)
 
 
 # ---------------------------------------------------------------------------
