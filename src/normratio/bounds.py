@@ -270,10 +270,9 @@ def k_infinity(dom: ConvexDomain) -> BoundReport:
     non-vertical incident edges; a vertical edge drives the ratio to
     infinity along the inward-displacement family.
     """
-    m = max_boundary_slope(dom)
     info = vertical_support_classification(dom)
     return BoundReport(
-        kind="sup-ratio", p=math.inf, value=m, h1=E1, h2=E2,
+        kind="sup-ratio", p=math.inf, value=info.max_slope, h1=E1, h2=E2,
         attained=bool(info.left_angular and info.right_angular),
         details={"left_angular": info.left_angular,
                  "right_angular": info.right_angular,

@@ -36,8 +36,6 @@ from .geometry import (
     diamond,
     disc,
     domain_from_json,
-    extreme_x_points,
-    max_boundary_slope,
     parallelogram,
     square,
     triangle,
@@ -255,8 +253,9 @@ def cmd_analyze(args):
     w_x, w_y = circumscribed_rectangle(dom)
     we = width_extremes(dom)
     info = vertical_support_classification(dom)
-    m = max_boundary_slope(dom)
-    A, B, rise = extreme_x_points(dom)
+    iA, iB = info.extremes
+    A, B = dom.vertices[iA], dom.vertices[iB]
+    rise = float(B[1] - A[1])
     obj = {
         "command": "analyze",
         "n_vertices": dom.n,
@@ -270,7 +269,7 @@ def cmd_analyze(args):
         "left_angular": info.left_angular,
         "right_angular": info.right_angular,
         "angular": info.left_angular and info.right_angular,
-        "m": m,
+        "m": info.max_slope,
         "extreme_left": [float(A[0]), float(A[1])],
         "extreme_right": [float(B[0]), float(B[1])],
         "rise": rise,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .geometry import (
     dot2,
     vertical_support_classification,
 )
+from .hull import _fan, _interior_facets, _polygon_ccw
 
 PROFILE_LINES = 33          # scan lines per max_profile
 
@@ -236,156 +238,47 @@ def max_profile(u: ConcaveFunction, h: Direction) -> MaxProfile:
 # ---------------------------------------------------------------------------
 
 
-def _polygon_ccw(xy: np.ndarray, tol: float) -> list:
-    """Indices of the convex hull vertices of xy, counterclockwise (Andrew's
-    monotone chain); a point within tol of a hull edge is not a vertex."""
-    pts = xy.tolist()
-    order = np.lexsort((xy[:, 1], xy[:, 0])).tolist()
-
-    def chain(seq):
-        out = []
-        for i in seq:
-            while len(out) >= 2:
-                (ox, oy), (ax, ay), (bx, by) = pts[out[-2]], pts[out[-1]], pts[i]
-                if ((ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
-                        > tol * math.hypot(bx - ox, by - oy)):
-                    break
-                out.pop()
-            out.append(i)
-        return out
-
-    return chain(order)[:-1] + chain(order[::-1])[:-1]
-
-
-def _fan(poly: list):
-    """A counterclockwise id list rotated to start at its lowest id, and
-    the triangles fanned from that id, three ids each in one flat list."""
-    lo = poly.index(min(poly))
-    poly = poly[lo:] + poly[:lo]
-    return poly, [i for j in range(1, len(poly) - 1)
-                  for i in (poly[0], poly[j], poly[j + 1])]
-
-
-def _interior_facets(xy: np.ndarray, z: np.ndarray, cand: np.ndarray,
-                     polys: list, nb: int, tol: float):
-    """The upper-hull facets that are not over a domain edge, by gift
-    wrapping (Chand & Kapur 1970) outward from the known facets.
-
-    xy (a local frame) and z index the graph points as [ring vertices,
-    constraints]; polys are the known facets, the edge facets, as
-    counterclockwise id lists; only those at a switch vertex (a ring
-    vertex in cand) or with two or more constraints are needed.  The
-    frontier is every facet edge of exactly one known facet that has a
-    constraint end and no other ring end than a switch vertex: an edge at
-    any other ring vertex is shared by the two edge facets there, and an
-    edge between ring vertices is a domain edge.  Each round takes the
-    whole frontier in one array pass: the plane of the facet across a
-    frontier edge contains the candidate in cand on the far side that
-    maximizes r_k / d_k, with d_k its distance from the edge's line and
-    r_k its height over the edge.  The candidates within tol of that plane
-    (and not behind the edge) make one polygon (:func:`_polygon_ccw`),
-    fanned from its lowest index; a facet reached from several frontier
-    edges is kept once.  Every facet plane is >= 0 at every ring vertex,
-    so the wrap reaches true facets only.  It raises ValueError when a
-    frontier edge has no candidate beyond it, when a round finds no new
-    facet, or when there are more facets than a triangulation of the
-    points has.
-
-    cand holds the switch vertices, then the constraints, in increasing id
-    order, so each tie set is taken in id order.
-
-    Returns triangles indexing xy and their planes, in the frame of xy.
-    """
-    switch = set(cand[cand < nb].tolist())
-    known = set()
-    frontier = {}                 # (lo, hi) -> (a, b), known facet on the left
-
-    def add(poly, facet):
-        known.add(facet)
-        for a, b in zip(poly, poly[1:] + poly[:1]):
-            edge = (a, b) if a < b else (b, a)
-            if (frontier.pop(edge, None) is None
-                    and (a >= nb or b >= nb) and (a >= nb or a in switch)
-                    and (b >= nb or b in switch)):
-                frontier[edge] = (a, b)
-
-    for poly in polys:
-        add(poly, tuple(sorted(poly)))
-    X, Y, Z = xy[:, 0].tolist(), xy[:, 1].tolist(), z.tolist()
-    pc, zc = xy[cand], z[cand]
-    tris, planes = [], []
-    while frontier:
-        edges = list(frontier.values())
-        # per edge a -> b, with U = p_b - p_a and q = (z_b - z_a) / |U|^2,
-        # a row (g, c) of rows gives cr_k = g . p_k + c = (uy, -ux) .
-        # (p_k - p_a), |U| times k's distance beyond the edge, and one of
-        # lin gives r_k = g . p_k + c + z_k = z_k - z_a - q U . (p_k - p_a),
-        # k's height over the edge
-        rows, lin, reach = [], [], []
-        for a, b in edges:
-            ax, ay, za = X[a], Y[a], Z[a]
-            ux, uy = X[b] - ax, Y[b] - ay
-            len2 = ux * ux + uy * uy
-            q = (Z[b] - za) / len2
-            rows.append([uy, -ux, ay * ux - ax * uy])
-            lin.append([-q * ux, -q * uy, q * (ax * ux + ay * uy) - za])
-            reach.append(tol * math.sqrt(len2))
-        f = len(edges)
-        g = np.array(rows + lin)
-        cr, r = (dot2(g[:, None, :], pc) + g[:, 2:]).reshape(2, f, -1)
-        r += zc
-        reach = np.array(reach)[:, None]
-        beyond = cr > reach
-        rho = np.divide(r, cr, out=np.full(r.shape, -np.inf), where=beyond)
-        top = cand[rho.argmax(axis=1)].tolist()
-        s = rho.max(axis=1)
-        # the plane z_a + q U . (x - p_a) + s (uy, -ux) . (x - p_a), and a
-        # tie within tol of it, measured normal to it
-        plane, thr = [], []
-        for (nx, ny, n0), (lx, ly, l0), si in zip(rows, lin, s.tolist()):
-            if si == -math.inf:
-                raise ValueError("degenerate envelope input: a facet edge "
-                                 "has no point beyond it")
-            gx, gy = si * nx - lx, si * ny - ly
-            plane.append([gx, gy, si * n0 - l0])
-            thr.append(tol * math.sqrt(1.0 + gx * gx + gy * gy))
-        tie = s[:, None] * cr - r <= np.array(thr)[:, None]
-        lone = ((tie & beyond).sum(axis=1) == 1).tolist()
-        # a tied candidate on the edge's line is no vertex, but keeps the
-        # tie sets of one facet's frontier edges the same
-        tie &= cr > -reach
-        seen = {}
-        found = False
-        for i, (a, b) in enumerate(edges):
-            if lone[i]:
-                poly = [b, a, top[i]]
-            else:
-                tied = tie[i].tobytes()
-                if tied not in seen:
-                    # the tie set and the edge's ends, in increasing id order
-                    sel = cand[tie[i] | (cand == a) | (cand == b)]
-                    seen[tied] = sel[_polygon_ccw(xy[sel] - xy[a], tol)].tolist()
-                poly = seen[tied]
-            facet = tuple(sorted(poly))
-            if facet not in known:
-                poly, fan = _fan(poly)
-                add(poly, facet)
-                found = True
-                tris += fan
-                planes += plane[i] * (len(fan) // 3)
-        if not found:
-            raise ValueError("degenerate envelope input: the wrap found no "
-                             "new facet")
-        if len(known) > 2 * len(xy):
-            raise ValueError("degenerate envelope input: more facets than a "
-                             "triangulation has")
-    return (np.array(tris, dtype=np.int64).reshape(-1, 3),
-            np.array(planes, dtype=float).reshape(-1, 3))
-
-
-# bench/spans.py times the hull step through the name of the qhull call this
-# routine replaced
+# bench/spans.py times the wrap through the name of the qhull call it
+# replaced, so the builder calls it by that name
 ConvexHull = _interior_facets
+
+
+def _by_set(tris: list, planes: list, fans: list, single: np.ndarray,
+            first: list, v: np.ndarray, pts: np.ndarray, hts: np.ndarray):
+    """Split the facets of a batch by set, for :func:`concave_envelopes`.
+
+    tris and planes hold the single edge facets of every set in set order,
+    then one entry per tied edge facet, of set fans[i], then, when the wrap
+    ran, its facets in graph ids [ring, constraints of every set], set by
+    set.  Returns per set its triangles in its own ids [ring, its
+    constraints], in the order building it alone gives, their planes, and
+    its points and heights.
+    """
+    nb = len(v)
+    cut = list(accumulate(single.sum(axis=1).tolist(), initial=0))
+    parts = [[(tris[0][lo:hi], planes[0][lo:hi])] for lo, hi in zip(cut, cut[1:])]
+    for k, t, p in zip(fans, tris[1:], planes[1:]):
+        parts[k].append((t, p))
+    if len(tris) > len(fans) + 1:
+        # a wrapped facet's largest id is a constraint of its set
+        inner, inner_planes = tris[-1], planes[-1]
+        cut = np.searchsorted(inner.max(axis=1), [nb + i for i in first]).tolist()
+        shift = np.repeat(first[:-1], np.diff(cut))[:, None]
+        inner = np.where(inner >= nb, inner - shift, inner)
+        for part, lo, hi in zip(parts, cut, cut[1:]):
+            if lo < hi:
+                part.append((inner[lo:hi], inner_planes[lo:hi]))
+    # every set's points and heights in one array, block by block
+    at = [i + k * nb for k, i in enumerate(first)]
+    blocks = [(v, pts[lo:hi]) for lo, hi in zip(first, first[1:])]
+    points = np.concatenate([a for block in blocks for a in block])
+    ring = np.zeros(nb)
+    z = np.concatenate([a for lo, hi in zip(first, first[1:])
+                        for a in (ring, hts[lo:hi])])
+    return [(np.concatenate([t for t, _ in part]),
+             np.concatenate([p for _, p in part]),
+             points[lo:hi], z[lo:hi])
+            for part, lo, hi in zip(parts, at, at[1:])]
 
 
 def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
@@ -395,7 +288,16 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
 
     constraints: iterable of ((x, y), height) with strictly interior points
     and positive heights.  Constraints that end up below the hull of the
-    others are strictly exceeded rather than active.
+    others are strictly exceeded rather than active.  It is the batch of
+    one of :func:`concave_envelopes`, which says how it is built.
+    """
+    return concave_envelopes(dom, [constraints])[0]
+
+
+def concave_envelopes(dom: ConvexDomain, constraint_sets) -> list:
+    """The :func:`concave_envelope` of each constraint set over one domain,
+    built in one batched pass: bit for bit the functions that building
+    each set alone gives.
 
     The facet over edge e is closed form.  With the slack
     d_e(a) = n_e . (v_e - a), its plane vanishes on the edge with slope
@@ -410,15 +312,29 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
     :func:`_interior_facets`), in a frame local to the first domain
     vertex.  One constraint has no switch vertex and gives the cone over
     the ring.
+
+    The sets share every array pass.  The per-edge arrays have a column
+    per edge of each set, column k nb + e for set k's edge e, and the slack
+    table a row per constraint of the longest set: set k's constraints
+    fill the top of its columns, and a shorter set's are padded after its
+    real ones with zero heights at infinite slack, which never win a
+    maximum nor tie.  One wrap (called as ``ConvexHull``) takes the
+    frontiers of every set that has switch vertices.  A batch of one is
+    the single build, array for array.  A set that fails makes the batch
+    raise the ValueError that building it alone raises.
     """
-    cons = [(float(p[0]), float(p[1]), float(h)) for p, h in constraints]
-    if not cons:
+    sets = [[(float(p[0]), float(p[1]), float(h)) for p, h in constraints]
+            for constraints in constraint_sets]
+    if not all(sets):
         raise ValueError("need at least one constraint")
-    con = np.array(cons)                            # rows (x, y, height)
+    if not sets:
+        return []
+    con = np.array(sets[0] if len(sets) == 1       # rows (x, y, height)
+                   else [c for cons in sets for c in cons])
     if not np.isfinite(con).all():
         raise ValueError("constraint points and heights must be finite")
     pts, hts = con[:, :2], con[:, 2]
-    if (hts <= 0.0).any():
+    if hts.min() <= 0.0:
         raise ValueError("constraint heights must be positive")
 
     v = dom.vertices
@@ -429,68 +345,119 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
     # near the boundary; its row minimum is the distance to the boundary
     slack = (normals[:, 0] * (v[:, 0] - pts[:, :1])
              + normals[:, 1] * (v[:, 1] - pts[:, 1:]))            # (m, E)
-    if (slack.min(axis=1) <= dom.tol).any():
+    if slack.min() <= dom.tol:
         raise ValueError("constraint points must lie strictly inside the domain")
-    ratio = hts[:, None] / slack
+    nsets = len(sets)
+    counts = [len(cons) for cons in sets]
+    first = list(accumulate(counts, initial=0))   # set k: rows first[k]:first[k + 1]
+    nring = nsets * nb
+    height = hts[:, None]
+    if nsets > 1:
+        # column k nb + e is set k's edge e; set k's constraints fill the
+        # top rows of its columns
+        rows = max(counts)
+        if min(counts) == rows:
+            table, height = slack.reshape(nsets, rows, nb), hts.reshape(nsets, rows)
+        else:
+            real = np.arange(rows) < np.array(counts)[:, None]        # (S, rows)
+            table = np.full((nsets, rows, nb), np.inf)
+            table[real] = slack
+            height = np.zeros((nsets, rows))
+            height[real] = hts
+        slack = table.transpose(1, 0, 2).reshape(rows, nring)
+        height = np.repeat(height.T, nb, axis=1)
+    ratio = height / slack                                     # (rows, S E)
     top = ratio.argmax(axis=0)
-    e = np.arange(nb)
-    s = ratio[top, e]
-    tied = slack - hts[:, None] / s <= dom.tol
+    col = np.arange(nring)
+    s = ratio[top, col]
+    tied = slack - height / s <= dom.tol
     single = tied.sum(axis=0) == 1
-    # edge facet e is [e, e + 1, apex] on the plane s_e (-n_e, c_e)
-    edge_tris = np.empty((nb, 3), dtype=np.int64)
-    edge_tris[:, 0], edge_tris[:, 1], edge_tris[:, 2] = e, e + 1, nb + top
-    edge_tris[-1, 1] = 0
-    edge_planes = np.empty((nb, 3))
+    # edge facet e of a set is [e, e + 1, apex] on the plane s_e (-n_e, c_e),
+    # in the set's own ids [ring, its constraints]
+    prev, nxt = col - 1, col + 1           # the columns of edges e - 1, e + 1
+    nxt[-1] = 0
+    ends, offsets = (col, nxt), dom.edge_offsets()
+    if nsets > 1:                          # within each set
+        prev[::nb] += nb
+        nxt[nb - 1::nb] = col[::nb]
+        ends = col % nb, nxt % nb
+        normals = np.concatenate([normals] * nsets)
+        offsets = np.concatenate([offsets] * nsets)
+    edge_tris = np.empty((nring, 3), dtype=np.int64)
+    edge_tris[:, 0], edge_tris[:, 1], edge_tris[:, 2] = *ends, nb + top
+    edge_planes = np.empty((nring, 3))
     np.multiply(-s[:, None], normals, out=edge_planes[:, :2])
-    np.multiply(s, dom.edge_offsets(), out=edge_planes[:, 2])
+    np.multiply(s, offsets, out=edge_planes[:, 2])
+    # the wrap's graph points are [ring, constraints of every set]: set k's
+    # own id nb + i is nb + first[k] + i there
+    points = np.concatenate((v, pts))
+    z = np.concatenate((np.zeros(nb), hts))
     tris = [edge_tris[single]]
     planes = [edge_planes[single]]
-    polys = []
-    points = np.concatenate((v, pts))
-    for k in np.flatnonzero(~single):
-        ids = np.concatenate([[k, (k + 1) % nb], nb + np.flatnonzero(tied[:, k])])
-        poly = ids[_polygon_ccw(points[ids] - v[k], dom.tol)]
+    polys = [[] for _ in sets]          # tied edge facets, in graph ids
+    fans = []                           # the set of each tied edge facet
+    for i in np.flatnonzero(~single).tolist():
+        k, j = divmod(i, nb)
+        ids = np.concatenate(
+            [[j, nxt[i] % nb], nb + first[k] + np.flatnonzero(tied[:, i])])
+        poly = ids[_polygon_ccw(points[ids] - v[j], dom.tol)]
         # a tied constraint that is no vertex of the polygon must not make a
         # switch vertex: with it the reduced hull can come out flat
-        tied[:, k] = False
-        tied[poly[poly >= nb] - nb, k] = True
+        tied[:, i] = False
+        tied[poly[poly >= nb] - nb - first[k], i] = True
         poly, fan = _fan(poly.tolist())
-        polys.append(poly)
-        tris.append(np.array(fan).reshape(-1, 3))
-        planes.append(np.tile(edge_planes[k], (len(fan) // 3, 1)))
-    switch = np.flatnonzero((tied != tied[:, e - 1]).any(axis=0))
-    z = np.concatenate((np.zeros(nb), hts))
+        polys[k].append(poly)
+        fans.append(k)
+        tris.append(np.array([a - first[k] if a >= nb else a for a in fan],
+                             dtype=np.int64).reshape(-1, 3))
+        planes.append(np.tile(edge_planes[i], (len(fan) // 3, 1)))
+    change = (tied != tied[:, prev]).any(axis=0)
+    switch = np.flatnonzero(change)
     if len(switch):
-        near = np.zeros(nb, dtype=bool)
-        near[switch] = True
-        near[switch - 1] = True
-        polys = tris[0][near[single]].tolist() + polys
+        cands = [[] for _ in sets]
+        for i in switch.tolist():
+            cands[i // nb].append(i % nb)
+        # the edge facets at a switch vertex first, then the tied ones
+        near = [[] for _ in sets]
+        at = np.flatnonzero((change | change[nxt]) & single)
+        for i, (a, b, c) in zip(at.tolist(), edge_tris[at].tolist()):
+            near[i // nb].append([a, b, c + first[i // nb]])
+        wrap = [k for k in range(nsets) if cands[k]]
         # called as ConvexHull: see the note at its definition
         inner_tris, inner_planes = ConvexHull(
-            points - v[0], z, np.concatenate([switch, nb + np.arange(len(pts))]),
-            polys, nb, dom.tol)
+            points - v[0], z,
+            [cands[k] + list(range(nb + first[k], nb + first[k + 1]))
+             for k in wrap],
+            [near[k] + polys[k] for k in wrap], nb, dom.tol)
         inner_planes[:, 2] -= dot2(inner_planes[:, :2], v[0])
         tris.append(inner_tris)
         planes.append(inner_planes)
-    tris = np.concatenate(tris)
-    used = np.zeros(len(points), dtype=bool)
-    used[tris] = True
-    if not used.all():
-        tris = (np.cumsum(used) - 1)[tris]
-        points, z = points[used], z[used]
-    fn = ConcaveFunction(
-        domain=dom,
-        verts=points,
-        vert_values=z,
-        tris=tris,
-        planes=np.concatenate(planes),
-        trace=np.zeros(nb),
-        descriptor={"kind": "envelope", "constraints": [list(c) for c in cons]},
-    )
-    if not check_partition(fn):
-        raise ValueError("upper hull does not triangulate the domain")
-    return fn
+    if nsets == 1:
+        builds = [(np.concatenate(tris), np.concatenate(planes), points, z)]
+    else:
+        builds = _by_set(tris, planes, fans, single.reshape(nsets, nb),
+                         first, v, pts, hts)
+    out = []
+    for cons, (tris, planes, points, z) in zip(sets, builds):
+        used = np.zeros(len(points), dtype=bool)
+        used[tris] = True
+        if not used.all():
+            tris = (np.cumsum(used) - 1)[tris]
+            points, z = points[used], z[used]
+        fn = ConcaveFunction(
+            domain=dom,
+            verts=points,
+            vert_values=z,
+            tris=tris,
+            planes=planes,
+            trace=np.zeros(nb),
+            descriptor={"kind": "envelope",
+                        "constraints": [list(c) for c in cons]},
+        )
+        if not check_partition(fn):
+            raise ValueError("upper hull does not triangulate the domain")
+        out.append(fn)
+    return out
 
 
 # ---------------------------------------------------------------------------

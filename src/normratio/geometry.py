@@ -440,6 +440,17 @@ class VerticalSupportInfo:
     extremes: tuple
     edges: tuple
 
+    @property
+    def max_slope(self) -> float:
+        """Largest |slope| of the boundary graphs; +inf with any vertical
+        edge.
+
+        By convexity the slopes of the upper and lower boundary chains are
+        monotone in x, so their moduli peak at the extreme points and the
+        four incident-edge slopes suffice.
+        """
+        return float(max(abs(s) for s in self.slopes))
+
 
 def vertical_support_classification(dom: ConvexDomain) -> VerticalSupportInfo:
     """The one place that decides the extreme sets, the vertices within tol
@@ -468,14 +479,9 @@ def vertical_support_classification(dom: ConvexDomain) -> VerticalSupportInfo:
 
 
 def max_boundary_slope(dom: ConvexDomain) -> float:
-    """Largest |slope| of the boundary graphs; +inf with any vertical edge.
-
-    By convexity the slopes of the upper and lower boundary chains are
-    monotone in x, so their moduli peak at the extreme points and the four
-    incident-edge slopes suffice.
-    """
-    info = vertical_support_classification(dom)
-    return float(max(abs(s) for s in info.slopes))
+    """Largest |slope| of the boundary graphs; +inf with any vertical edge
+    (see :attr:`VerticalSupportInfo.max_slope`)."""
+    return vertical_support_classification(dom).max_slope
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .concave import _polygon_ccw
 from .geometry import ConvexDomain, Direction, dot2
+from .hull import _polygon_ccw
 
 
 def keyed_rng(seed: int, *key: int) -> np.random.Generator:

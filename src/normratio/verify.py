@@ -36,12 +36,11 @@ import numpy as np
 from . import norms
 from .bounds import affine_normalize, directional_k1_upper
 from .concave import (
-    build_function,
     chord_max_hull,
     check_concavity,
     check_partition,
     check_vertex_consistency,
-    concave_envelope,
+    concave_envelopes,
     evaluate,
     gradients_at,
     max_profile,
@@ -124,12 +123,12 @@ class Case:
 
 def _case(seed: int, index: int) -> Case:
     dom = random_convex_polygon(keyed_rng(seed, index, 0))
-    envs = []
-    for j in range(ENVELOPES_PER_CASE):
-        u = build_function(
-            dom, random_envelope_descriptor(keyed_rng(seed, index, 1 + j), dom))
-        envs.append((u.descriptor, u))
-    return Case(index=index, seed=seed, domain=dom, envelopes=tuple(envs))
+    descs = [random_envelope_descriptor(keyed_rng(seed, index, 1 + j), dom)
+             for j in range(ENVELOPES_PER_CASE)]
+    envs = concave_envelopes(dom, [[((x, y), h) for x, y, h in d["constraints"]]
+                                   for d in descs])
+    return Case(index=index, seed=seed, domain=dom,
+                envelopes=tuple((u.descriptor, u) for u in envs))
 
 
 def jsonify(obj):
@@ -221,12 +220,12 @@ def _suite_cone_mass(case: Case, tol: float):
     checks, bad = 0, []
     rng = case.rng(1)
     pts = random_interior_points(rng, case.domain, 2)
+    heights = [float(rng.uniform(0.2, 1.0)) for _ in pts]
     widths = list(zip((E1, E2), case.axis_widths))
-    for pt in pts:
-        height = float(rng.uniform(0.2, 1.0))
-        desc = {"kind": "envelope",
-                "constraints": [[float(pt[0]), float(pt[1]), height]]}
-        u = build_function(case.domain, desc)
+    cones = concave_envelopes(case.domain, [[(pt, height)] for pt, height
+                                            in zip(pts, heights)])
+    for u in cones:
+        desc = u.descriptor
         for h, w in widths:
             val = norms.lp_directional_norm(u, h, 1).value
             target = w * u.max_value

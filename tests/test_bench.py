@@ -35,6 +35,13 @@ def test_builders_record_their_spans(monkeypatch):
     assert layers["concave.envelope"]["calls"] == 1
     assert layers["concave.qhull"]["calls"] >= 1
     assert layers["concave.tent"]["calls"] == 1
+    # a batch takes every set's wrap in one call of concave.ConvexHull
+    sets = [cons, cons[:2], [((0.4, 0.6), 0.9), ((0.7, 0.7), 0.5)]]
+    with Tracer().installed() as tracer:
+        envs = concave.concave_envelopes(dom, sets)
+    layers = tracer.layers()
+    assert len(envs) == 3
+    assert layers["concave.qhull"]["calls"] == 1
 
 
 def test_package_keeps_no_functools_cache(monkeypatch):

@@ -2,6 +2,7 @@
 chord maxima and the parametric families."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from normratio.concave import (
     chord_max_hull,
     chord_maxima,
     concave_envelope,
+    concave_envelopes,
     evaluate,
     family_u_omega,
     family_u_phi_eps,
@@ -857,6 +859,111 @@ def test_checks_pass_on_random_envelopes():
         assert check_partition(u), f"case {k}"
         assert check_concavity(u), f"case {k}"
         assert check_vertex_consistency(u), f"case {k}"
+
+
+# ---------------------------------------------------------------------------
+# batched builds
+# ---------------------------------------------------------------------------
+
+_BUILD_FIELDS = ("verts", "vert_values", "tris", "planes", "trace",
+                 "facet_areas")
+
+
+def _assert_same_build(u, ref, label):
+    for name in _BUILD_FIELDS:
+        a, b = getattr(u, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, (label, name)
+        assert a.tobytes() == b.tobytes(), (label, name)
+    assert u.descriptor == ref.descriptor, label
+
+
+def test_batched_corpus_builds_match_single_builds_bytewise():
+    # each corpus case builds its five envelopes as one batch
+    for seed in (42, 7):
+        for k in range(200):
+            case = _case(seed, k)
+            for j, (desc, u) in enumerate(case.envelopes):
+                cons = [((x, y), h) for x, y, h in desc["constraints"]]
+                _assert_same_build(u, concave_envelope(case.domain, cons),
+                                   f"seed {seed} case {k} envelope {j}")
+
+
+def test_batched_special_sets_match_single_builds_bytewise():
+    # tied edge facets, a tied constraint inside its facet, a plateau of
+    # many constraints, a cone and a dominated constraint, in one ragged
+    # batch per domain and in the reverse order
+    for dom in (square(), disc(64)):
+        centre = dom.vertices.mean(axis=0)
+        _, plateau = family_u_phi_eps(dom, math.pi / 6, 0.05)
+        lo = dom.vertices[:, 1].min()
+        sets = [
+            [((x, lo + 0.3), 1.0) for x in (centre[0] - 0.25, centre[0],
+                                             centre[0] + 0.25)],
+            [((centre[0], centre[1] - 0.1), 1.0),
+             ((centre[0] - 0.2, centre[1] - 0.3), 0.5)],
+            [(p, 1.0) for p in plateau],
+            [(centre, 1.0)],
+            [(centre, 1.0), (centre + 0.05, 0.2)],
+        ]
+        for batch in (sets, sets[::-1]):
+            for u, cons in zip(concave_envelopes(dom, batch), batch):
+                _assert_same_build(u, concave_envelope(dom, cons), f"{dom}")
+
+
+def test_batch_raises_as_its_failing_set_alone():
+    dom = square()
+    good = [((0.5, 0.5), 1.0), ((0.3, 0.7), 0.8)]
+    assert concave_envelopes(dom, []) == []
+    for bad, match in (([], "need at least one constraint"),
+                       ([((math.nan, 0.5), 1.0)], "must be finite"),
+                       ([((0.5, 0.5), 0.0)], "heights must be positive"),
+                       ([((1.5, 0.5), 1.0)], "strictly inside")):
+        with pytest.raises(ValueError, match=match):
+            concave_envelope(dom, bad)
+        with pytest.raises(ValueError, match=match):
+            concave_envelopes(dom, [good, bad])
+
+
+def _exact_grid(values):
+    """Integers n_i and a common denominator d with values_i = n_i / d
+    exactly: every float is an integer over a power of two."""
+    ratios = [float(x).as_integer_ratio() for x in values]
+    d = max(q for _, q in ratios)
+    return [n * (d // q) for n, q in ratios], d
+
+
+def test_corpus_envelopes_are_exactly_concave_with_exact_l1_norms():
+    # the vertices, heights and triangles of an envelope are exact
+    # rationals, so its concavity and its facet sums are exact too; per
+    # facet, with D = 2 x its signed area, d_x u = Nx / D and
+    # d_y u = Ny / D, so ||d_x u||_1 = sum |Nx| / 2 and ||d_y u||_1 =
+    # sum |Ny| / 2
+    for k in range(0, 200, 10):
+        for desc, u in _case(42, k).envelopes:
+            X, dx = _exact_grid(u.verts[:, 0])
+            Y, dy = _exact_grid(u.verts[:, 1])
+            Z, dz = _exact_grid(u.vert_values)
+            pts = list(zip(X, Y, Z))
+            l1x = l1y = 0
+            for a, b, c in u.tris.tolist():
+                (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = pts[a], pts[b], pts[c]
+                ux, uy, uz = x1 - x0, y1 - y0, z1 - z0
+                wx, wy, wz = x2 - x0, y2 - y0, z2 - z0
+                D = ux * wy - uy * wx                   # units 1 / (dx dy)
+                Nx = uz * wy - wz * uy                  # units 1 / (dz dy)
+                Ny = ux * wz - wx * uz                  # units 1 / (dx dz)
+                l1x += abs(Nx)
+                l1y += abs(Ny)
+                # q lies on or below the plane when, in units
+                # 1 / (dx dy dz), D (z_q - z0) - Nx (x_q - x0) - Ny (y_q - y0)
+                # has the sign of -D or is zero
+                for xq, yq, zq in pts:
+                    side = D * (zq - z0) - Nx * (xq - x0) - Ny * (yq - y0)
+                    assert side * D <= 0, (k, desc)
+            for h, exact in ((E1, Fraction(l1x, 2 * dz * dy)),
+                             (E2, Fraction(l1y, 2 * dx * dz))):
+                got = Fraction(lp_directional_norm(u, h, 1).value)
+                assert abs(got - exact) <= Fraction(1, 10 ** 12) * exact, (k, desc)
 
 
 # ---------------------------------------------------------------------------
