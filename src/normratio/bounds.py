@@ -193,13 +193,16 @@ def poincare_constant(p: float, n: int = POINCARE_GRID) -> float:
     h = 1.0 / n
     v = np.sin(math.pi * np.arange(1, n) / n)
     r_prev = math.nan
-    for _ in range(100):                # 1-9 steps for p in [1.0001, 200]
+    for step in range(100):             # 1-9 steps for p in [1.0001, 200]
         # exact symmetry makes the fluxes below exactly antisymmetric, so a
         # flux that should vanish is 0 and not a rounding residue that
         # |a|^(1/(p-1)) would blow up for large p
         v = 0.5 * (v + v[::-1])
         v = v / v.max()
-        r = _p_rayleigh_quotient(v, h, p)
+        # the sin start's slopes reach pi, so beyond p ~ 620 its quotient
+        # overflows to 0; that quotient only seeds the convergence test
+        with np.errstate(over=np.geterr()["over"] if step else "ignore"):
+            r = _p_rayleigh_quotient(v, h, p)
         if abs(r - r_prev) <= 1e-15 * r:
             if r < np.finfo(float).tiny:
                 raise ValueError(f"C_p underflows at p={p}")

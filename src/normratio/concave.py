@@ -243,44 +243,6 @@ def max_profile(u: ConcaveFunction, h: Direction) -> MaxProfile:
 ConvexHull = _interior_facets
 
 
-def _by_set(tris: list, planes: list, fans: list, single: np.ndarray,
-            first: list, v: np.ndarray, pts: np.ndarray, hts: np.ndarray):
-    """Split the facets of a batch by set, for :func:`concave_envelopes`.
-
-    tris and planes hold the single edge facets of every set in set order,
-    then one entry per tied edge facet, of set fans[i], then, when the wrap
-    ran, its facets in graph ids [ring, constraints of every set], set by
-    set.  Returns per set its triangles in its own ids [ring, its
-    constraints], in the order building it alone gives, their planes, and
-    its points and heights.
-    """
-    nb = len(v)
-    cut = list(accumulate(single.sum(axis=1).tolist(), initial=0))
-    parts = [[(tris[0][lo:hi], planes[0][lo:hi])] for lo, hi in zip(cut, cut[1:])]
-    for k, t, p in zip(fans, tris[1:], planes[1:]):
-        parts[k].append((t, p))
-    if len(tris) > len(fans) + 1:
-        # a wrapped facet's largest id is a constraint of its set
-        inner, inner_planes = tris[-1], planes[-1]
-        cut = np.searchsorted(inner.max(axis=1), [nb + i for i in first]).tolist()
-        shift = np.repeat(first[:-1], np.diff(cut))[:, None]
-        inner = np.where(inner >= nb, inner - shift, inner)
-        for part, lo, hi in zip(parts, cut, cut[1:]):
-            if lo < hi:
-                part.append((inner[lo:hi], inner_planes[lo:hi]))
-    # every set's points and heights in one array, block by block
-    at = [i + k * nb for k, i in enumerate(first)]
-    blocks = [(v, pts[lo:hi]) for lo, hi in zip(first, first[1:])]
-    points = np.concatenate([a for block in blocks for a in block])
-    ring = np.zeros(nb)
-    z = np.concatenate([a for lo, hi in zip(first, first[1:])
-                        for a in (ring, hts[lo:hi])])
-    return [(np.concatenate([t for t, _ in part]),
-             np.concatenate([p for _, p in part]),
-             points[lo:hi], z[lo:hi])
-            for part, lo, hi in zip(parts, at, at[1:])]
-
-
 def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
     """Least concave function that vanishes on the boundary and dominates
     the given interior heights; its graph is the 3D upper convex hull of
@@ -319,9 +281,12 @@ def concave_envelopes(dom: ConvexDomain, constraint_sets) -> list:
     fill the top of its columns, and a shorter set's are padded after its
     real ones with zero heights at infinite slack, which never win a
     maximum nor tie.  One wrap (called as ``ConvexHull``) takes the
-    frontiers of every set that has switch vertices.  A batch of one is
-    the single build, array for array.  A set that fails makes the batch
-    raise the ValueError that building it alone raises.
+    frontiers of every set that has switch vertices.  Each facet goes to
+    its set's own list as it is made, in that set's ids [ring, its
+    constraints]: its single edge facets, then its tied edge facets, then
+    its wrapped facets.  A batch of one keeps one set's array layout.  A
+    set that fails makes the batch raise the ValueError that building it
+    alone raises.
     """
     sets = [[(float(p[0]), float(p[1]), float(h)) for p, h in constraints]
             for constraints in constraint_sets]
@@ -329,8 +294,7 @@ def concave_envelopes(dom: ConvexDomain, constraint_sets) -> list:
         raise ValueError("need at least one constraint")
     if not sets:
         return []
-    con = np.array(sets[0] if len(sets) == 1       # rows (x, y, height)
-                   else [c for cons in sets for c in cons])
+    con = np.array([c for cons in sets for c in cons])     # rows (x, y, height)
     if not np.isfinite(con).all():
         raise ValueError("constraint points and heights must be finite")
     pts, hts = con[:, :2], con[:, 2]
@@ -356,14 +320,11 @@ def concave_envelopes(dom: ConvexDomain, constraint_sets) -> list:
         # column k nb + e is set k's edge e; set k's constraints fill the
         # top rows of its columns
         rows = max(counts)
-        if min(counts) == rows:
-            table, height = slack.reshape(nsets, rows, nb), hts.reshape(nsets, rows)
-        else:
-            real = np.arange(rows) < np.array(counts)[:, None]        # (S, rows)
-            table = np.full((nsets, rows, nb), np.inf)
-            table[real] = slack
-            height = np.zeros((nsets, rows))
-            height[real] = hts
+        real = np.arange(rows) < np.array(counts)[:, None]        # (S, rows)
+        table = np.full((nsets, rows, nb), np.inf)
+        table[real] = slack
+        height = np.zeros((nsets, rows))
+        height[real] = hts
         slack = table.transpose(1, 0, 2).reshape(rows, nring)
         height = np.repeat(height.T, nb, axis=1)
     ratio = height / slack                                     # (rows, S E)
@@ -392,10 +353,12 @@ def concave_envelopes(dom: ConvexDomain, constraint_sets) -> list:
     # own id nb + i is nb + first[k] + i there
     points = np.concatenate((v, pts))
     z = np.concatenate((np.zeros(nb), hts))
-    tris = [edge_tris[single]]
-    planes = [edge_planes[single]]
+    # each set's facets, in its own ids, from its single edge facets on
+    tris = [[edge_tris[lo:lo + nb][single[lo:lo + nb]]]
+            for lo in range(0, nring, nb)]
+    planes = [[edge_planes[lo:lo + nb][single[lo:lo + nb]]]
+              for lo in range(0, nring, nb)]
     polys = [[] for _ in sets]          # tied edge facets, in graph ids
-    fans = []                           # the set of each tied edge facet
     for i in np.flatnonzero(~single).tolist():
         k, j = divmod(i, nb)
         ids = np.concatenate(
@@ -407,10 +370,9 @@ def concave_envelopes(dom: ConvexDomain, constraint_sets) -> list:
         tied[poly[poly >= nb] - nb - first[k], i] = True
         poly, fan = _fan(poly.tolist())
         polys[k].append(poly)
-        fans.append(k)
-        tris.append(np.array([a - first[k] if a >= nb else a for a in fan],
-                             dtype=np.int64).reshape(-1, 3))
-        planes.append(np.tile(edge_planes[i], (len(fan) // 3, 1)))
+        tris[k].append(np.array([a - first[k] if a >= nb else a for a in fan],
+                                dtype=np.int64).reshape(-1, 3))
+        planes[k].append(np.tile(edge_planes[i], (len(fan) // 3, 1)))
     change = (tied != tied[:, prev]).any(axis=0)
     switch = np.flatnonzero(change)
     if len(switch):
@@ -424,32 +386,38 @@ def concave_envelopes(dom: ConvexDomain, constraint_sets) -> list:
             near[i // nb].append([a, b, c + first[i // nb]])
         wrap = [k for k in range(nsets) if cands[k]]
         # called as ConvexHull: see the note at its definition
-        inner_tris, inner_planes = ConvexHull(
+        inner = ConvexHull(
             points - v[0], z,
             [cands[k] + list(range(nb + first[k], nb + first[k + 1]))
              for k in wrap],
             [near[k] + polys[k] for k in wrap], nb, dom.tol)
-        inner_planes[:, 2] -= dot2(inner_planes[:, :2], v[0])
-        tris.append(inner_tris)
-        planes.append(inner_planes)
-    if nsets == 1:
-        builds = [(np.concatenate(tris), np.concatenate(planes), points, z)]
-    else:
-        builds = _by_set(tris, planes, fans, single.reshape(nsets, nb),
-                         first, v, pts, hts)
+        for k, (inner_tris, inner_planes) in zip(wrap, inner):
+            inner_planes[:, 2] -= dot2(inner_planes[:, :2], v[0])
+            if first[k]:
+                inner_tris[inner_tris >= nb] -= first[k]
+            tris[k].append(inner_tris)
+            planes[k].append(inner_planes)
     out = []
-    for cons, (tris, planes, points, z) in zip(sets, builds):
-        used = np.zeros(len(points), dtype=bool)
-        used[tris] = True
+    for k, cons in enumerate(sets):
+        # set k's points are [ring, its constraints]; set 0's lead the graph
+        lo, hi = nb + first[k], nb + first[k + 1]
+        if k:
+            own = np.concatenate((v, points[lo:hi]))
+            own_z = np.concatenate((z[:nb], z[lo:hi]))
+        else:
+            own, own_z = points[:hi], z[:hi]
+        set_tris = np.concatenate(tris[k])
+        used = np.zeros(len(own), dtype=bool)
+        used[set_tris] = True
         if not used.all():
-            tris = (np.cumsum(used) - 1)[tris]
-            points, z = points[used], z[used]
+            set_tris = (np.cumsum(used) - 1)[set_tris]
+            own, own_z = own[used], own_z[used]
         fn = ConcaveFunction(
             domain=dom,
-            verts=points,
-            vert_values=z,
-            tris=tris,
-            planes=planes,
+            verts=own,
+            vert_values=own_z,
+            tris=set_tris,
+            planes=np.concatenate(planes[k]),
             trace=np.zeros(nb),
             descriptor={"kind": "envelope",
                         "constraints": [list(c) for c in cons]},

@@ -80,8 +80,8 @@ def _interior_facets(xy: np.ndarray, z: np.ndarray, cands: list, polys: list,
     points at nan, which fail every comparison: a pad is never beyond an
     edge nor tied.
 
-    Returns triangles indexing xy and their planes, in the frame of xy,
-    set by set.
+    Returns one pair per set, in the order of cands: its triangles,
+    indexing xy, and their planes, in the frame of xy.
     """
     width = max(map(len, cands))
     cand = np.array([c + [-1] * (width - len(c)) for c in cands])   # (S, W)
@@ -181,5 +181,6 @@ def _interior_facets(xy: np.ndarray, z: np.ndarray, cands: list, polys: list,
         if len(known) > limit:
             raise ValueError("degenerate envelope input: more facets than a "
                              "triangulation has")
-    return (np.array(sum(tris, []), dtype=np.int64).reshape(-1, 3),
-            np.array(sum(planes, []), dtype=float).reshape(-1, 3))
+    return [(np.array(t, dtype=np.int64).reshape(-1, 3),
+             np.array(p, dtype=float).reshape(-1, 3))
+            for t, p in zip(tris, planes)]

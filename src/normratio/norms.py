@@ -55,7 +55,7 @@ def lp_directional_norm(u: ConcaveFunction, h: Direction, p) -> NormReport:
     if p == math.inf:
         return sup_directional_norm(u, h)
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:                    # NaN too
         raise ValueError("p must be at least 1")
     slopes = np.abs(dot2(u.planes[:, :2], h.as_array()))
     jump = _jump_mass(u, h)

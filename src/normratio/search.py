@@ -224,6 +224,8 @@ def estimate_kp_lower(dom: ConvexDomain, p, h1: Direction = E1,
     if budget < 1:
         raise ValueError("budget must be at least 1")
     p = float(p) if p != math.inf else math.inf
+    if not p >= 1.0:                    # NaN too
+        raise ValueError("p must be at least 1")
     descriptors = _candidates(dom, p, h1, h2, budget, seed)
     best: tuple[float, int] | None = None
     witness = None

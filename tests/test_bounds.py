@@ -164,6 +164,16 @@ def test_poincare_matches_direct_minimization(p):
     assert ours >= direct - 1e-9 * direct
 
 
+def test_poincare_runs_clean_at_p_700():
+    # the sin start's quotient overflows there (warnings are errors under
+    # this suite); the value stays near Lindqvist's closed form
+    # 1 / ((p - 1) pi_p^p), pi_p = 2 pi / (p sin(pi / p)), taken in logs
+    p = 700.0
+    log_exact = -math.log(p - 1.0) - p * math.log(
+        2.0 * math.pi / (p * math.sin(math.pi / p)))
+    assert abs(math.log(poincare_constant(p)) - log_exact) < math.log(1.05)
+
+
 def test_poincare_rejects_bad_arguments():
     with pytest.raises(ValueError):
         poincare_constant(1.0)

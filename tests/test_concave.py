@@ -295,8 +295,8 @@ def test_cover_checks_are_relative_to_the_area(monkeypatch):
     hull = concave.ConvexHull
 
     def lose_one(*args):
-        tris, planes = hull(*args)
-        return tris[1:], planes[1:]
+        (tris, planes), = hull(*args)
+        return [(tris[1:], planes[1:])]
 
     monkeypatch.setattr(concave, "ConvexHull", lose_one)
     with pytest.raises(ValueError, match="does not triangulate"):
@@ -905,9 +905,38 @@ def test_batched_special_sets_match_single_builds_bytewise():
             [(centre, 1.0)],
             [(centre, 1.0), (centre + 0.05, 0.2)],
         ]
-        for batch in (sets, sets[::-1]):
+        # and equal-size batches, which have no padded rows
+        cones = [sets[3], [(centre + 0.1, 0.5)]]
+        pairs = [sets[1], sets[4]]
+        for batch in (sets, sets[::-1], cones, pairs):
             for u, cons in zip(concave_envelopes(dom, batch), batch):
                 _assert_same_build(u, concave_envelope(dom, cons), f"{dom}")
+
+
+def test_wrap_returns_each_sets_facets_in_its_own_range(monkeypatch):
+    # one wrap call takes three sets and gives back one (tris, planes)
+    # pair per set, whose constraint ids are that set's graph ids
+    dom = square()
+    sets = [[((0.5, 0.5), 1.0), ((0.3, 0.7), 0.8), ((0.75, 0.3), 0.7)],
+            [((0.5, 0.5), 1.0), ((0.3, 0.7), 0.8)],
+            [((0.4, 0.6), 0.9), ((0.7, 0.7), 0.5)]]
+    hull, calls = concave.ConvexHull, []
+
+    def record(*args):
+        out = hull(*args)
+        calls.append([(t.copy(), p.copy()) for t, p in out])   # as returned
+        return out
+
+    monkeypatch.setattr(concave, "ConvexHull", record)
+    concave_envelopes(dom, sets)
+    (pairs,) = calls
+    assert len(pairs) == len(sets)
+    nb, lo = dom.n, dom.n
+    for (tris, planes), cons in zip(pairs, sets):
+        assert len(tris) and tris.shape == planes.shape == (len(tris), 3)
+        ids = tris[tris >= nb]
+        assert len(ids) and ids.min() >= lo and ids.max() < lo + len(cons)
+        lo += len(cons)
 
 
 def test_batch_raises_as_its_failing_set_alone():
@@ -936,8 +965,8 @@ def test_corpus_envelopes_are_exactly_concave_with_exact_l1_norms():
     # the vertices, heights and triangles of an envelope are exact
     # rationals, so its concavity and its facet sums are exact too; per
     # facet, with D = 2 x its signed area, d_x u = Nx / D and
-    # d_y u = Ny / D, so ||d_x u||_1 = sum |Nx| / 2 and ||d_y u||_1 =
-    # sum |Ny| / 2
+    # d_y u = Ny / D, so ||d_x u||_1 = sum |Nx| / 2, ||d_x u||_2^2 =
+    # sum Nx^2 / (2 |D|) and ||d_x u||_inf = max |Nx / D| (and the same in y)
     for k in range(0, 200, 10):
         for desc, u in _case(42, k).envelopes:
             X, dx = _exact_grid(u.verts[:, 0])
@@ -945,6 +974,7 @@ def test_corpus_envelopes_are_exactly_concave_with_exact_l1_norms():
             Z, dz = _exact_grid(u.vert_values)
             pts = list(zip(X, Y, Z))
             l1x = l1y = 0
+            l2x = l2y = supx = supy = Fraction(0)
             for a, b, c in u.tris.tolist():
                 (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = pts[a], pts[b], pts[c]
                 ux, uy, uz = x1 - x0, y1 - y0, z1 - z0
@@ -954,16 +984,28 @@ def test_corpus_envelopes_are_exactly_concave_with_exact_l1_norms():
                 Ny = ux * wz - wx * uz                  # units 1 / (dx dz)
                 l1x += abs(Nx)
                 l1y += abs(Ny)
+                l2x += Fraction(Nx * Nx, 2 * abs(D))
+                l2y += Fraction(Ny * Ny, 2 * abs(D))
+                supx = max(supx, Fraction(abs(Nx), abs(D)))
+                supy = max(supy, Fraction(abs(Ny), abs(D)))
                 # q lies on or below the plane when, in units
                 # 1 / (dx dy dz), D (z_q - z0) - Nx (x_q - x0) - Ny (y_q - y0)
                 # has the sign of -D or is zero
                 for xq, yq, zq in pts:
                     side = D * (zq - z0) - Nx * (xq - x0) - Ny * (yq - y0)
                     assert side * D <= 0, (k, desc)
-            for h, exact in ((E1, Fraction(l1x, 2 * dz * dy)),
-                             (E2, Fraction(l1y, 2 * dx * dz))):
-                got = Fraction(lp_directional_norm(u, h, 1).value)
-                assert abs(got - exact) <= Fraction(1, 10 ** 12) * exact, (k, desc)
+            # in true units: l1 over dz dy, l2 times dx / (dz^2 dy) and sup
+            # times dx / dz for d_x (x and y swapped for d_y), l2 squared
+            for h, p, exact in ((E1, 1, Fraction(l1x, 2 * dz * dy)),
+                                (E2, 1, Fraction(l1y, 2 * dx * dz)),
+                                (E1, 2, l2x * Fraction(dx, dz * dz * dy)),
+                                (E2, 2, l2y * Fraction(dy, dz * dz * dx)),
+                                (E1, math.inf, supx * Fraction(dx, dz)),
+                                (E2, math.inf, supy * Fraction(dy, dz))):
+                got = Fraction(lp_directional_norm(u, h, p).value)
+                if p == 2:
+                    got *= got
+                assert abs(got - exact) <= Fraction(1, 10 ** 12) * exact, (k, desc, p)
 
 
 # ---------------------------------------------------------------------------

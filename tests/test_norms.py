@@ -354,6 +354,8 @@ def test_invalid_p_rejected():
     u = concave_envelope(square(), [((0.5, 0.5), 1.0)])
     with pytest.raises(ValueError):
         lp_directional_norm(u, E1, 0.5)
+    with pytest.raises(ValueError, match="at least 1"):
+        lp_directional_norm(u, E1, math.nan)
 
 
 def test_reports_carry_method_and_serialize():

@@ -63,6 +63,12 @@ def test_estimate_rejects_zero_budget():
         estimate_kp_lower(square(), 1, budget=0)
 
 
+@pytest.mark.parametrize("p", [math.nan, 0.5])
+def test_estimate_rejects_p_below_one(p):
+    with pytest.raises(ValueError, match="at least 1"):
+        estimate_kp_lower(square(), p, budget=5)
+
+
 def test_estimates_never_exceed_bounds():
     for k, dom in enumerate(corpus_domains(4401, 12)):
         for p in (1, math.inf):
