@@ -567,20 +567,16 @@ def linear_extremal_triangle(dom: ConvexDomain) -> ConcaveFunction:
 
 
 def _locate_boundary_edge(dom: ConvexDomain, pt: np.ndarray) -> int:
-    """Edge nearest to a boundary point; a later edge wins a tie only when
-    it is closer by more than 1e-15, which picks the first of the two edges
-    at a vertex.  The rule is sequential (argmin does not reproduce it), so
-    it runs over the distances, which are computed in one array expression.
-    """
+    """Edge nearest to a boundary point: the first edge within 1e-15 of the
+    least distance, so the first of the two edges at a vertex.  This is the
+    record rule "a later edge wins only when closer by more than 1e-15"
+    whenever at most two edges lie within about 2e-15 of the point."""
     A, B = dom.edges()
     ab = B - A
     lam = np.clip(dot2(pt - A, ab) / dot2(ab, ab), 0.0, 1.0)
     dist = np.hypot(*(A + lam[:, None] * ab - pt).T)
-    best, edge = math.inf, -1
-    for e, d in enumerate(dist.tolist()):
-        if d < best - 1e-15:
-            best, edge = d, e
-    if best > dom.margin:
+    edge = int(np.argmax(dist <= dist.min() + 1e-15))
+    if not dist[edge] <= dom.margin:   # NaN too: a non-finite anchor
         raise ValueError("anchor must lie on the boundary")
     return edge
 

@@ -17,6 +17,11 @@ import numpy as np
 # for domains at least 1 across and absolute below that.
 EPS_GEOM = 1e-9
 
+# Largest accepted vertex coordinate magnitude: a product of two coordinates
+# (an area, a cross or dot product) then stays below 1e300, with room for
+# sums over many terms before the float overflow near 1.8e308.
+MAX_COORD = 1e150
+
 
 class DomainError(ValueError):
     """Invalid polygon input (too few vertices, non-convex, degenerate)."""
@@ -135,6 +140,8 @@ class ConvexDomain:
             raise DomainError("need at least 3 two-dimensional vertices")
         if not np.all(np.isfinite(pts)):
             raise DomainError("vertices must be finite")
+        if np.abs(pts).max() > MAX_COORD:
+            raise DomainError(f"|coordinates| must be <= {MAX_COORD:g}")
         diam = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
         if diam <= 0.0:
             raise DomainError("degenerate vertex set (zero diameter)")
@@ -270,29 +277,6 @@ def width(dom: ConvexDomain, h: Direction) -> float:
     return float(proj.max() - proj.min())
 
 
-def _antipodal_pairs(verts: np.ndarray):
-    """Rotating-calipers antipodal vertex pairs of a CCW convex polygon."""
-    n = len(verts)
-    if n == 3:
-        return [(0, 1), (1, 2), (0, 2)]
-
-    def area2(i, j, k):
-        return float(cross2(verts[j] - verts[i], verts[k] - verts[i]))
-
-    pairs = []
-    k = 1
-    while area2(n - 1, 0, (k + 1) % n) > area2(n - 1, 0, k):
-        k += 1
-    i, j = 0, k
-    while i <= k and j < n:
-        pairs.append((i, j))
-        while j < n - 1 and area2(i, (i + 1) % n, j + 1) > area2(i, (i + 1) % n, j):
-            j += 1
-            pairs.append((i, j))
-        i += 1
-    return pairs
-
-
 WIDTH_BLOCK = 64   # most edge normals per block of the projection table
 
 
@@ -313,9 +297,9 @@ def width_extremes(dom: ConvexDomain) -> WidthExtremes:
     """Largest and smallest widths with their directions.
 
     Exact for polygons: the minimum width is attained with a support line
-    flush to an edge, so every edge is tried, and the maximum width equals
-    the diameter, realized by an antipodal vertex pair that the rotating
-    calipers enumerate.  Ties resolve to the lowest index encountered.
+    flush to an edge, so every edge is tried; the maximum is the diameter,
+    the longest vertex pair (i, i + d), scanned one offset d at a time.
+    Ties go to the first edge and to the least (i, j).
     """
     verts = dom.vertices
     widths_by_edge = _edge_widths(dom)
@@ -324,13 +308,15 @@ def width_extremes(dom: ConvexDomain) -> WidthExtremes:
     A, B = dom.edges()
     h_min = Direction.of(*(B[imin] - A[imin]))
 
-    best = (-1.0, None)
-    for i, j in _antipodal_pairs(verts):
-        d = float(np.hypot(*(verts[j] - verts[i])))
-        if d > best[0]:
-            best = (d, (i, j))
-    w_max = best[0]
-    i, j = best[1]
+    w_max, i, j = -1.0, 0, 0
+    for d in range(1, len(verts)):
+        seg = verts[d:] - verts[:-d]
+        lengths = np.hypot(seg[:, 0], seg[:, 1])
+        k = int(np.argmax(lengths))
+        # a later offset pairs each i with a larger j, so at equal length
+        # only a smaller i wins
+        if lengths[k] > w_max or (lengths[k] == w_max and k < i):
+            w_max, i, j = float(lengths[k]), k, k + d
     sep = verts[j] - verts[i]
     h_max = Direction.of(-sep[1], sep[0])
     return WidthExtremes(w_max=w_max, w_min=w_min, h_max=h_max, h_min=h_min)

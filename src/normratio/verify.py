@@ -631,11 +631,21 @@ def replay(counterexample: dict) -> SuiteResult:
     The corpus is regenerated from (seed, case), so the repeated run sees
     bit-identical inputs; the stored domain must equal the regenerated one
     exactly (the JSON round trip of a float is exact), which catches stale
-    files.
+    files.  A record of the wrong shape raises ValueError naming the field.
     """
-    name = counterexample["suite"]
-    seed = int(counterexample["seed"])
-    index = int(counterexample["case"])
+    if not isinstance(counterexample, dict):
+        raise ValueError("record must be a JSON object")
+    name, tol = counterexample["suite"], counterexample.get("tol")
+    if not isinstance(name, str):
+        raise ValueError(f"suite must be a string, got {name!r}")
+    if tol is not None and not isinstance(tol, (int, float)):
+        raise ValueError(f"tol must be a number, got {tol!r}")
+    seed, index = counterexample["seed"], counterexample["case"]
+    try:
+        seed, index = int(seed), int(index)
+    except TypeError:
+        raise ValueError(f"seed and case must be integers, got {seed!r} "
+                         f"and {index!r}") from None
     case = _case(seed, index)
     stored = counterexample.get("domain")
     if stored is not None:
@@ -644,4 +654,4 @@ def replay(counterexample: dict) -> SuiteResult:
             raise ValueError(
                 "serialized domain does not match the regenerated corpus "
                 "case; was the file produced with a different version?")
-    return run_suite(name, [case], counterexample.get("tol"))
+    return run_suite(name, [case], tol)

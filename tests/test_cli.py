@@ -245,6 +245,22 @@ def test_verify_failure_writes_replayable_counterexample(
     assert code == 2
 
 
+@pytest.mark.parametrize("record", [
+    [],
+    {"suite": ["x"], "seed": 42, "case": 0},
+    {"suite": "theorem1", "seed": 42, "case": 0, "tol": "nan"},
+    {"suite": "theorem1", "seed": 42, "case": 0, "tol": [1]},
+    {"suite": "theorem1", "seed": [42], "case": 0},
+])
+def test_replay_of_a_record_of_the_wrong_shape_is_input_error(
+        capsys, tmp_path, record):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(record))
+    code, _, err = run_cli(capsys, "verify", "--replay", str(path))
+    assert code == 2
+    assert "malformed counterexample" in err
+
+
 def test_verify_reports_a_counterexample_it_cannot_write(
         capsys, tmp_path, monkeypatch):
     # a directory in the way: the report still prints, with no path
@@ -304,6 +320,16 @@ def test_domain_file_parse_error_reports_location(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", "--domain", str(f))
     assert code == 2
     assert "parse error" in err and "line" in err
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["bounds", "--p", "2"]])
+def test_domain_file_with_overflowing_coordinates_is_input_error(
+        capsys, tmp_path, command):
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps({"vertices": [[0, 0], [1e308, 0], [0, 1e308]]}))
+    code, out, err = run_cli(capsys, *command, "--domain", str(f))
+    assert code == 2 and not out
+    assert "invalid domain" in err
 
 
 def test_domain_file_round_trip(capsys, tmp_path):

@@ -43,12 +43,14 @@ from normratio.geometry import (
     diamond,
     disc,
     dot2,
+    parallelogram,
     square,
     triangle,
 )
 from normratio.norms import lp_directional_norm
 from normratio.sampling import (
     keyed_rng,
+    random_convex_polygon,
     random_envelope_descriptor,
     random_interior_points,
 )
@@ -755,6 +757,64 @@ def test_locate_boundary_edge_matches_loop():
         _locate_boundary_edge(square(), np.array([0.5, 0.5]))
 
 
+def _locate_boundary_edge_record(dom, pt):
+    # reference: the locator's own distances, then a record loop in which a
+    # later edge wins only when closer by more than 1e-15
+    A, B = dom.edges()
+    ab = B - A
+    lam = np.clip(dot2(pt - A, ab) / dot2(ab, ab), 0.0, 1.0)
+    dist = np.hypot(*(A + lam[:, None] * ab - pt).T)
+    best, edge = math.inf, -1
+    for e, d in enumerate(dist.tolist()):
+        if d < best - 1e-15:
+            best, edge = d, e
+    if best > dom.margin:
+        raise ValueError("anchor must lie on the boundary")
+    return edge
+
+
+def _locator_probe_points(dom, rng):
+    # at each of at most 128 evenly strided vertices: the vertex, its edge's
+    # midpoint and points 1e-16 to 1e-12 off it along both of its edges;
+    # then 20 random edge points, the centroid, and points just within and
+    # just beyond the boundary margin off the first edge
+    A, B = dom.edges()
+    ab = B - A
+    unit = ab / dom.edge_lengths()[:, None]
+    s = slice(None, None, max(1, dom.n // 128))
+    off = 10.0 ** np.arange(-16, -11)[:, None, None]
+    fwd = A[s] + off * unit[s]
+    back = A[s] - off * np.roll(unit, 1, axis=0)[s]
+    k = rng.integers(dom.n, size=20)
+    on = A[k] + rng.random(20)[:, None] * ab[k]
+    mid0, normal0 = 0.5 * (A[0] + B[0]), dom.edge_normals()[0]
+    near = [A.mean(axis=0), mid0 + 0.5 * dom.margin * normal0,
+            mid0 + 2 * dom.margin * normal0, mid0 - 2 * dom.margin * normal0]
+    return np.concatenate([A[s], 0.5 * (A + B)[s], fwd.reshape(-1, 2),
+                           back.reshape(-1, 2), on, near])
+
+
+def test_locate_boundary_edge_matches_record_loop():
+    doms = [disc(n) for n in (3, 4, 5, 6, 7, 8, 9, 16, 17, 64, 127, 128,
+                              512, 513, 2048)]
+    doms += [square(), diamond(), triangle(0, 0, 2, 0, 1, 1),
+             parallelogram(2.0, 1.0)]
+    doms += [random_convex_polygon(keyed_rng(seed, k, 0))
+             for seed in (42, 7) for k in range(100)]
+    raised = 0
+    for i, dom in enumerate(doms):
+        for pt in _locator_probe_points(dom, np.random.default_rng(i)):
+            try:
+                want = _locate_boundary_edge_record(dom, pt)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    _locate_boundary_edge(dom, pt)
+                raised += 1
+                continue
+            assert _locate_boundary_edge(dom, pt) == want, f"{dom!r} at {pt}"
+    assert raised == 3 * len(doms)
+
+
 def test_u_phi_eps_on_disc():
     dom = disc(128)
     u, pts = family_u_phi_eps(dom, 0.4, 0.02)
@@ -963,18 +1023,19 @@ def _exact_grid(values):
 
 def test_corpus_envelopes_are_exactly_concave_with_exact_l1_norms():
     # the vertices, heights and triangles of an envelope are exact
-    # rationals, so its concavity and its facet sums are exact too; per
-    # facet, with D = 2 x its signed area, d_x u = Nx / D and
-    # d_y u = Ny / D, so ||d_x u||_1 = sum |Nx| / 2, ||d_x u||_2^2 =
-    # sum Nx^2 / (2 |D|) and ||d_x u||_inf = max |Nx / D| (and the same in y)
+    # rationals, so its concavity and its facet sums are exact too.  Per
+    # facet, with D = 2 x its signed area, d_x u = Nx / D and d_y u = Ny / D;
+    # the float components of a direction h are exact rationals as well, so
+    # d_h u = h_x d_x u + h_y d_y u = M / D, and ||d_h u||_1 = sum |M| / 2,
+    # ||d_h u||_2^2 = sum M^2 / (2 |D|) and ||d_h u||_inf = max |M / D|
+    dirs = [E1, E2] + [Direction.from_angle(t) for t in (0.3, 1.1, 2.5)]
     for k in range(0, 200, 10):
         for desc, u in _case(42, k).envelopes:
             X, dx = _exact_grid(u.verts[:, 0])
             Y, dy = _exact_grid(u.verts[:, 1])
             Z, dz = _exact_grid(u.vert_values)
             pts = list(zip(X, Y, Z))
-            l1x = l1y = 0
-            l2x = l2y = supx = supy = Fraction(0)
+            facets = []
             for a, b, c in u.tris.tolist():
                 (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = pts[a], pts[b], pts[c]
                 ux, uy, uz = x1 - x0, y1 - y0, z1 - z0
@@ -982,30 +1043,29 @@ def test_corpus_envelopes_are_exactly_concave_with_exact_l1_norms():
                 D = ux * wy - uy * wx                   # units 1 / (dx dy)
                 Nx = uz * wy - wz * uy                  # units 1 / (dz dy)
                 Ny = ux * wz - wx * uz                  # units 1 / (dx dz)
-                l1x += abs(Nx)
-                l1y += abs(Ny)
-                l2x += Fraction(Nx * Nx, 2 * abs(D))
-                l2y += Fraction(Ny * Ny, 2 * abs(D))
-                supx = max(supx, Fraction(abs(Nx), abs(D)))
-                supy = max(supy, Fraction(abs(Ny), abs(D)))
+                facets.append((D, Nx, Ny))
                 # q lies on or below the plane when, in units
                 # 1 / (dx dy dz), D (z_q - z0) - Nx (x_q - x0) - Ny (y_q - y0)
                 # has the sign of -D or is zero
                 for xq, yq, zq in pts:
                     side = D * (zq - z0) - Nx * (xq - x0) - Ny * (yq - y0)
                     assert side * D <= 0, (k, desc)
-            # in true units: l1 over dz dy, l2 times dx / (dz^2 dy) and sup
-            # times dx / dz for d_x (x and y swapped for d_y), l2 squared
-            for h, p, exact in ((E1, 1, Fraction(l1x, 2 * dz * dy)),
-                                (E2, 1, Fraction(l1y, 2 * dx * dz)),
-                                (E1, 2, l2x * Fraction(dx, dz * dz * dy)),
-                                (E2, 2, l2y * Fraction(dy, dz * dz * dx)),
-                                (E1, math.inf, supx * Fraction(dx, dz)),
-                                (E2, math.inf, supy * Fraction(dy, dz))):
-                got = Fraction(lp_directional_norm(u, h, p).value)
-                if p == 2:
-                    got *= got
-                assert abs(got - exact) <= Fraction(1, 10 ** 12) * exact, (k, desc, p)
+            for h in dirs:
+                (HX, HY), dh = _exact_grid([h.dx, h.dy])
+                # M in units 1 / (dx dy dz dh): d_x u = Nx dx / (D dz)
+                Ms = [(HX * Nx * dx + HY * Ny * dy, D) for D, Nx, Ny in facets]
+                unit = dx * dy * dz * dh
+                l1 = Fraction(sum(abs(M) for M, _ in Ms), 2 * unit)
+                l2 = sum(Fraction(M * M, 2 * abs(D)) for M, D in Ms) \
+                    * Fraction(1, unit * dz * dh)
+                sup = max(Fraction(abs(M), abs(D)) for M, D in Ms) \
+                    * Fraction(1, dz * dh)
+                for p, exact in ((1, l1), (2, l2), (math.inf, sup)):
+                    got = Fraction(lp_directional_norm(u, h, p).value)
+                    if p == 2:
+                        got *= got
+                    assert abs(got - exact) <= Fraction(1, 10 ** 12) * exact, \
+                        (k, desc, h, p)
 
 
 # ---------------------------------------------------------------------------

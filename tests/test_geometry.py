@@ -15,7 +15,6 @@ from normratio.geometry import (
     E1,
     E2,
     WidthExtremes,
-    _antipodal_pairs,
     _edge_slope,
     _edge_widths,
     chord,
@@ -66,6 +65,11 @@ def test_rejects_degenerate_input():
         ConvexDomain([(0, 0), (1, 0), (2, 0)])  # collinear
     with pytest.raises(DomainError):
         ConvexDomain([(0, 0), (2, 0), (2, 2), (1, 0.5), (0, 2)])  # reflex
+    with pytest.raises(DomainError, match="must be <= 1e\\+150"):
+        ConvexDomain([(0, 0), (1e308, 0), (0, 1e308)])  # area overflows
+    # at the limit every product of two coordinates is finite
+    assert ConvexDomain([(0, 0), (1e150, 0), (0, -1e150)]).area == \
+        pytest.approx(0.5e300, rel=1e-12)
 
 
 def test_edge_frame_is_stored_read_only():
@@ -210,7 +214,8 @@ def test_width_min_matches_refined_angle_scan():
 
 def _width_extremes_whole_table(dom):
     # reference: widths from one n x n projection table, the diameter from
-    # the calipers pairs
+    # every pair in (i, j) order, one row of j > i at a time, keeping the
+    # first strict maximum
     verts = dom.vertices
     projs = dot2(verts[:, None, :], dom.edge_normals())
     widths_by_edge = projs.max(axis=0) - projs.min(axis=0)
@@ -218,10 +223,12 @@ def _width_extremes_whole_table(dom):
     a, b = dom.edges()
     e = (b - a)[imin]
     best = (-1.0, None)
-    for i, j in _antipodal_pairs(verts):
-        d = float(np.hypot(*(verts[j] - verts[i])))
-        if d > best[0]:
-            best = (d, (i, j))
+    for i in range(dom.n - 1):
+        row = verts[i + 1:] - verts[i]
+        lengths = np.hypot(row[:, 0], row[:, 1])
+        k = int(np.argmax(lengths))
+        if lengths[k] > best[0]:
+            best = (float(lengths[k]), (i, i + 1 + k))
     sep = verts[best[1][1]] - verts[best[1][0]]
     return widths_by_edge, WidthExtremes(
         w_max=best[0], w_min=float(widths_by_edge[imin]),
