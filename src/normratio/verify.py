@@ -10,19 +10,21 @@ regenerate and re-check the exact case in isolation -- that is what
 
 Suites are registered in :data:`SUITES`; ``run_suite`` executes one by
 name over a given list of cases, and ``run_all`` is the one path that
-walks the corpus.  It goes block by block: it builds a block of
-:data:`CASE_BLOCK` consecutive corpus cases as a local list, runs every
-requested suite over it, one suite after another, and drops the list
-before it builds the next block.  At most ``CASE_BLOCK`` cases are in
-memory at a time, so peak memory does not grow with the number of cases,
-and each suite still runs over several cases in a row, which is as fast
-as running it over the whole corpus.  Nothing is cached between blocks
-or between runs.  Values that several suites need (axis widths, axis L1
-norms, axis sup reports, the normalizing affine map and the images of
-the first two envelopes) are computed once per case on :class:`Case`
-and dropped with it.  Per suite, the block results are merged in block
-order, so the results, and the first failure, are those of running each
-suite over the whole corpus in turn.
+walks the corpus.  It goes block by block: it builds a :class:`Block` of
+:data:`CASE_BLOCK` consecutive corpus cases, runs every requested suite
+over it, one suite after another, and drops it before it builds the next
+block.  At most ``CASE_BLOCK`` cases are in memory at a time, so peak
+memory does not grow with the number of cases, and each suite still runs
+over several cases in a row.  Nothing is cached between blocks or
+between runs.  A block's envelopes form one :class:`facets.FacetTable`,
+built on first use and dropped with the block: theorem1, edge-slope,
+sup-boundary, envelope-structure and slope-cap are array programs over
+it, and oracle-l1 and shear-transport read their axis L1 norms from it.
+The other suites run case by case; the normalizing affine map and the
+images of the first two envelopes, which lemma-tan and shear-transport
+both read, are computed once per case on :class:`Case`.  Per suite, the
+block results are merged in block order, so the results, and the first
+failure, are those of running each suite over the whole corpus in turn.
 """
 
 from __future__ import annotations
@@ -37,15 +39,12 @@ from . import norms
 from .bounds import affine_normalize, directional_k1_upper
 from .concave import (
     chord_max_hull,
-    check_concavity,
-    check_partition,
-    check_vertex_consistency,
     concave_envelopes,
-    evaluate,
     gradients_at,
     max_profile,
     transform_function,
 )
+from .facets import FacetTable, segments
 from .geometry import (
     E1,
     E2,
@@ -79,7 +78,13 @@ CASE_BLOCK = 16
 
 @dataclass(frozen=True)
 class Case:
-    """One corpus entry: a random polygon and its random envelopes."""
+    """One corpus entry: a random polygon and its random envelopes.
+
+    The normalizing map and the images of the first two envelopes are
+    computed on first use and dropped with the case.  Values read per
+    envelope (axis L1 norms and sups, the facets on the boundary) come
+    from the facet table of the case's :class:`Block`.
+    """
 
     index: int
     seed: int
@@ -89,26 +94,6 @@ class Case:
     def rng(self, *key: int) -> np.random.Generator:
         """Extra deterministic draws, disjoint from the corpus streams."""
         return keyed_rng(self.seed, self.index, 100, *key)
-
-    # values shared by several suites, computed on first use
-
-    @cached_property
-    def axis_widths(self) -> tuple:
-        """Widths of the domain along E1 and E2."""
-        return tuple(width(self.domain, h) for h in (E1, E2))
-
-    @cached_property
-    def axis_l1(self) -> tuple:
-        """Per envelope, its p = 1 norms along E1 and E2."""
-        return tuple(tuple(norms.lp_directional_norm(u, h, 1).value
-                           for h in (E1, E2))
-                     for _, u in self.envelopes)
-
-    @cached_property
-    def axis_sups(self) -> tuple:
-        """Per envelope, its sup-norm reports along E1 and E2."""
-        return tuple(tuple(norms.sup_directional_norm(u, h) for h in (E1, E2))
-                     for _, u in self.envelopes)
 
     @cached_property
     def normalized(self) -> tuple:
@@ -129,6 +114,17 @@ def _case(seed: int, index: int) -> Case:
                                    for d in descs])
     return Case(index=index, seed=seed, domain=dom,
                 envelopes=tuple((u.descriptor, u) for u in envs))
+
+
+class Block(tuple):
+    """Consecutive cases and, built on first use, one
+    :class:`facets.FacetTable` of all their envelopes.  ``run_suite``
+    wraps any other sequence of cases in one."""
+
+    @cached_property
+    def table(self) -> FacetTable:
+        return FacetTable([u for case in self for _, u in case.envelopes],
+                          [len(case.envelopes) for case in self])
 
 
 def jsonify(obj):
@@ -195,24 +191,57 @@ def _violation(detail: dict, descriptor=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# suite bodies.  Each returns (checks_performed, violations).
+# suite bodies.  A suite takes a Block and returns its checks per case and
+# its violations as (case position, violation) pairs, in order.  A body
+# over one case returns (checks, violations); _each runs it over a block.
 # ---------------------------------------------------------------------------
 
+AXES = (E1, E2)
 
-def _suite_sandwich(case: Case, tol: float):
+
+def _each(body, l1: bool = False):
+    """The suite that runs ``body`` case by case; with ``l1`` the body
+    also gets the case's rows of the block's axis L1 norms."""
+    def suite(block: Block, tol: float):
+        checks, found = [], []
+        for pos, case in enumerate(block):
+            extra = ()
+            if l1:
+                t = block.table
+                extra = (t.axis_l1[t.ecase == pos],)
+            n, bad = body(case, tol, *extra)
+            checks.append(n)
+            found += [(pos, v) for v in bad]
+        return checks, found
+    return suite
+
+
+def _per_case(t: FacetTable, per_envelope) -> np.ndarray:
+    """Check counts per case from counts per envelope."""
+    per_envelope = np.broadcast_to(per_envelope, t.ecase.shape)
+    return np.bincount(t.ecase, per_envelope, t.ncases).astype(int)
+
+
+def _found(t: FacetTable, envs, parts, detail) -> list:
+    """(case position, violation) for each pair of envelope k in ``envs``
+    and part j in ``parts``, with the detail ``detail(k, j)``."""
+    return [(t.ecase[k], _violation(detail(k, j), t.envelopes[k].descriptor))
+            for k, j in zip(np.asarray(envs, dtype=int).tolist(),
+                            np.asarray(parts, dtype=int).tolist())]
+
+
+def _suite_sandwich(block: Block, tol: float):
     """w*M <= ||d_h u||_1 <= 2*w*M for every envelope, both axes."""
-    checks, bad = 0, []
-    for a, (h, w) in enumerate(zip((E1, E2), case.axis_widths)):
-        for (desc, u), l1 in zip(case.envelopes, case.axis_l1):
-            val = l1[a]
-            lo = w * u.max_value
-            scale = max(1.0, lo)
-            checks += 1
-            if not (lo - tol * scale <= val <= 2.0 * lo + tol * scale):
-                bad.append(_violation(
-                    {"h": [h.dx, h.dy], "norm": val, "wM": lo, "2wM": 2 * lo},
-                    desc))
-    return checks, bad
+    t = block.table
+    w = np.array([[width(case.domain, h) for h in AXES] for case in block])
+    lo = w[t.ecase] * t.max_values[:, None]                   # (envelopes, 2)
+    val, scale = t.axis_l1, np.maximum(1.0, lo)
+    fail = ~((lo - tol * scale <= val) & (val <= 2.0 * lo + tol * scale))
+    k, a = np.nonzero(fail)
+    order = np.lexsort((k, a, t.ecase[k]))        # case by case, axis-major
+    return _per_case(t, 2), _found(t, k[order], a[order], lambda k, a: {
+        "h": [AXES[a].dx, AXES[a].dy], "norm": val[k, a], "wM": lo[k, a],
+        "2wM": 2 * lo[k, a]})
 
 
 def _suite_cone_mass(case: Case, tol: float):
@@ -221,7 +250,7 @@ def _suite_cone_mass(case: Case, tol: float):
     rng = case.rng(1)
     pts = random_interior_points(rng, case.domain, 2)
     heights = [float(rng.uniform(0.2, 1.0)) for _ in pts]
-    widths = list(zip((E1, E2), case.axis_widths))
+    widths = [(h, width(case.domain, h)) for h in AXES]
     cones = concave_envelopes(case.domain, [[(pt, height)] for pt, height
                                             in zip(pts, heights)])
     for u in cones:
@@ -297,70 +326,84 @@ def _suite_tangent(case: Case, tol: float):
     return checks, bad
 
 
-def _suite_edge_slope(case: Case, tol: float):
+def _suite_edge_slope(block: Block, tol: float):
     """Facet gradients are tangential-derivative-free on boundary edges.
 
     A facet whose closure contains a segment of a boundary edge has a
     plane vanishing on that edge line, so its gradient is orthogonal to
     the edge direction; equivalently -g_x/g_y equals the edge slope.
     """
-    checks, bad = 0, []
-    normals = case.domain.edge_normals()
+    t = block.table
+    # vertex-to-edge-line incidence, each vertex against its own case's
+    # edges; interior points of the domain can only touch an edge line
+    # inside the actual edge segment
+    on_edge = t.near_edge
+    x, y = t.verts[:, 0], t.verts[:, 1]
+    inc, length = [], []
+    for a, b in ((0, 1), (1, 2), (0, 2)):        # each facet's vertex pairs
+        va, vb = t.tris[:, a], t.tris[:, b]
+        inc.append(on_edge[va] & on_edge[vb])
+        length.append(np.hypot(x[va] - x[vb], y[va] - y[vb]))
+    inc = np.stack(inc, axis=1)                                 # (F, 3, E)
+    hit = inc.any(axis=2) & (np.stack(length, axis=1)
+                             > t.margin[t.fcase, None])
+    facet, pair = np.nonzero(hit)
+    edge = inc[facet, pair].argmax(axis=1)
     # unit tangents, the normals turned a quarter counterclockwise
-    edge_dirs = np.stack([-normals[:, 1], normals[:, 0]], axis=1)
-    offs = case.domain.edge_offsets()
-    tol_geom = case.domain.margin
-    for desc, u in case.envelopes:
-        # vertex-to-edge-line incidence; interior points of the domain can
-        # only touch an edge line inside the actual edge segment
-        on_edge = np.abs(dot2(u.verts[:, None, :], normals) - offs) <= tol_geom
-        pairs = u.tris[:, [[0, 1], [1, 2], [0, 2]]]             # (F, 3, 2)
-        inc = on_edge[pairs[..., 0]] & on_edge[pairs[..., 1]]    # (F, 3, E)
-        seg = u.verts[pairs[..., 0]] - u.verts[pairs[..., 1]]
-        hit = inc.any(axis=2) & (np.hypot(seg[..., 0], seg[..., 1]) > tol_geom)
-        facet, pair = np.nonzero(hit)
-        edge = inc[facet, pair].argmax(axis=1)
-        g = u.planes[facet, :2]
-        tangential = dot2(g, edge_dirs[edge])
-        worse = np.abs(tangential) > tol * (1.0 + np.hypot(g[:, 0], g[:, 1]))
-        checks += len(facet) + 1
-        bad += [_violation({"facet": facet[i], "edge": edge[i], "grad": g[i],
-                            "edge_dir": edge_dirs[edge[i]],
-                            "tangential": tangential[i]}, desc)
-                for i in np.flatnonzero(worse)]
-        if len(facet) == 0:
-            bad.append(_violation(
-                {"reason": "no facet with a boundary edge segment"}, desc))
-    return checks, bad
+    normal = t.normals[t.fcase[facet], edge]
+    edge_dir = np.stack([-normal[:, 1], normal[:, 0]], axis=1)
+    g = t.planes[facet, :2]
+    tangential = dot2(g, edge_dir)
+    worse = np.abs(tangential) > tol * (1.0 + np.hypot(g[:, 0], g[:, 1]))
+    env = t.fenv[facet]
+    hits = np.bincount(env, minlength=len(t.fstart))
+    # per envelope: its worse facet edges, then a missing boundary facet
+    found = sorted([(k, 0, i) for k, i in zip(env[worse].tolist(),
+                                              np.flatnonzero(worse).tolist())]
+                   + [(k, 1, -1) for k in np.flatnonzero(hits == 0).tolist()])
+
+    def detail(k, i):
+        if i < 0:
+            return {"reason": "no facet with a boundary edge segment"}
+        return {"facet": facet[i] - t.fstart[k], "edge": edge[i],
+                "grad": g[i], "edge_dir": edge_dir[i],
+                "tangential": tangential[i]}
+    return _per_case(t, hits + 1), _found(
+        t, [k for k, _, _ in found], [i for _, _, i in found], detail)
 
 
-def _suite_sup_boundary(case: Case, tol: float):
+def _suite_sup_boundary(block: Block, tol: float):
     """The sup of |d_h u| is attained on a facet touching the boundary,
     and for any unit h it is at most sqrt(2) times the larger axis sup."""
-    checks, bad = 0, []
-    dirs = (E1, E2, random_direction(case.rng(4)))
-    for (desc, u), axis in zip(case.envelopes, case.axis_sups):
-        reps = [*axis, norms.sup_directional_norm(u, dirs[2])]
-        axis_cap = math.sqrt(2.0) * max(reps[0].value, reps[1].value)
-        for h, rep in zip(dirs, reps):
-            checks += 1
-            if not rep.attained_on_boundary:
-                bad.append(_violation(
-                    {"h": [h.dx, h.dy], "sup": rep.value,
-                     "argmax_facet": rep.argmax_facet}, desc))
-            checks += 1
-            if rep.value > axis_cap + tol:
-                bad.append(_violation(
-                    {"h": [h.dx, h.dy], "sup": rep.value,
-                     "axis_cap": axis_cap}, desc))
-    return checks, bad
+    t = block.table
+    dirs = [(*AXES, random_direction(case.rng(4))) for case in block]
+    rand = np.array([h.as_array() for _, _, h in dirs])
+    slopes = [*t.axis_slopes.T, t.slopes(rand[t.fcase])]
+    sups = np.stack([np.maximum.reduceat(s, t.fstart) for s in slopes], axis=1)
+    # one direction at a time, which keeps memory low
+    attained = np.stack([np.logical_or.reduceat(
+        (s >= top[t.fenv] * (1.0 - 1e-12)) & t.facet_on_boundary, t.fstart)
+        for s, top in zip(slopes, sups.T)], axis=1)
+    cap = math.sqrt(2.0) * sups[:, :2].max(axis=1)
+    fail = np.stack([~attained, sups > cap[:, None] + tol], axis=2)
+    k, d, part = np.nonzero(fail)
+
+    def detail(k, j):
+        d, part = divmod(j, 2)
+        h = dirs[t.ecase[k]][d]
+        if part:
+            return {"h": [h.dx, h.dy], "sup": sups[k, d], "axis_cap": cap[k]}
+        argmax = np.argmax(np.where(t.fenv == k, slopes[d], -np.inf))
+        return {"h": [h.dx, h.dy], "sup": sups[k, d],
+                "argmax_facet": int(argmax - t.fstart[k])}
+    return _per_case(t, 6), _found(t, k, 2 * d + part, detail)
 
 
-def _suite_oracle_l1(case: Case, tol: float):
+def _suite_oracle_l1(case: Case, tol: float, axis_l1):
     """Facet-sum L1 norms against the scan-line oracle (upper hull of the
     projected vertices, integrated exactly)."""
     checks, bad = 0, []
-    for (desc, u), l1 in zip(case.envelopes[:3], case.axis_l1):
+    for (desc, u), l1 in zip(case.envelopes[:3], axis_l1):
         for h, exact in zip((E1, E2), l1):
             scan = norms.scanline_l1_norm(u, h).value
             checks += 1
@@ -372,7 +415,7 @@ def _suite_oracle_l1(case: Case, tol: float):
     return checks, bad
 
 
-def _suite_shear_transport(case: Case, tol: float):
+def _suite_shear_transport(case: Case, tol: float, axis_l1):
     """Affine pushforward: gradient transport and norm change of variables.
 
     Checks, with T the normalizing shear (image = lin x + shift):
@@ -383,7 +426,7 @@ def _suite_shear_transport(case: Case, tol: float):
     checks, bad = 0, []
     _, lin, images = case.normalized
     det = abs(float(cross2(lin[0], lin[1])))
-    for (desc, u), tu, l1 in zip(case.envelopes, images, case.axis_l1):
+    for (desc, u), tu, l1 in zip(case.envelopes, images, axis_l1):
         back = dot2(tu.planes[:, None, :2], lin.T)
         gscale = 1.0 + float(np.abs(u.planes[:, :2]).max())
         checks += 1
@@ -431,37 +474,53 @@ def _suite_product_four(case: Case, tol: float):
     return checks, bad
 
 
-def _suite_envelope_structure(case: Case, tol: float):
-    """Envelopes tile the domain, stay concave, and dominate their pins."""
-    checks, bad = 0, []
-    for desc, u in case.envelopes:
-        scale = 1.0 + u.max_value
-        checks += 3
-        if not check_partition(u, tol):
-            bad.append(_violation({"part": "partition"}, desc))
-        if not check_concavity(u, max(tol, 1e-9)):
-            bad.append(_violation({"part": "concavity"}, desc))
-        if not check_vertex_consistency(u, max(tol, 1e-9)):
-            bad.append(_violation({"part": "vertex-values"}, desc))
-        cons = np.asarray(desc["constraints"], dtype=float)
-        vals = evaluate(u, cons[:, :2])
-        checks += 1
-        if np.any(vals < cons[:, 2] - tol * scale):
-            bad.append(_violation(
-                {"part": "domination",
-                 "worst": float((vals - cons[:, 2]).min())}, desc))
-        checks += 1
-        if abs(u.max_value - float(cons[:, 2].max())) > tol * scale:
-            bad.append(_violation(
-                {"part": "peak", "max_value": u.max_value,
-                 "top_constraint": float(cons[:, 2].max())}, desc))
-        rim = evaluate(u, case.domain.vertices)
-        checks += 1
-        if float(np.abs(rim).max()) > tol * scale:
-            bad.append(_violation(
-                {"part": "boundary-trace",
-                 "max_abs": float(np.abs(rim).max())}, desc))
-    return checks, bad
+PARTS = ("partition", "concavity", "vertex-values", "domination", "peak",
+         "boundary-trace")
+
+
+def _suite_envelope_structure(block: Block, tol: float):
+    """Envelopes tile the domain, stay concave, and dominate their pins.
+
+    Each check reads the min over the envelope's planes, as
+    ``concave.evaluate`` and ``concave.check_*`` do, at the facet
+    centroids, the vertices, the pins and the domain's vertices.
+    """
+    t = block.table
+    scale = 1.0 + t.max_values
+    geo = max(tol, 1e-9) * (1.0 + np.maximum.reduceat(np.abs(t.vert_values),
+                                                      t.vstart))
+    doms = [block[c].domain for c in t.ecase]
+    area = np.array([d.area for d in doms])
+    tiled = (np.abs(np.bincount(t.fenv, t.areas, len(area)) - area)
+             <= tol * area)
+    cents = t.verts[t.tris].mean(axis=1)
+    own = dot2(cents, t.planes[:, :2]) + t.planes[:, 2]
+    concave = np.logical_and.reduceat(
+        t.min_planes(cents, t.fenv) >= own - geo[t.fenv], t.fstart)
+    drift = np.abs(t.min_planes(t.verts, t.venv) - t.vert_values)
+    consistent = np.maximum.reduceat(drift, t.vstart) <= geo
+    pins = [np.asarray(u.descriptor["constraints"], dtype=float)
+            for u in t.envelopes]
+    cstart, cenv = segments([len(c) for c in pins])
+    pins = np.concatenate(pins)
+    vals = t.min_planes(pins[:, :2], cenv)
+    under = np.logical_or.reduceat(vals < pins[:, 2] - tol * scale[cenv],
+                                   cstart)
+    worst = np.minimum.reduceat(vals - pins[:, 2], cstart)
+    top = np.maximum.reduceat(pins[:, 2], cstart)
+    rstart, renv = segments([d.n for d in doms])
+    rim = t.min_planes(np.concatenate([d.vertices for d in doms]), renv)
+    rim = np.maximum.reduceat(np.abs(rim), rstart)
+    fail = np.stack([~tiled, ~concave, ~consistent, under,
+                     np.abs(t.max_values - top) > tol * scale,
+                     rim > tol * scale], axis=1)
+
+    def detail(k, j):
+        extra = ({}, {}, {}, {"worst": worst[k]},
+                 {"max_value": t.max_values[k], "top_constraint": top[k]},
+                 {"max_abs": rim[k]})[j]
+        return {"part": PARTS[j], **extra}
+    return _per_case(t, 6), _found(t, *np.nonzero(fail), detail)
 
 
 def _suite_profile_concavity(case: Case, tol: float):
@@ -484,20 +543,17 @@ def _suite_profile_concavity(case: Case, tol: float):
     return checks, bad
 
 
-def _suite_slope_cap(case: Case, tol: float):
+def _suite_slope_cap(block: Block, tol: float):
     """No classical function beats the boundary-slope sup-norm cap."""
-    checks, bad = 0, []
-    m = max_boundary_slope(case.domain)
-    if math.isinf(m):
-        return 0, []
-    for (desc, _), (rep1, rep2) in zip(case.envelopes, case.axis_sups):
-        s1, s2 = rep1.value, rep2.value
-        checks += 1
-        if s1 > (m + tol * (1.0 + m)) * s2:
-            bad.append(_violation(
-                {"sup_x": s1, "sup_y": s2, "slope_cap": m,
-                 "ratio": s1 / s2 if s2 else math.inf}, desc))
-    return checks, bad
+    t = block.table
+    m = np.array([max_boundary_slope(case.domain) for case in block])[t.ecase]
+    live = ~np.isinf(m)
+    m = np.where(live, m, 0.0)
+    s1, s2 = t.axis_sups.T
+    (k,) = np.nonzero(live & (s1 > (m + tol * (1.0 + m)) * s2))
+    return _per_case(t, live), _found(t, k, k, lambda k, _: {
+        "sup_x": s1[k], "sup_y": s2[k], "slope_cap": m[k],
+        "ratio": s1[k] / s2[k] if s2[k] else math.inf})
 
 
 # ---------------------------------------------------------------------------
@@ -517,13 +573,13 @@ SUITES = {
         _suite_sandwich, 1e-9,
         "wM <= ||d_h u||_1 <= 2wM for every envelope and both axes"),
     "cone-mass": SuiteSpec(
-        _suite_cone_mass, 1e-11,
+        _each(_suite_cone_mass), 1e-11,
         "single-peak envelopes attain ||d_h u||_1 = wM exactly"),
     "line-mass": SuiteSpec(
-        _suite_line_mass, 1e-9,
+        _each(_suite_line_mass), 1e-9,
         "per-line derivative mass equals twice the chord maximum"),
     "lemma-tan": SuiteSpec(
-        _suite_tangent, 1e-9,
+        _each(_suite_tangent), 1e-9,
         "tangent-plane bound |u_x| <= (u - y u_y)/min(x, 2-x) after "
         "normalization"),
     "edge-slope": SuiteSpec(
@@ -534,19 +590,19 @@ SUITES = {
         "sup |d_h u| is attained on a boundary-touching facet and is at "
         "most sqrt(2) times the larger axis sup"),
     "oracle-l1": SuiteSpec(
-        _suite_oracle_l1, 1e-11,
+        _each(_suite_oracle_l1, l1=True), 1e-11,
         "facet-sum L1 norm matches the scan-line integral of chord maxima"),
     "shear-transport": SuiteSpec(
-        _suite_shear_transport, 1e-9,
+        _each(_suite_shear_transport, l1=True), 1e-9,
         "affine pushforward: gradient transport and norm scaling"),
     "product-four": SuiteSpec(
-        _suite_product_four, 1e-12,
+        _each(_suite_product_four), 1e-12,
         "opposite-order width bounds multiply to 4"),
     "envelope-structure": SuiteSpec(
         _suite_envelope_structure, 1e-8,
         "hull envelopes tile, stay concave, and dominate their pins"),
     "profile-concavity": SuiteSpec(
-        _suite_profile_concavity, 1e-9,
+        _each(_suite_profile_concavity), 1e-9,
         "chord-max profiles are concave with the right peak"),
     "slope-cap": SuiteSpec(
         _suite_slope_cap, 1e-9,
@@ -569,23 +625,23 @@ def _check_run(cases: int, tol: float | None) -> None:
 
 
 def run_suite(name: str, corpus, tol: float | None = None) -> SuiteResult:
-    """One suite over the given list of cases, in order."""
+    """One suite over the given cases, in order; a sequence that is not a
+    :class:`Block` is wrapped in one."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
     _check_run(len(corpus), tol)
     spec = SUITES[name]
     use_tol = _suite_tol(name, tol)
-    total_checks = 0
+    block = corpus if isinstance(corpus, Block) else Block(corpus)
+    checks, found = spec.fn(block, use_tol)
     failures = []
-    for case in corpus:
-        checks, bad = spec.fn(case, use_tol)
-        total_checks += checks
-        for v in bad:
-            v.update({"suite": name, "case": case.index, "seed": case.seed,
-                      "tol": use_tol, "domain": domain_to_json(case.domain)})
-            failures.append(v)
-    return SuiteResult(suite=name, cases=len(corpus), checks=total_checks,
-                       failures=tuple(failures), seed=corpus[0].seed,
+    for pos, v in found:
+        case = block[pos]
+        v.update({"suite": name, "case": case.index, "seed": case.seed,
+                  "tol": use_tol, "domain": domain_to_json(case.domain)})
+        failures.append(v)
+    return SuiteResult(suite=name, cases=len(block), checks=int(sum(checks)),
+                       failures=tuple(failures), seed=block[0].seed,
                        tol=use_tol)
 
 
@@ -594,8 +650,9 @@ def run_all(cases: int = DEFAULT_CASES, seed: int = 42,
     """The given suites, in order, over corpus cases ``0 .. cases - 1``.
 
     The cases are built in blocks of :data:`CASE_BLOCK` consecutive
-    indices (the last block may be shorter), each a local list that is
-    dropped before the next one is built; there is no cache.  Each
+    indices (the last block may be shorter), each a local :class:`Block`
+    that is dropped, with its facet table, before the next one is built;
+    there is no cache.  Each
     (block, suite) step is a :func:`run_suite` call on that block, and the
     steps of a suite are merged in block order, so the results equal
     ``[run_suite(name, corpus, tol) for name in suites]`` over the whole
@@ -605,8 +662,8 @@ def run_all(cases: int = DEFAULT_CASES, seed: int = 42,
     _check_run(cases, tol)
     totals = {name: [0, []] for name in suites}    # checks, failures
     for start in range(0, cases, CASE_BLOCK):
-        block = [_case(seed, k)
-                 for k in range(start, min(start + CASE_BLOCK, cases))]
+        block = Block(_case(seed, k)
+                      for k in range(start, min(start + CASE_BLOCK, cases)))
         for name, acc in totals.items():
             res = run_suite(name, block, tol)
             acc[0] += res.checks
@@ -631,21 +688,21 @@ def replay(counterexample: dict) -> SuiteResult:
     The corpus is regenerated from (seed, case), so the repeated run sees
     bit-identical inputs; the stored domain must equal the regenerated one
     exactly (the JSON round trip of a float is exact), which catches stale
-    files.  A record of the wrong shape raises ValueError naming the field.
+    files.  A record of the wrong shape raises ValueError naming the field:
+    ``seed`` and ``case`` must be integers and ``tol`` a number or null,
+    and a JSON ``true`` is neither, although Python's bool is an int.
     """
     if not isinstance(counterexample, dict):
         raise ValueError("record must be a JSON object")
     name, tol = counterexample["suite"], counterexample.get("tol")
     if not isinstance(name, str):
         raise ValueError(f"suite must be a string, got {name!r}")
-    if tol is not None and not isinstance(tol, (int, float)):
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, type(None))):
         raise ValueError(f"tol must be a number, got {tol!r}")
     seed, index = counterexample["seed"], counterexample["case"]
-    try:
-        seed, index = int(seed), int(index)
-    except TypeError:
-        raise ValueError(f"seed and case must be integers, got {seed!r} "
-                         f"and {index!r}") from None
+    for field, value in (("seed", seed), ("case", index)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{field} must be an integer, got {value!r}")
     case = _case(seed, index)
     stored = counterexample.get("domain")
     if stored is not None:

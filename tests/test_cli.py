@@ -251,6 +251,10 @@ def test_verify_failure_writes_replayable_counterexample(
     {"suite": "theorem1", "seed": 42, "case": 0, "tol": "nan"},
     {"suite": "theorem1", "seed": 42, "case": 0, "tol": [1]},
     {"suite": "theorem1", "seed": [42], "case": 0},
+    # int() would take these and replay another case or tolerance
+    {"suite": "theorem1", "seed": 1.5, "case": 0},
+    {"suite": "theorem1", "seed": 42, "case": True},
+    {"suite": "theorem1", "seed": 42, "case": 1, "tol": True},
 ])
 def test_replay_of_a_record_of_the_wrong_shape_is_input_error(
         capsys, tmp_path, record):

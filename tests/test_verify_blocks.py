@@ -1,0 +1,259 @@
+"""The block suites against the per-case code they replace.
+
+theorem1, edge-slope, sup-boundary, envelope-structure and slope-cap run
+as array programs over one facet table per block of cases.  The per-case
+bodies below are those suites as they were written before, one envelope
+at a time, with the ``norms`` calls behind the axis values; the block
+programs must give the same checks and violations, maxima and minima bit
+for bit, and sums up to their order of addition.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from normratio import norms
+from normratio.concave import (check_concavity, check_partition,
+                               check_vertex_consistency, evaluate,
+                               plane_values, tent_function)
+from normratio.facets import FacetTable
+from normratio.geometry import (E1, E2, domain_to_json, dot2,
+                                max_boundary_slope, square, width)
+from normratio.sampling import random_direction
+from normratio.verify import (CASE_BLOCK, SUITES, Block, _case, _violation,
+                              jsonify, run_all, run_suite)
+
+REL = 1e-13
+
+
+def ref_sandwich(case, tol):
+    checks, bad = 0, []
+    for h in (E1, E2):
+        w = width(case.domain, h)
+        for desc, u in case.envelopes:
+            val = norms.lp_directional_norm(u, h, 1).value
+            lo = w * u.max_value
+            scale = max(1.0, lo)
+            checks += 1
+            if not (lo - tol * scale <= val <= 2.0 * lo + tol * scale):
+                bad.append(_violation(
+                    {"h": [h.dx, h.dy], "norm": val, "wM": lo, "2wM": 2 * lo},
+                    desc))
+    return checks, bad
+
+
+def ref_edge_slope(case, tol):
+    checks, bad = 0, []
+    normals = case.domain.edge_normals()
+    edge_dirs = np.stack([-normals[:, 1], normals[:, 0]], axis=1)
+    offs = case.domain.edge_offsets()
+    tol_geom = case.domain.margin
+    for desc, u in case.envelopes:
+        on_edge = np.abs(dot2(u.verts[:, None, :], normals) - offs) <= tol_geom
+        pairs = u.tris[:, [[0, 1], [1, 2], [0, 2]]]
+        inc = on_edge[pairs[..., 0]] & on_edge[pairs[..., 1]]
+        seg = u.verts[pairs[..., 0]] - u.verts[pairs[..., 1]]
+        hit = inc.any(axis=2) & (np.hypot(seg[..., 0], seg[..., 1]) > tol_geom)
+        facet, pair = np.nonzero(hit)
+        edge = inc[facet, pair].argmax(axis=1)
+        g = u.planes[facet, :2]
+        tangential = dot2(g, edge_dirs[edge])
+        worse = np.abs(tangential) > tol * (1.0 + np.hypot(g[:, 0], g[:, 1]))
+        checks += len(facet) + 1
+        bad += [_violation({"facet": facet[i], "edge": edge[i], "grad": g[i],
+                            "edge_dir": edge_dirs[edge[i]],
+                            "tangential": tangential[i]}, desc)
+                for i in np.flatnonzero(worse)]
+        if len(facet) == 0:
+            bad.append(_violation(
+                {"reason": "no facet with a boundary edge segment"}, desc))
+    return checks, bad
+
+
+def ref_sup_boundary(case, tol):
+    checks, bad = 0, []
+    dirs = (E1, E2, random_direction(case.rng(4)))
+    for desc, u in case.envelopes:
+        reps = [norms.sup_directional_norm(u, h) for h in dirs]
+        axis_cap = math.sqrt(2.0) * max(reps[0].value, reps[1].value)
+        for h, rep in zip(dirs, reps):
+            checks += 1
+            if not rep.attained_on_boundary:
+                bad.append(_violation(
+                    {"h": [h.dx, h.dy], "sup": rep.value,
+                     "argmax_facet": rep.argmax_facet}, desc))
+            checks += 1
+            if rep.value > axis_cap + tol:
+                bad.append(_violation(
+                    {"h": [h.dx, h.dy], "sup": rep.value,
+                     "axis_cap": axis_cap}, desc))
+    return checks, bad
+
+
+def ref_envelope_structure(case, tol):
+    checks, bad = 0, []
+    for desc, u in case.envelopes:
+        scale = 1.0 + u.max_value
+        checks += 3
+        if not check_partition(u, tol):
+            bad.append(_violation({"part": "partition"}, desc))
+        if not check_concavity(u, max(tol, 1e-9)):
+            bad.append(_violation({"part": "concavity"}, desc))
+        if not check_vertex_consistency(u, max(tol, 1e-9)):
+            bad.append(_violation({"part": "vertex-values"}, desc))
+        cons = np.asarray(desc["constraints"], dtype=float)
+        vals = evaluate(u, cons[:, :2])
+        checks += 1
+        if np.any(vals < cons[:, 2] - tol * scale):
+            bad.append(_violation(
+                {"part": "domination",
+                 "worst": float((vals - cons[:, 2]).min())}, desc))
+        checks += 1
+        if abs(u.max_value - float(cons[:, 2].max())) > tol * scale:
+            bad.append(_violation(
+                {"part": "peak", "max_value": u.max_value,
+                 "top_constraint": float(cons[:, 2].max())}, desc))
+        rim = evaluate(u, case.domain.vertices)
+        checks += 1
+        if float(np.abs(rim).max()) > tol * scale:
+            bad.append(_violation(
+                {"part": "boundary-trace",
+                 "max_abs": float(np.abs(rim).max())}, desc))
+    return checks, bad
+
+
+def ref_slope_cap(case, tol):
+    checks, bad = 0, []
+    m = max_boundary_slope(case.domain)
+    if math.isinf(m):
+        return 0, []
+    for desc, u in case.envelopes:
+        s1 = norms.sup_directional_norm(u, E1).value
+        s2 = norms.sup_directional_norm(u, E2).value
+        checks += 1
+        if s1 > (m + tol * (1.0 + m)) * s2:
+            bad.append(_violation(
+                {"sup_x": s1, "sup_y": s2, "slope_cap": m,
+                 "ratio": s1 / s2 if s2 else math.inf}, desc))
+    return checks, bad
+
+
+REFERENCE = {
+    "theorem1": ref_sandwich,
+    "edge-slope": ref_edge_slope,
+    "sup-boundary": ref_sup_boundary,
+    "envelope-structure": ref_envelope_structure,
+    "slope-cap": ref_slope_cap,
+}
+
+
+def reference_run(name, cases, tol):
+    """(checks, failures) of the per-case body over cases, stamped as
+    run_suite stamps them."""
+    use_tol = SUITES[name].tol if tol is None else tol
+    checks, failures = 0, []
+    for case in cases:
+        n, bad = REFERENCE[name](case, use_tol)
+        checks += n
+        for v in bad:
+            v.update({"suite": name, "case": case.index, "seed": case.seed,
+                      "tol": use_tol, "domain": domain_to_json(case.domain)})
+            failures.append(v)
+    return checks, failures
+
+
+def wire(records):
+    return json.loads(json.dumps(jsonify(list(records))))
+
+
+def assert_close(got, want, where="record"):
+    """Same keys in the same order and the same strings and integers;
+    floats within REL relative."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), where
+        for key in want:
+            assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_close(a, b, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), where
+        assert got == want or abs(got - want) <= REL * max(abs(got),
+                                                           abs(want)), where
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("tol", [None, -1.0])
+def test_block_suites_match_per_case_code(seed, tol):
+    # one full block and a partial one; at tol = -1 (nearly) every check
+    # fails, so the violations are compared record by record
+    cases = CASE_BLOCK + 3
+    corpus = [_case(seed, k) for k in range(cases)]
+    results = run_all(cases=cases, seed=seed, tol=tol, suites=list(REFERENCE))
+    for res in results:
+        checks, failures = reference_run(res.suite, corpus, tol)
+        assert res.checks == checks, res.suite
+        assert len(res.failures) == len(failures), res.suite
+        assert_close(wire(res.failures), wire(failures), res.suite)
+        if tol is None:
+            assert res.passed, res.suite
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_table_values_match_per_envelope_functions(seed):
+    corpus = [_case(seed, k) for k in range(CASE_BLOCK + 3)]
+    for cases in (corpus[:CASE_BLOCK], corpus[CASE_BLOCK:]):
+        t = Block(cases).table
+        envs = [u for case in cases for _, u in case.envelopes]
+        np.testing.assert_array_equal(t.max_values,
+                                      [u.max_value for u in envs])
+        np.testing.assert_array_equal(
+            t.axis_sups, [[norms.sup_directional_norm(u, h).value
+                           for h in (E1, E2)] for u in envs])
+        np.testing.assert_allclose(
+            t.axis_l1, [[norms.lp_directional_norm(u, h, 1).value
+                         for h in (E1, E2)] for u in envs], rtol=REL, atol=0)
+        np.testing.assert_array_equal(
+            t.facet_on_boundary,
+            np.concatenate([u.facet_on_boundary for u in envs]))
+        # min over planes at the points envelope-structure reads
+        owners = [case for case in cases for _ in case.envelopes]
+        for k, (u, case) in enumerate(zip(envs, owners)):
+            cons = np.asarray(u.descriptor["constraints"])[:, :2]
+            for pts in (u.verts, u.verts[u.tris].mean(axis=1), cons,
+                        case.domain.vertices):
+                np.testing.assert_array_equal(
+                    t.min_planes(pts, np.full(len(pts), k)),
+                    plane_values(u, pts).min(axis=1))
+
+
+@pytest.mark.parametrize("name", list(REFERENCE))
+def test_block_credits_each_case_its_own_share(name):
+    # a case in the middle of a block and the block's last case: alone they
+    # must give their share of the block, so no facet, vertex or edge is
+    # credited to a neighbouring envelope or case.  A tol of -1e6 fails
+    # every check that reads it, sup-boundary's cap too.
+    tol = -1e6
+    block = Block(_case(42, k) for k in range(CASE_BLOCK))
+    per_case, _ = SUITES[name].fn(block, tol)
+    together = run_suite(name, block, tol)
+    for pos in (CASE_BLOCK // 2 - 1, CASE_BLOCK - 1):
+        case = block[pos]
+        alone = run_suite(name, [case], tol)
+        assert alone.checks == per_case[pos]
+        share = [v for v in together.failures if v["case"] == case.index]
+        assert share
+        assert wire(alone.failures) == wire(share)
+
+
+def test_table_refuses_a_function_with_a_boundary_trace():
+    # its norms would miss the jump part, which lives on the boundary
+    tent = tent_function(square(), [(0.0, 0.0), (1.0, 1.0)])
+    assert tent.trace.any()
+    with pytest.raises(ValueError):
+        FacetTable([tent], [1])
