@@ -10,6 +10,7 @@ gradient.  Functions are immutable once built.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -353,13 +354,15 @@ def concave_envelopes(dom: ConvexDomain, constraint_sets) -> list:
     # own id nb + i is nb + first[k] + i there
     points = np.concatenate((v, pts))
     z = np.concatenate((np.zeros(nb), hts))
-    # each set's facets, in its own ids, from its single edge facets on
-    tris = [[edge_tris[lo:lo + nb][single[lo:lo + nb]]]
-            for lo in range(0, nring, nb)]
-    planes = [[edge_planes[lo:lo + nb][single[lo:lo + nb]]]
-              for lo in range(0, nring, nb)]
+    # each set's facets, in its own ids, from its single edge facets on:
+    # those of set k follow its first k nb columns but their tied ones
+    tied_cols = np.flatnonzero(~single).tolist()
+    cut = [k * nb - bisect_left(tied_cols, k * nb) for k in range(nsets + 1)]
+    kept_tris, kept_planes = edge_tris[single], edge_planes[single]
+    tris = [[kept_tris[a:b]] for a, b in zip(cut, cut[1:])]
+    planes = [[kept_planes[a:b]] for a, b in zip(cut, cut[1:])]
     polys = [[] for _ in sets]          # tied edge facets, in graph ids
-    for i in np.flatnonzero(~single).tolist():
+    for i in tied_cols:
         k, j = divmod(i, nb)
         ids = np.concatenate(
             [[j, nxt[i] % nb], nb + first[k] + np.flatnonzero(tied[:, i])])

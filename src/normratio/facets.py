@@ -32,7 +32,8 @@ class FacetTable:
     Function k owns the facets from ``fstart[k]`` and the vertices from
     ``vstart[k]``; ``tris`` index the concatenated vertices.  Each facet
     and vertex carries its function (``fenv``, ``venv``) and its case
-    (``fcase``, ``vcase``), and ``ecase`` is each function's case.  Case
+    (``fcase``, ``vcase``); ``ecase`` is each function's case, and case c
+    starts at function ``cstart[c]``.  Case
     c's edge normals and offsets fill the first rows of ``normals[c]`` and
     ``offsets[c]``, padded to the most edges of any case with zero normals
     at +inf offsets, which no point is near.  The norms read facets only,
@@ -46,7 +47,7 @@ class FacetTable:
             raise ValueError("a function with a boundary trace has a jump "
                              "part that the facet table does not hold")
         self.ncases = len(per_case)
-        self.ecase = segments(per_case)[1]
+        self.cstart, self.ecase = segments(per_case)
         self.fstart, self.fenv = segments([u.n_facets for u in envs])
         self.vstart, self.venv = segments([len(u.verts) for u in envs])
         self.fcase, self.vcase = self.ecase[self.fenv], self.ecase[self.venv]
@@ -58,7 +59,7 @@ class FacetTable:
         self.tris = np.concatenate([u.tris + lo
                                     for u, lo in zip(envs, self.vstart)],
                                    dtype=np.int32, casting="same_kind")
-        doms = [envs[k].domain for k in segments(per_case)[0]]
+        doms = [envs[k].domain for k in self.cstart]
         self.normals = np.zeros((len(doms), max(d.n for d in doms), 2))
         self.offsets = np.full(self.normals.shape[:2], np.inf)
         for c, d in enumerate(doms):
@@ -75,12 +76,11 @@ class FacetTable:
         """(facets, 2): |d_h u| along E1 and E2."""
         return np.stack([self.slopes(h.as_array()) for h in (E1, E2)], axis=1)
 
-    @cached_property
-    def axis_l1(self) -> np.ndarray:
-        """(functions, 2): ||d_h u||_1 along E1 and E2."""
-        return np.stack([np.bincount(self.fenv, s * self.areas,
+    def axis_norms(self, p: float) -> np.ndarray:
+        """(functions, 2): ||d_h u||_p along E1 and E2, for finite p >= 1."""
+        return np.stack([np.bincount(self.fenv, s ** p * self.areas,
                                      len(self.fstart))
-                         for s in self.axis_slopes.T], axis=1)
+                         for s in self.axis_slopes.T], axis=1) ** (1.0 / p)
 
     @cached_property
     def axis_sups(self) -> np.ndarray:

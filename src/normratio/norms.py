@@ -117,59 +117,107 @@ def scanline_l1_norm(u: ConcaveFunction, h: Direction) -> NormReport:
 def line_integral_abs_dh(u: ConcaveFunction, h: Direction,
                          t: float | np.ndarray) -> float | np.ndarray:
     """Exact integral of |d_h u| along the chord {x . perp(h) = t}, plus the
-    boundary jumps at the chord's endpoints.
+    boundary jumps at the chord's endpoints: :func:`line_masses` over the
+    lines of one function.
+
+    t may be a 1-D array of offsets: the result is then an array.  A scalar
+    t gives a float.
+    """
+    dom = u.domain
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    proj = dot2(dom.vertices, h.perp().as_array())
+    out = line_masses(u.verts, u.vert_values, u.tris, u.planes, [0],
+                      np.zeros(len(ts), dtype=int), h.as_array(), ts,
+                      proj.min(), proj.max(), dom.tol)
+    return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def line_masses(verts, values, tris, planes, fstart, fn, h, t, lo, hi,
+                tol) -> np.ndarray:
+    """Exact integrals of |d_h u| along many lines, each through its own
+    function, plus the boundary jumps at each chord's ends.
+
+    The functions' meshes come concatenated: function k owns the facets
+    (``tris``, ``planes``) from ``fstart[k]`` on, and ``tris`` index
+    ``verts`` and their ``values``.  Line i is {x . perp(h[i]) = t[i]}
+    through function ``fn[i]``, whose domain projects onto [lo[i], hi[i]]
+    with tolerance tol[i]; h, lo, hi and tol may also be one for all lines.
 
     Computed from the facet partition directly, independently of the
     chord-max identity it is used to cross-check.  The signed distances of
     a facet's vertices to the line give the facet's interval on it (its
     vertices on the line and its edge crossings), which contributes
     |g . h| times its length.  The extreme interval ends are the chord's
-    ends, and u there is interpolated along the mesh edge they lie on.  A
-    mesh edge on the line bounds two facets and counts once.  As in
+    ends, and u there is interpolated along the mesh edge they lie on; of
+    equal ends the first in facet order counts.  A mesh edge on the line
+    bounds two facets and counts once, for the first of them.  As in
     :func:`geometry.chord`, an offset within tol of a support value clamps
     to it, and a vertex within tol of the line lies on it; a line farther
     off the domain gives 0.
 
-    t may be a 1-D array of offsets: all lines are then one array pass,
-    and the result is an array.  A scalar t gives a float.
+    Pass j takes facet j of every line whose function has more than j
+    facets, so the transients stay (lines, 6) whatever the facet counts,
+    and each line adds its facets' terms in facet order: a line's value
+    does not depend on the other lines of the batch.
     """
-    n, harr = h.perp().as_array(), h.as_array()
-    dom = u.domain
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    proj = dot2(dom.vertices, n)
-    lo, hi = float(proj.min()), float(proj.max())
-    meets = (ts >= lo - dom.tol) & (ts <= hi + dom.tol)
-    dist = dot2(u.verts, n) - np.clip(ts, lo, hi)[:, None]         # (L, V)
-    dist[np.abs(dist) <= dom.tol] = 0.0
-    s = dist[:, u.tris]                                           # (L, F, 3)
-    nxt = [1, 2, 0]
-    cross = s * s[..., nxt] < 0.0
-    lam = s / np.where(cross, s - s[..., nxt], 1.0)
-    # (position along h, value) at the vertices, then at the edge crossings
-    qz = np.column_stack([dot2(u.verts, harr), u.vert_values])[u.tris]  # (F, 3, 2)
-    qz = np.concatenate(
-        [np.broadcast_to(qz, lam.shape + (2,)),
-         qz + lam[..., None] * (qz[:, nxt] - qz)], axis=2)         # (L, F, 6, 2)
-    on = s == 0.0
-    hit = np.concatenate([on, cross], axis=2)                     # (L, F, 6)
-    q_lo = np.where(hit, qz[..., 0], np.inf)
-    q_hi = np.where(hit, qz[..., 0], -np.inf)
-    length = np.maximum(q_hi.max(axis=2) - q_lo.min(axis=2), 0.0)  # (L, F)
-    pair = on.sum(axis=2) == 2
-    for i in np.flatnonzero(pair.any(axis=1)).tolist():
-        edge_facets = np.flatnonzero(pair[i])
-        ends = np.sort(np.where(on[i, edge_facets], u.tris[edge_facets], -1),
-                       axis=1)[:, 1:]
-        _, first = np.unique(ends[:, 0] * len(u.verts) + ends[:, 1],
-                             return_index=True)
-        length[i, np.delete(edge_facets, first)] = 0.0
-    ac = (length * np.abs(dot2(u.planes[:, :2], harr))).sum(axis=1)
-    z = qz[..., 1].reshape(len(ts), -1)
-    rows = np.arange(len(ts))
-    out = (ac + z[rows, q_lo.reshape(len(ts), -1).argmin(axis=1)]
-           + z[rows, q_hi.reshape(len(ts), -1).argmax(axis=1)])
+    fstart, fn, t = np.asarray(fstart), np.asarray(fn), np.asarray(t)
+    h = np.broadcast_to(h, t.shape + (2,))
+    tol = np.broadcast_to(tol, t.shape)
+    meets = (t >= lo - tol) & (t <= hi + tol)
+    at = np.clip(t, lo, hi)
+    nf = np.diff(np.append(fstart, len(tris)))[fn]
+    # lines by falling facet count, so pass j's lines are the first live[j]
+    order = np.argsort(-nf)
+    live = (len(t) - np.cumsum(np.bincount(nf))).tolist()
+    first = fstart[fn][order]
+    hx, hy = h[order, 0, None], h[order, 1, None]
+    nx, ny = -hy, hx                                        # perp(h)
+    at, tol = at[order, None], tol[order, None]
+    x, y, gx, gy = verts[:, 0], verts[:, 1], planes[:, 0], planes[:, 1]
+    nxt, rows = [1, 2, 0], np.arange(len(t))
+    ac = np.zeros(len(t))
+    edge = np.full((len(t), len(live) - 1), -1)     # mesh edges on the line
+    end_lo, end_hi = np.full(len(t), np.inf), np.full(len(t), -np.inf)
+    z_lo, z_hi = np.zeros(len(t)), np.zeros(len(t))
+    for j, m in enumerate(live[:-1]):
+        f = first[:m] + j
+        tri = tris[f]                                          # (m, 3)
+        px, py = x[tri], y[tri]
+        s = px * nx[:m] + py * ny[:m] - at[:m]
+        s[np.abs(s) <= tol[:m]] = 0.0
+        sn = s[:, nxt]
+        on = s == 0.0
+        cross = s * sn < 0.0
+        lam = s / np.where(cross, s - sn, 1.0)
+        # (position along h, value) at the vertices, then at the crossings
+        qz = np.stack([px * hx[:m] + py * hy[:m], values[tri]], axis=2)
+        qz = np.concatenate([qz, qz + lam[..., None] * (qz[:, nxt] - qz)],
+                            axis=1)                               # (m, 6, 2)
+        hit = np.concatenate([on, cross], axis=1)
+        q_lo = np.where(hit, qz[..., 0], np.inf)
+        q_hi = np.where(hit, qz[..., 0], -np.inf)
+        i_lo, i_hi = q_lo.argmin(axis=1), q_hi.argmax(axis=1)
+        r = rows[:m]
+        q_lo, q_hi = q_lo[r, i_lo], q_hi[r, i_hi]
+        length = np.maximum(q_hi - q_lo, 0.0)
+        if on.any():
+            pair = on.sum(axis=1) == 2
+            if pair.any():
+                # an edge on the line counts for the first facet that has it
+                k = np.flatnonzero(pair)
+                ends = np.sort(np.where(on[k], tri[k], -1), axis=1)
+                edge[k, j] = ends[:, 1] * len(verts) + ends[:, 2]
+                length[k[(edge[k, :j] == edge[k, j, None]).any(axis=1)]] = 0.0
+        ac[:m] += length * np.abs(gx[f] * hx[:m, 0] + gy[f] * hy[:m, 0])
+        # the chord's ends, the first extremes in facet order
+        np.copyto(z_lo[:m], qz[r, i_lo, 1], where=q_lo < end_lo[:m])
+        np.copyto(z_hi[:m], qz[r, i_hi, 1], where=q_hi > end_hi[:m])
+        np.minimum(end_lo[:m], q_lo, out=end_lo[:m])
+        np.maximum(end_hi[:m], q_hi, out=end_hi[:m])
+    out = np.empty(len(t))
+    out[order] = ac + z_lo + z_hi
     out[~meets] = 0.0
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return out
 
 
 def norm_ratio(u: ConcaveFunction, h1: Direction, h2: Direction, p) -> float:

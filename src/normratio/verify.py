@@ -18,13 +18,16 @@ memory does not grow with the number of cases, and each suite still runs
 over several cases in a row.  Nothing is cached between blocks or
 between runs.  A block's envelopes form one :class:`facets.FacetTable`,
 built on first use and dropped with the block: theorem1, edge-slope,
-sup-boundary, envelope-structure and slope-cap are array programs over
-it, and oracle-l1 and shear-transport read their axis L1 norms from it.
-The other suites run case by case; the normalizing affine map and the
-images of the first two envelopes, which lemma-tan and shear-transport
-both read, are computed once per case on :class:`Case`.  Per suite, the
-block results are merged in block order, so the results, and the first
-failure, are those of running each suite over the whole corpus in turn.
+sup-boundary, envelope-structure, slope-cap, line-mass and oracle-l1 are
+array programs over it, line-mass with one :func:`norms.line_masses`
+pass over all the block's lines.  shear-transport reads every norm from
+it and from a second table, :attr:`Block.images`, of the images of each
+case's first two envelopes under its normalizing map.  The other suites
+run case by case; the normalizing affine map and the images, which
+lemma-tan and the image table both read, are computed once per case on
+:class:`Case`.  Per suite, the block results are merged in block order,
+so the results, and the first failure, are those of running each suite
+over the whole corpus in turn.
 """
 
 from __future__ import annotations
@@ -82,8 +85,9 @@ class Case:
 
     The normalizing map and the images of the first two envelopes are
     computed on first use and dropped with the case.  Values read per
-    envelope (axis L1 norms and sups, the facets on the boundary) come
-    from the facet table of the case's :class:`Block`.
+    envelope (axis norms and sups, the facets on the boundary, line
+    masses) come from the facet table of the case's :class:`Block`, and
+    the images' norms from its image table.
     """
 
     index: int
@@ -117,14 +121,23 @@ def _case(seed: int, index: int) -> Case:
 
 
 class Block(tuple):
-    """Consecutive cases and, built on first use, one
-    :class:`facets.FacetTable` of all their envelopes.  ``run_suite``
-    wraps any other sequence of cases in one."""
+    """Consecutive cases and, built on first use, a
+    :class:`facets.FacetTable` of all their envelopes and one of the
+    images in :attr:`Case.normalized`.  ``run_suite`` wraps any other
+    sequence of cases in one."""
 
     @cached_property
     def table(self) -> FacetTable:
         return FacetTable([u for case in self for _, u in case.envelopes],
                           [len(case.envelopes) for case in self])
+
+    @cached_property
+    def images(self) -> FacetTable:
+        """The images of each case's first two envelopes under its
+        normalizing map, from :attr:`Case.normalized`."""
+        images = [case.normalized[2] for case in self]
+        return FacetTable([tu for im in images for tu in im],
+                          [len(im) for im in images])
 
 
 def jsonify(obj):
@@ -199,17 +212,12 @@ def _violation(detail: dict, descriptor=None) -> dict:
 AXES = (E1, E2)
 
 
-def _each(body, l1: bool = False):
-    """The suite that runs ``body`` case by case; with ``l1`` the body
-    also gets the case's rows of the block's axis L1 norms."""
+def _each(body):
+    """The suite that runs ``body`` case by case."""
     def suite(block: Block, tol: float):
         checks, found = [], []
         for pos, case in enumerate(block):
-            extra = ()
-            if l1:
-                t = block.table
-                extra = (t.axis_l1[t.ecase == pos],)
-            n, bad = body(case, tol, *extra)
+            n, bad = body(case, tol)
             checks.append(n)
             found += [(pos, v) for v in bad]
         return checks, found
@@ -220,6 +228,11 @@ def _per_case(t: FacetTable, per_envelope) -> np.ndarray:
     """Check counts per case from counts per envelope."""
     per_envelope = np.broadcast_to(per_envelope, t.ecase.shape)
     return np.bincount(t.ecase, per_envelope, t.ncases).astype(int)
+
+
+def _leading(t: FacetTable, m: int) -> np.ndarray:
+    """Mask of each case's first ``m`` envelopes."""
+    return np.arange(len(t.ecase)) - t.cstart[t.ecase] < m
 
 
 def _found(t: FacetTable, envs, parts, detail) -> list:
@@ -235,7 +248,7 @@ def _suite_sandwich(block: Block, tol: float):
     t = block.table
     w = np.array([[width(case.domain, h) for h in AXES] for case in block])
     lo = w[t.ecase] * t.max_values[:, None]                   # (envelopes, 2)
-    val, scale = t.axis_l1, np.maximum(1.0, lo)
+    val, scale = t.axis_norms(1.0), np.maximum(1.0, lo)
     fail = ~((lo - tol * scale <= val) & (val <= 2.0 * lo + tol * scale))
     k, a = np.nonzero(fail)
     order = np.lexsort((k, a, t.ecase[k]))        # case by case, axis-major
@@ -266,37 +279,44 @@ def _suite_cone_mass(case: Case, tol: float):
     return checks, bad
 
 
-def _suite_line_mass(case: Case, tol: float):
+def _suite_line_mass(block: Block, tol: float):
     """Per line: the one-dimensional |d_h u| mass equals twice the chord max.
 
-    The left side sums |g . h| times each facet's interval on the line and
-    adds the values at the chord's ends (the boundary jumps); the right
-    side reads the chord maximum off the upper hull of the projected graph
-    vertices.  Entirely independent code paths.
+    The left side is one :func:`norms.line_masses` pass over the lines of
+    the whole block: it sums |g . h| times each facet's interval on the
+    line and adds the values at the chord's ends (the boundary jumps).
+    The right side reads the chord maximum off the upper hull of the
+    projected graph vertices, per envelope and direction.  Entirely
+    independent code paths.
     """
-    checks, bad = 0, []
-    rng = case.rng(2)
-    dirs = (E1, random_direction(rng))
-    for desc, u in case.envelopes[:2]:
-        for h in dirs:
-            n = h.perp().as_array()
-            proj = dot2(case.domain.vertices, n)
-            lo, hi = float(proj.min()), float(proj.max())
-            hull_t, hull_m = chord_max_hull(u, n)
-            # No line here meets a degenerate chord: the chord length is
-            # concave in the offset, so at 5-95% of the projection range it
-            # is at least a twentieth of the longest chord, itself at least
-            # area / range, and corpus areas are >= 0.05.
-            ts = lo + (hi - lo) * rng.uniform(0.05, 0.95, size=3)
-            ms = np.interp(ts, hull_t, hull_m)
-            lis = norms.line_integral_abs_dh(u, h, ts)
-            for t, m, li in zip(ts.tolist(), ms.tolist(), lis.tolist()):
-                checks += 1
-                if abs(li - 2.0 * m) > tol * (1.0 + 2.0 * abs(m)):
-                    bad.append(_violation(
-                        {"h": [h.dx, h.dy], "t": t, "line_mass": li,
-                         "chord_max": m}, desc))
-    return checks, bad
+    t = block.table
+    rows, ts, ms = [], [], []      # per envelope and direction; per line
+    for pos, case in enumerate(block):
+        rng = case.rng(2)
+        dirs = (E1, random_direction(rng))
+        for k, (_, u) in enumerate(case.envelopes[:2], t.cstart[pos]):
+            for h in dirs:
+                n = h.perp().as_array()
+                proj = dot2(case.domain.vertices, n)
+                lo, hi = float(proj.min()), float(proj.max())
+                hull_t, hull_m = chord_max_hull(u, n)
+                # No line here meets a degenerate chord: the chord length
+                # is concave in the offset, so at 5-95% of the projection
+                # range it is at least a twentieth of the longest chord,
+                # itself at least area / range, and corpus areas are
+                # >= 0.05.
+                off = lo + (hi - lo) * rng.uniform(0.05, 0.95, size=3)
+                rows.append((k, h.as_array(), lo, hi, case.domain.tol))
+                ts.append(off)
+                ms.append(np.interp(off, hull_t, hull_m))
+    env, h, lo, hi, dtol = (np.repeat(x, 3, axis=0) for x in zip(*rows))
+    ts, ms = np.concatenate(ts), np.concatenate(ms)
+    li = norms.line_masses(t.verts, t.vert_values, t.tris, t.planes,
+                           t.fstart, env, h, ts, lo, hi, dtol)
+    (i,) = np.nonzero(np.abs(li - 2.0 * ms) > tol * (1.0 + 2.0 * np.abs(ms)))
+    return np.bincount(t.ecase[env], minlength=t.ncases), _found(
+        t, env[i], i, lambda k, i: {"h": h[i], "t": ts[i],
+                                    "line_mass": li[i], "chord_max": ms[i]})
 
 
 def _suite_tangent(case: Case, tol: float):
@@ -399,61 +419,70 @@ def _suite_sup_boundary(block: Block, tol: float):
     return _per_case(t, 6), _found(t, k, 2 * d + part, detail)
 
 
-def _suite_oracle_l1(case: Case, tol: float, axis_l1):
+def _suite_oracle_l1(block: Block, tol: float):
     """Facet-sum L1 norms against the scan-line oracle (upper hull of the
-    projected vertices, integrated exactly)."""
-    checks, bad = 0, []
-    for (desc, u), l1 in zip(case.envelopes[:3], axis_l1):
-        for h, exact in zip((E1, E2), l1):
-            scan = norms.scanline_l1_norm(u, h).value
-            checks += 1
-            denom = max(exact, scan, 1e-300)
-            if abs(exact - scan) > tol * denom:
-                bad.append(_violation(
-                    {"h": [h.dx, h.dy], "facet_sum": exact, "scanline": scan,
-                     "rel_err": abs(exact - scan) / denom}, desc))
-    return checks, bad
+    projected vertices, integrated exactly), for each case's first three
+    envelopes."""
+    t = block.table
+    first = _leading(t, 3)
+    exact, scan = t.axis_norms(1.0), np.zeros((len(first), 2))
+    for k in np.flatnonzero(first).tolist():
+        scan[k] = [norms.scanline_l1_norm(t.envelopes[k], h).value
+                   for h in AXES]
+    denom = np.maximum(np.maximum(exact, scan), 1e-300)
+    err = np.abs(exact - scan)
+    k, a = np.nonzero(first[:, None] & (err > tol * denom))
+    return _per_case(t, 2 * first), _found(t, k, a, lambda k, a: {
+        "h": [AXES[a].dx, AXES[a].dy], "facet_sum": exact[k, a],
+        "scanline": scan[k, a], "rel_err": err[k, a] / denom[k, a]})
 
 
-def _suite_shear_transport(case: Case, tol: float, axis_l1):
+def _suite_shear_transport(block: Block, tol: float):
     """Affine pushforward: gradient transport and norm change of variables.
 
-    Checks, with T the normalizing shear (image = lin x + shift):
+    Checks, with T the normalizing shear (image = lin x + shift), on each
+    case's first two envelopes:
       (a) facet gradients satisfy g = lin^T g-tilde;
       (b) vertical p-norms scale by |det lin|^(1/p), p in {1, 2};
       (c) the composed horizontal norm bound from the triangle inequality.
+    Every norm comes from the block's two tables, of the envelopes and of
+    their images.
     """
-    checks, bad = 0, []
-    _, lin, images = case.normalized
-    det = abs(float(cross2(lin[0], lin[1])))
-    for (desc, u), tu, l1 in zip(case.envelopes, images, axis_l1):
-        back = dot2(tu.planes[:, None, :2], lin.T)
-        gscale = 1.0 + float(np.abs(u.planes[:, :2]).max())
-        checks += 1
-        if float(np.abs(back - u.planes[:, :2]).max()) > tol * gscale:
-            bad.append(_violation(
-                {"part": "gradient-transport",
-                 "max_err": float(np.abs(back - u.planes[:, :2]).max())},
-                desc))
-        for p in (1.0, 2.0):
-            a = norms.lp_directional_norm(tu, E2, p).value ** p
-            src = (l1[1] if p == 1.0
-                   else norms.lp_directional_norm(u, E2, p).value)
-            b = det * src ** p
-            checks += 1
-            if abs(a - b) > tol * max(1.0, a, b):
-                bad.append(_violation(
-                    {"part": "vertical-norm-scaling", "p": p,
-                     "image": a, "scaled_source": b}, desc))
-        nx = norms.lp_directional_norm(u, E1, 2).value
-        n1 = norms.lp_directional_norm(tu, E1, 2).value
-        n2 = norms.lp_directional_norm(tu, E2, 2).value
-        cap = (abs(lin[0, 0]) * n1 + abs(lin[1, 0]) * n2) / math.sqrt(det)
-        checks += 1
-        if nx > cap + tol * max(1.0, cap):
-            bad.append(_violation(
-                {"part": "composition", "norm": nx, "cap": cap}, desc))
-    return checks, bad
+    t, img = block.table, block.images
+    src = np.flatnonzero(_leading(t, 2))      # image k is of envelope src[k]
+    lin = np.array([case.normalized[1] for case in block])[img.ecase]
+    det = np.abs(cross2(lin[:, 0], lin[:, 1]))
+    # (a) facet by facet, an image facet is its source facet moved
+    g = t.planes[t.fstart[src][img.fenv] + np.arange(len(img.planes))
+                 - img.fstart[img.fenv], :2]
+    back = dot2(img.planes[:, None, :2], lin.transpose(0, 2, 1)[img.fenv])
+    err = np.maximum.reduceat(np.abs(back - g).max(axis=1), img.fstart)
+    gscale = 1.0 + np.maximum.reduceat(np.abs(g).max(axis=1), img.fstart)
+    # (b) and (c)
+    image = {p: img.axis_norms(p) for p in (1.0, 2.0)}
+    source = {p: t.axis_norms(p)[src] for p in (1.0, 2.0)}
+    a = {p: image[p][:, 1] ** p for p in image}
+    b = {p: det * source[p][:, 1] ** p for p in source}
+    nx, (n1, n2) = source[2.0][:, 0], image[2.0].T
+    cap = ((np.abs(lin[:, 0, 0]) * n1 + np.abs(lin[:, 1, 0]) * n2)
+           / np.sqrt(det))
+    fail = np.stack([err > tol * gscale]
+                    + [np.abs(a[p] - b[p])
+                       > tol * np.maximum(np.maximum(1.0, a[p]), b[p])
+                       for p in (1.0, 2.0)]
+                    + [nx > cap + tol * np.maximum(1.0, cap)], axis=1)
+    i, part = np.nonzero(fail)
+
+    def detail(k, j):
+        i, part = divmod(j, 4)
+        if part == 0:
+            return {"part": "gradient-transport", "max_err": err[i]}
+        if part == 3:
+            return {"part": "composition", "norm": nx[i], "cap": cap[i]}
+        p = float(part)
+        return {"part": "vertical-norm-scaling", "p": p, "image": a[p][i],
+                "scaled_source": b[p][i]}
+    return _per_case(img, 4), _found(t, src[i], 4 * i + part, detail)
 
 
 def _suite_product_four(case: Case, tol: float):
@@ -576,7 +605,7 @@ SUITES = {
         _each(_suite_cone_mass), 1e-11,
         "single-peak envelopes attain ||d_h u||_1 = wM exactly"),
     "line-mass": SuiteSpec(
-        _each(_suite_line_mass), 1e-9,
+        _suite_line_mass, 1e-9,
         "per-line derivative mass equals twice the chord maximum"),
     "lemma-tan": SuiteSpec(
         _each(_suite_tangent), 1e-9,
@@ -590,10 +619,10 @@ SUITES = {
         "sup |d_h u| is attained on a boundary-touching facet and is at "
         "most sqrt(2) times the larger axis sup"),
     "oracle-l1": SuiteSpec(
-        _each(_suite_oracle_l1, l1=True), 1e-11,
+        _suite_oracle_l1, 1e-11,
         "facet-sum L1 norm matches the scan-line integral of chord maxima"),
     "shear-transport": SuiteSpec(
-        _each(_suite_shear_transport, l1=True), 1e-9,
+        _suite_shear_transport, 1e-9,
         "affine pushforward: gradient transport and norm scaling"),
     "product-four": SuiteSpec(
         _each(_suite_product_four), 1e-12,

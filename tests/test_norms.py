@@ -31,18 +31,21 @@ from normratio.geometry import (
     cross2,
     diamond,
     disc,
+    dot2,
     square,
     triangle,
 )
 from normratio.norms import (
     _jump_mass,
     line_integral_abs_dh,
+    line_masses,
     lp_directional_norm,
     norm_ratio,
     scanline_l1_norm,
     sup_directional_norm,
 )
 from normratio.sampling import keyed_rng, random_envelope_descriptor
+from normratio.verify import CASE_BLOCK, Block, _case
 
 from conftest import corpus_domains
 
@@ -326,6 +329,116 @@ def test_line_integral_matches_facet_clipping_loop():
                 ref = _line_integral_loop(u, h, t)
                 assert line_integral_abs_dh(u, h, t) == pytest.approx(
                     ref, rel=0, abs=1e-12 * (1.0 + abs(ref))), f"function {i}"
+
+
+def _one_pass_line_integral(u, h, ts):
+    """The line integral of u along each offset in ts as one array pass
+    over all its facets: the whole (lines, facets, 6) table at once, each
+    line's facet terms added in facet order."""
+    n, harr = h.perp().as_array(), h.as_array()
+    dom = u.domain
+    proj = dot2(dom.vertices, n)
+    lo, hi = float(proj.min()), float(proj.max())
+    meets = (ts >= lo - dom.tol) & (ts <= hi + dom.tol)
+    dist = dot2(u.verts, n) - np.clip(ts, lo, hi)[:, None]
+    dist[np.abs(dist) <= dom.tol] = 0.0
+    s = dist[:, u.tris]
+    nxt = [1, 2, 0]
+    cross = s * s[..., nxt] < 0.0
+    lam = s / np.where(cross, s - s[..., nxt], 1.0)
+    qz = np.column_stack([dot2(u.verts, harr), u.vert_values])[u.tris]
+    qz = np.concatenate([np.broadcast_to(qz, lam.shape + (2,)),
+                         qz + lam[..., None] * (qz[:, nxt] - qz)], axis=2)
+    on = s == 0.0
+    hit = np.concatenate([on, cross], axis=2)
+    q_lo = np.where(hit, qz[..., 0], np.inf)
+    q_hi = np.where(hit, qz[..., 0], -np.inf)
+    length = np.maximum(q_hi.max(axis=2) - q_lo.min(axis=2), 0.0)
+    pair = on.sum(axis=2) == 2
+    for i in np.flatnonzero(pair.any(axis=1)).tolist():
+        edge_facets = np.flatnonzero(pair[i])
+        ends = np.sort(np.where(on[i, edge_facets], u.tris[edge_facets], -1),
+                       axis=1)[:, 1:]
+        _, first = np.unique(ends[:, 0] * len(u.verts) + ends[:, 1],
+                             return_index=True)
+        length[i, np.delete(edge_facets, first)] = 0.0
+    slopes = np.abs(dot2(u.planes[:, :2], harr))
+    ac = np.zeros(len(ts))
+    for f in range(u.n_facets):
+        ac += length[:, f] * slopes[f]
+    z = qz[..., 1].reshape(len(ts), -1)
+    rows = np.arange(len(ts))
+    out = (ac + z[rows, q_lo.reshape(len(ts), -1).argmin(axis=1)]
+           + z[rows, q_hi.reshape(len(ts), -1).argmax(axis=1)])
+    out[~meets] = 0.0
+    return out
+
+
+def test_line_masses_match_per_function_calls():
+    # one batch: a verify block's 80 envelopes, then a tent on each of its
+    # domains; per function and direction, random offsets, every vertex's
+    # offset (lines through mesh vertices, along mesh edges for the
+    # diagonal of the pyramid), both support offsets, one within tol of a
+    # support offset and one off each side
+    block = Block(_case(42, k) for k in range(CASE_BLOCK))
+    funcs = [u for case in block for _, u in case.envelopes]
+    for case in block:
+        v = case.domain.vertices
+        funcs.append(tent_function(case.domain, [v[0], 0.5 * (v[-2] + v[-1])]))
+    funcs.append(concave_envelope(square(), [((0.5, 0.5), 1.0)]))
+    vstart = np.cumsum([0] + [len(u.verts) for u in funcs])
+    fstart = np.cumsum([0] + [u.n_facets for u in funcs])[:-1]
+    mesh = (np.concatenate([u.verts for u in funcs]),
+            np.concatenate([u.vert_values for u in funcs]),
+            np.concatenate([u.tris + lo for u, lo in zip(funcs, vstart)]),
+            np.concatenate([u.planes for u in funcs]), fstart)
+    rng = keyed_rng(6205, 0)
+    groups = []                    # (function, h, offsets, support ends)
+    for k, u in enumerate(funcs):
+        dom = u.domain
+        for h in (E1, E2, Direction.from_angle(float(rng.uniform(0, math.pi))),
+                  Direction.of(1, 1)):
+            proj = dot2(dom.vertices, h.perp().as_array())
+            lo, hi = proj.min(), proj.max()
+            ts = np.concatenate([lo + (hi - lo) * rng.uniform(0, 1, 3),
+                                 dot2(u.verts, h.perp().as_array()),
+                                 [lo, hi, hi + 0.5 * dom.tol, lo - 1.0,
+                                  hi + 1.0]])
+            groups.append((k, h, ts, lo, hi))
+    sizes = [len(ts) for _, _, ts, _, _ in groups]
+    fn, hs, ts, lo, hi = zip(*groups)
+    got = line_masses(*mesh, np.repeat(fn, sizes),
+                      np.repeat([h.as_array() for h in hs], sizes, axis=0),
+                      np.concatenate(ts), np.repeat(lo, sizes),
+                      np.repeat(hi, sizes),
+                      np.repeat([funcs[k].domain.tol for k in fn], sizes))
+    at = 0
+    for k, h, offs, _, _ in groups:
+        u, mine = funcs[k], got[at:at + len(offs)]
+        at += len(offs)
+        np.testing.assert_array_equal(mine, line_integral_abs_dh(u, h, offs))
+        np.testing.assert_array_equal(mine,
+                                      _one_pass_line_integral(u, h, offs))
+        assert mine[-1] == 0.0 and mine[-2] == 0.0
+        assert mine[-3] == mine[-4]
+        if k % 8 == 0:
+            for t, value in zip(offs[:4].tolist(), mine[:4].tolist()):
+                assert line_integral_abs_dh(u, h, t) == value
+    assert at == len(got)
+
+
+def test_line_masses_take_the_first_of_equal_chord_ends():
+    # two facets end at (1, 0) on the line y = 0, with the values 5 and 7
+    # there; the first facet in facet order gives the chord's end
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                      [1.0, 0.0], [0.0, -1.0], [1.0, -1.0]])
+    values = np.array([0.0, 5.0, 0.0, 7.0, 0.0, 0.0])
+    tris = np.array([[0, 1, 2], [3, 4, 5]])
+    planes = np.zeros((2, 3))
+    for order, end in (([0, 1], 5.0), ([1, 0], 7.0)):
+        got = line_masses(verts, values, tris[order], planes, [0], [0],
+                          E1.as_array(), np.array([0.0]), -1.0, 1.0, 1e-12)
+        assert got.tolist() == [end]
 
 
 def test_sup_norm_reports_boundary_facet():

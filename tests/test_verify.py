@@ -42,6 +42,20 @@ def test_check_counts_match_bench_reference():
     assert {r.suite: r.checks for r in results} == entry["checks"]
 
 
+def test_check_counts_of_a_second_seed():
+    # the benchmark pins the counts at seed 42; these are the counts the
+    # per-case suites gave at another seed, so that a block program that
+    # drops or adds a check on another corpus shows too
+    results = run_all(cases=40, seed=31337)
+    assert {r.suite: (r.checks, len(r.failures)) for r in results} == {
+        "theorem1": (400, 0), "cone-mass": (160, 0), "line-mass": (480, 0),
+        "lemma-tan": (2000, 0), "edge-slope": (1190, 0),
+        "sup-boundary": (1200, 0), "oracle-l1": (240, 0),
+        "shear-transport": (320, 0), "product-four": (120, 0),
+        "envelope-structure": (1200, 0), "profile-concavity": (240, 0),
+        "slope-cap": (200, 0)}
+
+
 @pytest.mark.parametrize("workload", ["estimate-disc", "sweep-shared"])
 def test_search_rows_match_bench_reference(workload, capsys):
     # the benchmark also rejects a search row that moves off its reference

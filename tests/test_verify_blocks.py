@@ -1,11 +1,12 @@
 """The block suites against the per-case code they replace.
 
-theorem1, edge-slope, sup-boundary, envelope-structure and slope-cap run
-as array programs over one facet table per block of cases.  The per-case
-bodies below are those suites as they were written before, one envelope
-at a time, with the ``norms`` calls behind the axis values; the block
-programs must give the same checks and violations, maxima and minima bit
-for bit, and sums up to their order of addition.
+theorem1, edge-slope, sup-boundary, envelope-structure, slope-cap,
+line-mass, oracle-l1 and shear-transport run as array programs over the
+facet tables of a block of cases.  The per-case bodies below are those
+suites as they were written before, one envelope at a time, with the
+``norms`` calls behind the axis values; the block programs must give the
+same checks and violations, maxima and minima bit for bit, and sums up
+to their order of addition.
 """
 
 import json
@@ -16,10 +17,10 @@ import pytest
 
 from normratio import norms
 from normratio.concave import (check_concavity, check_partition,
-                               check_vertex_consistency, evaluate,
-                               plane_values, tent_function)
+                               check_vertex_consistency, chord_max_hull,
+                               evaluate, plane_values, tent_function)
 from normratio.facets import FacetTable
-from normratio.geometry import (E1, E2, domain_to_json, dot2,
+from normratio.geometry import (E1, E2, cross2, domain_to_json, dot2,
                                 max_boundary_slope, square, width)
 from normratio.sampling import random_direction
 from normratio.verify import (CASE_BLOCK, SUITES, Block, _case, _violation,
@@ -140,12 +141,87 @@ def ref_slope_cap(case, tol):
     return checks, bad
 
 
+def ref_line_mass(case, tol):
+    checks, bad = 0, []
+    rng = case.rng(2)
+    dirs = (E1, random_direction(rng))
+    for desc, u in case.envelopes[:2]:
+        for h in dirs:
+            n = h.perp().as_array()
+            proj = dot2(case.domain.vertices, n)
+            lo, hi = float(proj.min()), float(proj.max())
+            hull_t, hull_m = chord_max_hull(u, n)
+            ts = lo + (hi - lo) * rng.uniform(0.05, 0.95, size=3)
+            ms = np.interp(ts, hull_t, hull_m)
+            lis = norms.line_integral_abs_dh(u, h, ts)
+            for t, m, li in zip(ts.tolist(), ms.tolist(), lis.tolist()):
+                checks += 1
+                if abs(li - 2.0 * m) > tol * (1.0 + 2.0 * abs(m)):
+                    bad.append(_violation(
+                        {"h": [h.dx, h.dy], "t": t, "line_mass": li,
+                         "chord_max": m}, desc))
+    return checks, bad
+
+
+def ref_oracle_l1(case, tol):
+    # the facet sums from the case's own table, as the suite read them:
+    # rel_err is a difference of two sums that agree to rounding
+    checks, bad = 0, []
+    l1 = FacetTable([u for _, u in case.envelopes],
+                    [len(case.envelopes)]).axis_norms(1.0)
+    for (desc, u), exact_l1 in zip(case.envelopes[:3], l1):
+        for h, exact in zip((E1, E2), exact_l1):
+            scan = norms.scanline_l1_norm(u, h).value
+            checks += 1
+            denom = max(exact, scan, 1e-300)
+            if abs(exact - scan) > tol * denom:
+                bad.append(_violation(
+                    {"h": [h.dx, h.dy], "facet_sum": exact, "scanline": scan,
+                     "rel_err": abs(exact - scan) / denom}, desc))
+    return checks, bad
+
+
+def ref_shear_transport(case, tol):
+    checks, bad = 0, []
+    _, lin, images = case.normalized
+    det = abs(float(cross2(lin[0], lin[1])))
+    for (desc, u), tu in zip(case.envelopes, images):
+        back = dot2(tu.planes[:, None, :2], lin.T)
+        gscale = 1.0 + float(np.abs(u.planes[:, :2]).max())
+        checks += 1
+        if float(np.abs(back - u.planes[:, :2]).max()) > tol * gscale:
+            bad.append(_violation(
+                {"part": "gradient-transport",
+                 "max_err": float(np.abs(back - u.planes[:, :2]).max())},
+                desc))
+        for p in (1.0, 2.0):
+            a = norms.lp_directional_norm(tu, E2, p).value ** p
+            b = det * norms.lp_directional_norm(u, E2, p).value ** p
+            checks += 1
+            if abs(a - b) > tol * max(1.0, a, b):
+                bad.append(_violation(
+                    {"part": "vertical-norm-scaling", "p": p,
+                     "image": a, "scaled_source": b}, desc))
+        nx = norms.lp_directional_norm(u, E1, 2).value
+        n1 = norms.lp_directional_norm(tu, E1, 2).value
+        n2 = norms.lp_directional_norm(tu, E2, 2).value
+        cap = (abs(lin[0, 0]) * n1 + abs(lin[1, 0]) * n2) / math.sqrt(det)
+        checks += 1
+        if nx > cap + tol * max(1.0, cap):
+            bad.append(_violation(
+                {"part": "composition", "norm": nx, "cap": cap}, desc))
+    return checks, bad
+
+
 REFERENCE = {
     "theorem1": ref_sandwich,
     "edge-slope": ref_edge_slope,
     "sup-boundary": ref_sup_boundary,
     "envelope-structure": ref_envelope_structure,
     "slope-cap": ref_slope_cap,
+    "line-mass": ref_line_mass,
+    "oracle-l1": ref_oracle_l1,
+    "shear-transport": ref_shear_transport,
 }
 
 
@@ -208,16 +284,23 @@ def test_block_suites_match_per_case_code(seed, tol):
 def test_table_values_match_per_envelope_functions(seed):
     corpus = [_case(seed, k) for k in range(CASE_BLOCK + 3)]
     for cases in (corpus[:CASE_BLOCK], corpus[CASE_BLOCK:]):
-        t = Block(cases).table
+        block = Block(cases)
+        t = block.table
         envs = [u for case in cases for _, u in case.envelopes]
         np.testing.assert_array_equal(t.max_values,
                                       [u.max_value for u in envs])
         np.testing.assert_array_equal(
             t.axis_sups, [[norms.sup_directional_norm(u, h).value
                            for h in (E1, E2)] for u in envs])
-        np.testing.assert_allclose(
-            t.axis_l1, [[norms.lp_directional_norm(u, h, 1).value
-                         for h in (E1, E2)] for u in envs], rtol=REL, atol=0)
+        # the axis p-norms, of the envelopes and of the images that
+        # shear-transport reads
+        images = [tu for case in cases for tu in case.normalized[2]]
+        for table, funcs in ((t, envs), (block.images, images)):
+            for p in (1.0, 2.0):
+                np.testing.assert_allclose(
+                    table.axis_norms(p),
+                    [[norms.lp_directional_norm(u, h, p).value
+                      for h in (E1, E2)] for u in funcs], rtol=REL, atol=0)
         np.testing.assert_array_equal(
             t.facet_on_boundary,
             np.concatenate([u.facet_on_boundary for u in envs]))
