@@ -7,10 +7,10 @@ domain geometry, ``bounds`` the closed-form caps, ``estimate`` and
 property suites.
 
 Output is JSON (default) or CSV with a fixed, documented column set per
-command and a header row always present.  Non-finite numbers serialize
-as the strings "inf"/"-inf"/"nan" in both formats so every emitted file
-round-trips through strict parsers.  Identical flags and seed produce
-byte-identical output.
+command and a header row always present.  Both formats render the values
+of :func:`verify.jsonify`, which writes non-finite numbers as the strings
+"inf"/"-inf"/"nan", so every emitted file round-trips through strict
+parsers.  Identical flags and seed produce byte-identical output.
 
 Exit codes: 0 success, 1 property failure, 2 input error.
 """
@@ -32,7 +32,6 @@ from .geometry import (
     ConvexDomain,
     Direction,
     DomainError,
-    circumscribed_rectangle,
     diamond,
     disc,
     domain_from_json,
@@ -40,6 +39,7 @@ from .geometry import (
     square,
     triangle,
     vertical_support_classification,
+    width,
     width_extremes,
 )
 
@@ -214,17 +214,11 @@ class CliInputError(Exception):
 
 
 def _fmt_cell(x) -> str:
+    x = verify.jsonify(x)     # plain Python values, non-finite as text
     if x is None:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, float):
-        x = float(x)          # numpy scalars repr differently
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return repr(x)
     return str(x)
 
 
@@ -250,7 +244,7 @@ def _deg(h: Direction) -> float:
 
 def cmd_analyze(args):
     dom = _resolve_domain(args)
-    w_x, w_y = circumscribed_rectangle(dom)
+    w_x, w_y = width(dom, E2), width(dom, E1)
     we = width_extremes(dom)
     info = vertical_support_classification(dom)
     iA, iB = info.extremes

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -25,17 +24,9 @@ from .geometry import (
     dot2,
     vertical_support_classification,
 )
-from .hull import _fan, _interior_facets, _polygon_ccw
+from .hull import _chain, _fan, _interior_facets, _polygon_ccw
 
 PROFILE_LINES = 33          # scan lines per max_profile
-
-
-@dataclass(frozen=True)
-class MaxProfile:
-    """Per-chord maxima of a function along parallel scan lines."""
-
-    offsets: np.ndarray      # positions along the scan normal
-    values: np.ndarray       # chord maxima m_h(t)
 
 
 class ConcaveFunction:
@@ -176,7 +167,8 @@ def chord_max_hull(u: ConcaveFunction, normal) -> tuple[np.ndarray, np.ndarray]:
     projection onto (x . normal, z) is bounded above by the upper hull of
     the projected vertices (v . normal, u(v)), so m is that hull: a concave
     polyline over the whole projection range, found by one monotone chain
-    (Andrew 1979).  It reads vertex values only, never facet planes.
+    (Andrew 1979), :func:`hull._chain`.  It reads vertex values only,
+    never facet planes.
 
     The ends of a support edge can project a rounding apart, so
     projections within tol of the two support values are snapped onto
@@ -190,20 +182,18 @@ def chord_max_hull(u: ConcaveFunction, normal) -> tuple[np.ndarray, np.ndarray]:
     t, z = t[order], u.vert_values[order]
     # at equal t only the highest point can lie on the hull
     top = np.append(t[1:] != t[:-1], True)
-    ht, hz = [], []
-    for ti, zi in zip(t[top].tolist(), z[top].tolist()):
-        while len(ht) >= 2 and ((ht[-1] - ht[-2]) * (zi - hz[-2])
-                                >= (hz[-1] - hz[-2]) * (ti - ht[-2])):
-            ht.pop()
-            hz.pop()
-        ht.append(ti)
-        hz.append(zi)
-    return np.array(ht), np.array(hz)
+    t, z = t[top], z[top]
+    # the upper hull of (t, z) is the lower chain of (t, -z); negating z is
+    # exact, so every pop is the same comparison an upper chain would make
+    keep = _chain(list(zip(t.tolist(), (-z).tolist())), range(len(t)), 0.0)
+    return t[keep], z[keep]
 
 
-def max_profile(u: ConcaveFunction, h: Direction) -> MaxProfile:
-    """Chord maxima along PROFILE_LINES evenly spaced parallel lines in
-    direction h, spanning the domain.
+def max_profile(u: ConcaveFunction,
+                h: Direction) -> tuple[np.ndarray, np.ndarray]:
+    """Chord maxima m along PROFILE_LINES evenly spaced parallel lines in
+    direction h, spanning the domain, at offsets t along h's normal:
+    (t, m), as :func:`chord_max_hull` gives its breakpoints.
 
     The per-chord maximum is exact for the PL function; the profile is a
     concave function of the offset.  Along a chord u is piecewise linear
@@ -231,7 +221,7 @@ def max_profile(u: ConcaveFunction, h: Direction) -> MaxProfile:
     lam = (ts[:, None] - ta) / np.where(span == 0.0, np.nan, span)  # (L, 3F)
     on = (lam >= 0.0) & (lam <= 1.0)
     ms = np.where(on, za + lam * (u.vert_values[b] - za), -np.inf).max(axis=1)
-    return MaxProfile(offsets=ts, values=ms)
+    return ts, ms
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,8 @@ class FacetTable:
     starts at function ``cstart[c]``.  Case
     c's edge normals and offsets fill the first rows of ``normals[c]`` and
     ``offsets[c]``, padded to the most edges of any case with zero normals
-    at +inf offsets, which no point is near.  The norms read facets only,
+    at +inf offsets, which no point is near; these and each case's
+    ``margin`` are built on first use.  The norms read facets only,
     so the functions must vanish on the boundary (no jump part), as
     envelopes do; one with a boundary trace raises ValueError.
     """
@@ -59,13 +60,20 @@ class FacetTable:
         self.tris = np.concatenate([u.tris + lo
                                     for u, lo in zip(envs, self.vstart)],
                                    dtype=np.int32, casting="same_kind")
-        doms = [envs[k].domain for k in self.cstart]
-        self.normals = np.zeros((len(doms), max(d.n for d in doms), 2))
-        self.offsets = np.full(self.normals.shape[:2], np.inf)
+
+    @cached_property
+    def _edges(self) -> tuple:
+        doms = [self.envelopes[k].domain for k in self.cstart]
+        normals = np.zeros((len(doms), max(d.n for d in doms), 2))
+        offsets = np.full(normals.shape[:2], np.inf)
         for c, d in enumerate(doms):
-            self.normals[c, :d.n] = d.edge_normals()
-            self.offsets[c, :d.n] = d.edge_offsets()
-        self.margin = np.array([d.margin for d in doms])
+            normals[c, :d.n] = d.edge_normals()
+            offsets[c, :d.n] = d.edge_offsets()
+        return normals, offsets, np.array([d.margin for d in doms])
+
+    normals = property(lambda self: self._edges[0])
+    offsets = property(lambda self: self._edges[1])
+    margin = property(lambda self: self._edges[2])
 
     def slopes(self, h: np.ndarray) -> np.ndarray:
         """|d_h u| on each facet; h is one direction or one per facet."""

@@ -322,13 +322,6 @@ def width_extremes(dom: ConvexDomain) -> WidthExtremes:
     return WidthExtremes(w_max=w_max, w_min=w_min, h_max=h_max, h_min=h_min)
 
 
-def circumscribed_rectangle(dom: ConvexDomain):
-    """Axis-aligned extents (extent_x, extent_y) of the domain."""
-    v = dom.vertices
-    return (float(v[:, 0].max() - v[:, 0].min()),
-            float(v[:, 1].max() - v[:, 1].min()))
-
-
 def chord(dom: ConvexDomain, normal: np.ndarray, t: float) -> Chord | None:
     """Intersection of dom with the line {x . normal = t}.
 

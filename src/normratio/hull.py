@@ -1,6 +1,7 @@
-"""Upper convex hulls for the envelope builder: the counterclockwise hull
-of a planar point set, the fan of a facet polygon, and the gift wrap that
-finds the facets of an envelope that lie over no domain edge.
+"""Upper convex hulls for the envelope builder: one monotone chain (also
+the chord-maximum profile's), the counterclockwise hull of a planar
+point set, the fan of a facet polygon, and the gift wrap that finds the
+facets of an envelope that lie over no domain edge.
 """
 
 from __future__ import annotations
@@ -12,25 +13,29 @@ import numpy as np
 from .geometry import dot2
 
 
+def _chain(pts: list, seq, tol: float) -> list:
+    """One monotone chain (Andrew 1979) through pts[i], i in seq: the last
+    point kept is popped unless it lies more than tol right of the chord
+    from the one before it to the next.  Over increasing x it is the lower
+    hull."""
+    out = []
+    for i in seq:
+        while len(out) >= 2:
+            (ox, oy), (ax, ay), (bx, by) = pts[out[-2]], pts[out[-1]], pts[i]
+            if ((ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+                    > tol * math.hypot(bx - ox, by - oy)):
+                break
+            out.pop()
+        out.append(i)
+    return out
+
+
 def _polygon_ccw(xy: np.ndarray, tol: float) -> list:
-    """Indices of the convex hull vertices of xy, counterclockwise (Andrew's
-    monotone chain); a point within tol of a hull edge is not a vertex."""
+    """Indices of the convex hull vertices of xy, counterclockwise (two
+    monotone chains); a point within tol of a hull edge is not a vertex."""
     pts = xy.tolist()
     order = np.lexsort((xy[:, 1], xy[:, 0])).tolist()
-
-    def chain(seq):
-        out = []
-        for i in seq:
-            while len(out) >= 2:
-                (ox, oy), (ax, ay), (bx, by) = pts[out[-2]], pts[out[-1]], pts[i]
-                if ((ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
-                        > tol * math.hypot(bx - ox, by - oy)):
-                    break
-                out.pop()
-            out.append(i)
-        return out
-
-    return chain(order)[:-1] + chain(order[::-1])[:-1]
+    return _chain(pts, order, tol)[:-1] + _chain(pts, order[::-1], tol)[:-1]
 
 
 def _fan(poly: list):

@@ -219,7 +219,8 @@ def estimate_kp_lower(dom: ConvexDomain, p, h1: Direction = E1,
     Ties resolve by the lexicographic (ratio, candidate index) maximum, so
     the result does not depend on evaluation order.  The witness descriptor
     is re-built and re-evaluated before returning; a mismatch beyond 1e-9
-    is an internal error.
+    is an internal error.  A candidate whose build or norms raise
+    ValueError is skipped; when none is left, ValueError is raised.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -241,7 +242,7 @@ def estimate_kp_lower(dom: ConvexDomain, p, h1: Direction = E1,
             best = (r, idx)
             witness = desc
     if best is None:
-        raise RuntimeError("no candidate evaluated successfully")
+        raise ValueError("no candidate evaluated successfully")
 
     check = norms.norm_ratio(build_function(dom, witness), h1, h2, p)
     if not (abs(check - best[0]) <= 1e-9 * (1.0 + abs(best[0]))

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 import normratio
-from normratio.cli import COUNTEREXAMPLE_PATH, _parser, _resolve_domain, main
+from normratio.cli import (COUNTEREXAMPLE_PATH, _fmt_cell, _parser,
+                           _resolve_domain, main)
 from normratio.geometry import disc, domain_to_json, square
 
 from conftest import NEAR_VERTICAL_SQUARES
@@ -117,10 +118,13 @@ def test_bounds_diamond_p2(capsys):
 def test_bounds_infinite_value_serializes_as_string(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--preset", "square", "--p", "2")
     assert code == 0
-    assert json.loads(out)["value"] == "inf"
+    value = json.loads(out)["value"]
     code, out, _ = run_cli(capsys, "bounds", "--preset", "square", "--p", "2",
                            "--format", "csv")
-    assert parse_csv(out)[0]["value"] == "inf"
+    # one text in both formats: a CSV cell is jsonify's value, rendered
+    assert parse_csv(out)[0]["value"] == value == "inf"
+    cells = (np.float64(-math.inf), math.nan, np.bool_(True), np.int64(3))
+    assert [_fmt_cell(x) for x in cells] == ["-inf", "nan", "true", "3"]
 
 
 def test_estimate_disc_l1(capsys):

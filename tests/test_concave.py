@@ -545,14 +545,64 @@ def test_chord_max_hull_at_support_offsets_of_slanted_edges():
                 assert np.all(np.diff(ht) > 0), f"angle {ang}"
 
 
+def _chord_max_hull_reference(u, normal):
+    """chord_max_hull's rule with its upper chain over (t, z) written out:
+    the last point kept is popped while it is on or under the chord from
+    the one before it to the next."""
+    t = dot2(u.verts, np.asarray(normal, dtype=float))
+    lo, hi = t.min(), t.max()
+    t[t <= lo + u.domain.tol] = lo
+    t[t >= hi - u.domain.tol] = hi
+    order = np.lexsort((u.vert_values, t))
+    t, z = t[order], u.vert_values[order]
+    top = np.append(t[1:] != t[:-1], True)
+    ht, hz = [], []
+    for ti, zi in zip(t[top].tolist(), z[top].tolist()):
+        while len(ht) >= 2 and ((ht[-1] - ht[-2]) * (zi - hz[-2])
+                                >= (hz[-1] - hz[-2]) * (ti - ht[-2])):
+            ht.pop()
+            hz.pop()
+        ht.append(ti)
+        hz.append(zi)
+    return np.array(ht), np.array(hz)
+
+
+def test_chord_max_hull_matches_its_upper_chain_reference_bitwise():
+    # the lower chain over (t, -z) pops exactly where the upper chain over
+    # (t, z) does; a chain run the other way round rounds its turn tests
+    # differently and keeps other points at near-collinear triples
+    funcs = [u for seed in (42, 7) for k in range(200)
+             for _, u in _case(seed, k).envelopes]
+    for dom in (disc(512), disc(128), square(), diamond()):
+        for p in (1.0, 2.0):
+            for desc in _candidates(dom, p, E1, E2, 100, 42):
+                try:
+                    funcs.append(build_function(dom, desc))
+                except ValueError:
+                    continue
+    assert sum(u.descriptor["kind"] == "tent" for u in funcs) >= 100
+    dirs = [E1, E2, Direction.of(1, 1)] + [Direction.from_angle(a)
+                                           for a in (0.7, 1.9, 2.6)]
+    profiles = 0
+    for k, u in enumerate(funcs):
+        for h in dirs:
+            normal = h.perp().as_array()
+            got = chord_max_hull(u, normal)
+            ref = _chord_max_hull_reference(u, normal)
+            for a, b in zip(got, ref):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
+                    f"function {k}: {u}, direction {h}"
+            profiles += 1
+    assert profiles >= 16000
+
+
 def test_max_profile_of_diamond_cone():
     u = concave_envelope(diamond(), [((0.0, 0.0), 1.0)])
-    prof = max_profile(u, E1)
-    assert len(prof.offsets) == 33
-    mask = np.abs(prof.offsets) < 1.0 - 1e-9
-    assert prof.values[mask] == pytest.approx(1.0 - np.abs(prof.offsets[mask]),
-                                              abs=1e-9)
-    assert prof.values.max() == pytest.approx(u.max_value, abs=1e-14)
+    ts, ms = max_profile(u, E1)
+    assert len(ts) == 33
+    mask = np.abs(ts) < 1.0 - 1e-9
+    assert ms[mask] == pytest.approx(1.0 - np.abs(ts[mask]), abs=1e-9)
+    assert ms.max() == pytest.approx(u.max_value, abs=1e-14)
 
 
 def test_max_profile_matches_chords_of_the_domain():
@@ -574,12 +624,11 @@ def test_max_profile_matches_chords_of_the_domain():
                        for a in np.linspace(0.1, 3.0, 11)]
     for k, u in enumerate(funcs):
         profs = [max_profile(u, h) for h in dirs]
-        P0, P1, valid = zip(*(chords_batch(u.domain, h.perp().as_array(),
-                                           prof.offsets)
-                              for h, prof in zip(dirs, profs)))
+        P0, P1, valid = zip(*(chords_batch(u.domain, h.perp().as_array(), ts)
+                              for h, (ts, _) in zip(dirs, profs)))
         assert np.all(valid)
         ref, _ = chord_maxima(u, np.vstack(P0), np.vstack(P1))
-        got = np.concatenate([prof.values for prof in profs])
+        got = np.concatenate([ms for _, ms in profs])
         assert np.abs(got - ref).max() <= 1e-12 * (1.0 + u.max_value), \
             f"case {k}: {u}"
 

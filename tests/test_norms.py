@@ -258,8 +258,7 @@ def test_line_integral_of_many_offsets_matches_scalar_calls():
             for t, value in zip(ts, batch):
                 one = line_integral_abs_dh(u, h, float(t))
                 assert isinstance(one, float)
-                assert abs(value - one) <= 1e-15 * (1.0 + abs(one)), \
-                    f"function {i}"
+                assert value == one, f"function {i}"
             assert batch[-3] == batch[-4]
             assert batch[-2] == 0.0 and batch[-1] == 0.0
     # the pyramid's diagonal runs along a mesh edge, counted once per line
@@ -469,6 +468,20 @@ def test_invalid_p_rejected():
         lp_directional_norm(u, E1, 0.5)
     with pytest.raises(ValueError, match="at least 1"):
         lp_directional_norm(u, E1, math.nan)
+
+
+def test_norm_beyond_float_range_raises_naming_p():
+    # |d_x u| is 200 on half the square, and 200^150 overflows; 0.02^300
+    # underflows below the smallest normal float
+    steep = concave_envelope(square(), [((0.5, 0.5), 100.0)])
+    flat = concave_envelope(square(), [((0.5, 0.5), 0.01)])
+    for u, p in ((steep, 150.0), (flat, 300.0)):
+        with pytest.raises(ValueError, match=f"_{p} is out of"):
+            lp_directional_norm(u, E1, p)
+    # in range the sum stays exact: 2 (1/2)^(1/p) on the unit pyramid
+    u = concave_envelope(square(), [((0.5, 0.5), 1.0)])
+    assert lp_directional_norm(u, E1, 150.0).value == pytest.approx(
+        2.0 * 0.5 ** (1.0 / 150.0), rel=1e-14)
 
 
 def test_reports_carry_method_and_serialize():

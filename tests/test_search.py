@@ -80,6 +80,25 @@ def test_estimates_never_exceed_bounds():
                 est.upper_bound - est.best_ratio, abs=1e-12)
 
 
+@pytest.mark.parametrize("p", [150.0, 300.0, 700.0, 1000.0])
+def test_large_p_estimates_skip_candidates_beyond_float_range(p):
+    # a steep candidate's |d_h u|^p overflows, and it is skipped: scored,
+    # it would read inf, above any bound, or nan as inf / inf
+    for dom in (disc(64), diamond()):
+        est = estimate_kp_lower(dom, p, budget=20)
+        assert 1 <= est.evaluations < 20
+        assert est.best_ratio <= est.upper_bound, f"{dom!r}"
+    if p in (150.0, 700.0):
+        for est in directional_sweep(disc(64), p, budget=20):
+            assert est.best_ratio <= est.upper_bound
+
+
+def test_no_evaluable_candidate_is_an_input_error():
+    # at p = 3000 every candidate's facet sum on the square leaves float range
+    with pytest.raises(ValueError, match="no candidate"):
+        estimate_kp_lower(square(), 3000.0, budget=20)
+
+
 # ---------------------------------------------------------------------------
 # aligned vertex pairs (the p = 1 tents)
 # ---------------------------------------------------------------------------

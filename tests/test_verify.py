@@ -200,6 +200,7 @@ def test_verify_memory_does_not_grow_with_cases():
             tracemalloc.stop()
 
     run_all(cases=1)                 # first-call allocations out of the way
+    run_all(cases=CASE_BLOCK + 1)    # and those of a second block
     grown = peak(60) - peak(10)
     assert grown < 0.3e6, f"peak grew by {grown / 1e6:.2f} MB"
 
