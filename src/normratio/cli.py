@@ -69,6 +69,17 @@ def _parse_p(text: str) -> float:
     return p
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed: {text!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _add_domain_flags(sub):
     sub.add_argument("--domain", metavar="FILE",
                      help="JSON file with a 'vertices' array")
@@ -121,14 +132,14 @@ def _parser() -> argparse.ArgumentParser:
     _add_output_flags(s)
     s.add_argument("--p", type=_parse_p, default=1.0)
     s.add_argument("--budget", type=int, default=200)
-    s.add_argument("--seed", type=int, default=42)
+    s.add_argument("--seed", type=_parse_seed, default=42)
 
     s = sp.add_parser("verify", help="seeded property suites")
     _add_output_flags(s)
     s.add_argument("--suite", choices=sorted(verify.SUITES),
                    help="run one suite (default: all)")
     s.add_argument("--cases", type=int, default=verify.DEFAULT_CASES)
-    s.add_argument("--seed", type=int, default=42)
+    s.add_argument("--seed", type=_parse_seed, default=42)
     s.add_argument("--tol", type=float, default=None)
     s.add_argument("--replay", metavar="FILE",
                    help="re-run the case from a serialized counterexample")
@@ -152,7 +163,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_output_flags(s)
     s.add_argument("--p", type=_parse_p, default=1.0)
     s.add_argument("--budget", type=int, default=60)
-    s.add_argument("--seed", type=int, default=42)
+    s.add_argument("--seed", type=_parse_seed, default=42)
 
     return ap
 

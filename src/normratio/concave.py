@@ -160,7 +160,22 @@ def chord_maxima(u: ConcaveFunction, P0: np.ndarray, P1: np.ndarray):
 
 def chord_max_hull(u: ConcaveFunction, normal) -> tuple[np.ndarray, np.ndarray]:
     """Breakpoints (t, m) of the full-chord maximum profile,
-    m(t) = max{u(x) : x . normal = t}.
+    m(t) = max{u(x) : x . normal = t}: :func:`chord_max_hulls` over one
+    profile of one function."""
+    t, m, _ = chord_max_hulls(u.verts, u.vert_values, [0], [0],
+                              np.asarray(normal, dtype=float), u.domain.tol)
+    return t, m
+
+
+def chord_max_hulls(verts, values, vstart, fn, normals, tol) -> tuple:
+    """Breakpoints (t, m) of many full-chord maximum profiles,
+    m(t) = max{u(x) : x . normal = t}, each of its own function.
+
+    The functions' meshes come concatenated, as :func:`norms.line_masses`
+    takes them: function k owns the ``verts`` and their ``values`` from
+    ``vstart[k]`` on.  Profile i is that of function ``fn[i]`` across
+    ``normals[i]``, with the tolerance ``tol[i]`` of its domain; normals
+    and tol may also be one for all profiles.
 
     The hypograph of u is a convex polytope whose top vertices are the
     lifted mesh vertices, and those include every domain vertex.  Its
@@ -173,20 +188,42 @@ def chord_max_hull(u: ConcaveFunction, normal) -> tuple[np.ndarray, np.ndarray]:
     The ends of a support edge can project a rounding apart, so
     projections within tol of the two support values are snapped onto
     them: the highest vertex on each support line then stays on the hull.
+
+    The projection, the snapping, the sort and the highest-at-equal-t
+    filter are one array pass over all profiles; the chain runs on each
+    profile's slice of one list of points.  Every step is elementwise or
+    within one profile, so a profile's hull does not depend on the other
+    profiles of the batch.  Returns (t, m, cut): the breakpoints of every
+    profile, in order, with profile i's at ``cut[i]:cut[i + 1]``.
     """
-    t = dot2(u.verts, np.asarray(normal, dtype=float))
-    lo, hi = t.min(), t.max()
-    t[t <= lo + u.domain.tol] = lo
-    t[t >= hi - u.domain.tol] = hi
-    order = np.lexsort((u.vert_values, t))
-    t, z = t[order], u.vert_values[order]
+    vstart, fn = np.asarray(vstart), np.asarray(fn)
+    normals = np.broadcast_to(normals, fn.shape + (2,))
+    tol = np.broadcast_to(tol, fn.shape)
+    nv = np.diff(np.append(vstart, len(verts)))[fn]
+    # profile p reads its function's vertices, from pstart[p] on
+    pstart = np.cumsum(np.append(0, nv[:-1]))
+    prof = np.repeat(np.arange(len(fn)), nv)
+    idx = np.arange(len(prof)) + np.repeat(vstart[fn] - pstart, nv)
+    t = dot2(verts[idx], normals[prof])
+    z = values[idx]
+    lo, hi = np.minimum.reduceat(t, pstart), np.maximum.reduceat(t, pstart)
+    t = np.where(t <= (lo + tol)[prof], lo[prof], t)
+    t = np.where(t >= (hi - tol)[prof], hi[prof], t)
+    # by profile first, and prof is already sorted, so it stays as it is
+    order = np.lexsort((z, t, prof))
+    t, z = t[order], z[order]
     # at equal t only the highest point can lie on the hull
-    top = np.append(t[1:] != t[:-1], True)
+    top = np.append((t[1:] != t[:-1]) | (prof[1:] != prof[:-1]), True)
     t, z = t[top], z[top]
+    ends = np.cumsum(np.bincount(prof[top], minlength=len(fn))).tolist()
     # the upper hull of (t, z) is the lower chain of (t, -z); negating z is
     # exact, so every pop is the same comparison an upper chain would make
-    keep = _chain(list(zip(t.tolist(), (-z).tolist())), range(len(t)), 0.0)
-    return t[keep], z[keep]
+    pts = list(zip(t.tolist(), (-z).tolist()))
+    keep, cut = [], [0]
+    for a, b in zip([0] + ends[:-1], ends):
+        keep += _chain(pts, range(a, b), 0.0)
+        cut.append(len(keep))
+    return t[keep], z[keep], cut
 
 
 def max_profile(u: ConcaveFunction,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concave import ConcaveFunction, chord_max_hull
+from .concave import ConcaveFunction, chord_max_hulls
 from .geometry import Direction, dot2
 
 
@@ -104,21 +104,39 @@ def sup_directional_norm(u: ConcaveFunction, h: Direction) -> NormReport:
 
 
 def scanline_l1_norm(u: ConcaveFunction, h: Direction) -> NormReport:
-    """||d_h u||_1 via per-line maxima: the derivative's total variation
-    along a line parallel to h equals twice the chord maximum (boundary
-    jumps included), so the norm is the integral of 2 m_h(t) over offsets.
-
-    The chord-max profile m_h is the upper hull of the projected graph
-    vertices (see :func:`chord_max_hull`), a polyline, so the trapezoid rule
-    over its breakpoints is exact up to roundoff.  The reported value reads
-    vertex values alone (independent of the facet sums); only the ac/jump
-    split in the report reuses the boundary-sheet mass.
+    """||d_h u||_1 via per-line maxima: :func:`scanline_l1_norms` over one
+    function.  The reported value reads vertex values alone (independent
+    of the facet sums); only the ac/jump split in the report reuses the
+    boundary-sheet mass.
     """
-    ts, ms = chord_max_hull(u, h.perp().as_array())
-    value = float(np.trapezoid(2.0 * ms, ts))
+    (value,) = scanline_l1_norms(u.verts, u.vert_values, [0], [0],
+                                 h.as_array(), u.domain.tol).tolist()
     jump = _jump_mass(u, h)
     return NormReport(value=value, p=1.0, h=h, ac_part=value - jump,
                       jump_part=jump, method="scan-line")
+
+
+def scanline_l1_norms(verts, values, vstart, fn, h, tol) -> np.ndarray:
+    """||d_h u||_1 of many (function, direction) pairs via per-line
+    maxima: the derivative's total variation along a line parallel to h
+    equals twice the chord maximum (boundary jumps included), so the norm
+    is the integral of 2 m_h(t) over offsets.
+
+    The meshes, ``fn``, h and tol are as :func:`concave.chord_max_hulls`
+    takes them, with the directions h in place of their normals.  The
+    chord-max profile m_h is the upper hull of the projected graph
+    vertices, a polyline, so the trapezoid rule over its breakpoints is
+    exact up to roundoff.
+    """
+    h = np.broadcast_to(h, np.shape(fn) + (2,))
+    normals = np.stack([-h[..., 1], h[..., 0]], axis=-1)        # perp(h)
+    t, m, cut = chord_max_hulls(verts, values, vstart, fn, normals, tol)
+    # np.trapezoid(2 m, t) per profile: its terms for every profile at
+    # once, then each profile's own sum, which numpy adds pairwise from
+    # that profile's terms alone, so a value is the bits a lone call gives
+    y = 2.0 * m
+    terms = np.diff(t) * (y[1:] + y[:-1]) / 2.0
+    return np.array([terms[a:b - 1].sum() for a, b in zip(cut[:-1], cut[1:])])
 
 
 def line_integral_abs_dh(u: ConcaveFunction, h: Direction,

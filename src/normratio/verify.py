@@ -19,10 +19,13 @@ over several cases in a row.  Nothing is cached between blocks or
 between runs.  A block's envelopes form one :class:`facets.FacetTable`,
 built on first use and dropped with the block: theorem1, edge-slope,
 sup-boundary, envelope-structure, slope-cap, line-mass and oracle-l1 are
-array programs over it, line-mass with one :func:`norms.line_masses`
-pass over all the block's lines.  shear-transport reads every norm from
-it and from a second table, :attr:`Block.images`, of the images of each
-case's first two envelopes under its normalizing map.  The other suites
+array programs over it.  line-mass takes its chord-max hulls from one
+:func:`concave.chord_max_hulls` pass and its line masses from one
+:func:`norms.line_masses` pass over all the block's lines; oracle-l1
+takes its scan-line norms from one :func:`norms.scanline_l1_norms`
+pass.  shear-transport reads every norm from it and from a second
+table, :attr:`Block.images`, of the images of each case's first two
+envelopes under its normalizing map.  The other suites
 run case by case; the normalizing affine map and the images, which
 lemma-tan and the image table both read, are computed once per case on
 :class:`Case`.  Per suite, the block results are merged in block order,
@@ -41,7 +44,7 @@ import numpy as np
 from . import norms
 from .bounds import affine_normalize, directional_k1_upper
 from .concave import (
-    chord_max_hull,
+    chord_max_hulls,
     concave_envelopes,
     gradients_at,
     max_profile,
@@ -286,30 +289,37 @@ def _suite_line_mass(block: Block, tol: float):
     the whole block: it sums |g . h| times each facet's interval on the
     line and adds the values at the chord's ends (the boundary jumps).
     The right side reads the chord maximum off the upper hull of the
-    projected graph vertices, per envelope and direction.  Entirely
-    independent code paths.
+    projected graph vertices, one :func:`concave.chord_max_hulls` pass
+    over every envelope and direction of the block.  Entirely independent
+    code paths.
     """
     t = block.table
-    rows, ts, ms = [], [], []      # per envelope and direction; per line
+    rows, rngs = [], []         # per envelope and direction
     for pos, case in enumerate(block):
         rng = case.rng(2)
         dirs = (E1, random_direction(rng))
-        for k, (_, u) in enumerate(case.envelopes[:2], t.cstart[pos]):
+        for k, _ in enumerate(case.envelopes[:2], t.cstart[pos]):
             for h in dirs:
                 n = h.perp().as_array()
                 proj = dot2(case.domain.vertices, n)
-                lo, hi = float(proj.min()), float(proj.max())
-                hull_t, hull_m = chord_max_hull(u, n)
-                # No line here meets a degenerate chord: the chord length
-                # is concave in the offset, so at 5-95% of the projection
-                # range it is at least a twentieth of the longest chord,
-                # itself at least area / range, and corpus areas are
-                # >= 0.05.
-                off = lo + (hi - lo) * rng.uniform(0.05, 0.95, size=3)
-                rows.append((k, h.as_array(), lo, hi, case.domain.tol))
-                ts.append(off)
-                ms.append(np.interp(off, hull_t, hull_m))
-    env, h, lo, hi, dtol = (np.repeat(x, 3, axis=0) for x in zip(*rows))
+                rows.append((k, h.as_array(), n, float(proj.min()),
+                             float(proj.max()), case.domain.tol))
+                rngs.append(rng)
+    env, h, n, lo, hi, dtol = (np.array(x) for x in zip(*rows))
+    hull_t, hull_m, cut = chord_max_hulls(t.verts, t.vert_values, t.vstart,
+                                          env, n, dtol)
+    ts, ms = [], []             # per line
+    for i, rng in enumerate(rngs):
+        # No line here meets a degenerate chord: the chord length is
+        # concave in the offset, so at 5-95% of the projection range it
+        # is at least a twentieth of the longest chord, itself at least
+        # area / range, and corpus areas are >= 0.05.
+        off = lo[i] + (hi[i] - lo[i]) * rng.uniform(0.05, 0.95, size=3)
+        a, b = cut[i], cut[i + 1]
+        ts.append(off)
+        ms.append(np.interp(off, hull_t[a:b], hull_m[a:b]))
+    env, h, lo, hi, dtol = (np.repeat(x, 3, axis=0)
+                            for x in (env, h, lo, hi, dtol))
     ts, ms = np.concatenate(ts), np.concatenate(ms)
     li = norms.line_masses(t.verts, t.vert_values, t.tris, t.planes,
                            t.fstart, env, h, ts, lo, hi, dtol)
@@ -422,13 +432,15 @@ def _suite_sup_boundary(block: Block, tol: float):
 def _suite_oracle_l1(block: Block, tol: float):
     """Facet-sum L1 norms against the scan-line oracle (upper hull of the
     projected vertices, integrated exactly), for each case's first three
-    envelopes."""
+    envelopes: one :func:`norms.scanline_l1_norms` pass over the block."""
     t = block.table
     first = _leading(t, 3)
+    env = np.repeat(np.flatnonzero(first), 2)
+    axes = np.tile([h.as_array() for h in AXES], (len(env) // 2, 1))
+    dtol = np.array([case.domain.tol for case in block])[t.ecase[env]]
     exact, scan = t.axis_norms(1.0), np.zeros((len(first), 2))
-    for k in np.flatnonzero(first).tolist():
-        scan[k] = [norms.scanline_l1_norm(t.envelopes[k], h).value
-                   for h in AXES]
+    scan[first] = norms.scanline_l1_norms(t.verts, t.vert_values, t.vstart,
+                                          env, axes, dtol).reshape(-1, 2)
     denom = np.maximum(np.maximum(exact, scan), 1e-300)
     err = np.abs(exact - scan)
     k, a = np.nonzero(first[:, None] & (err > tol * denom))
@@ -717,8 +729,9 @@ def replay(counterexample: dict) -> SuiteResult:
     bit-identical inputs; the stored domain must equal the regenerated one
     exactly (the JSON round trip of a float is exact), which catches stale
     files.  A record of the wrong shape raises ValueError naming the field:
-    ``seed`` and ``case`` must be integers and ``tol`` a number or null,
-    and a JSON ``true`` is neither, although Python's bool is an int.
+    ``seed`` and ``case`` must be non-negative integers and ``tol`` a
+    number or null, and a JSON ``true`` is neither, although Python's bool
+    is an int.
     """
     if not isinstance(counterexample, dict):
         raise ValueError("record must be a JSON object")
@@ -731,6 +744,8 @@ def replay(counterexample: dict) -> SuiteResult:
     for field, value in (("seed", seed), ("case", index)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{field} must be an integer, got {value!r}")
+        if value < 0:
+            raise ValueError(f"{field} must be non-negative, got {value!r}")
     case = _case(seed, index)
     stored = counterexample.get("domain")
     if stored is not None:

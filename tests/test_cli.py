@@ -269,6 +269,42 @@ def test_replay_of_a_record_of_the_wrong_shape_is_input_error(
     assert "malformed counterexample" in err
 
 
+@pytest.mark.parametrize("field, value", [("seed", -3), ("case", -1)])
+def test_replay_of_a_negative_seed_or_case_names_the_field(
+        capsys, tmp_path, field, value):
+    record = {"suite": "theorem1", "seed": 42, "case": 0, field: value}
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run_cli(capsys, "verify", "--replay", str(path))
+    assert code == 2 and out == ""
+    assert err == (f"error: malformed counterexample: {field} must be "
+                   f"non-negative, got {value}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--cases", "3"],
+    ["estimate", "--preset", "square", "--budget", "5"],
+    ["sweep", "--preset", "square", "--budget", "5"]])
+@pytest.mark.parametrize("seed, message", [
+    ("-1", "seed must be a non-negative integer, got '-1'"),
+    ("x", "invalid seed: 'x'")])
+def test_bad_seed_is_refused_naming_the_flag_and_value(
+        capsys, tmp_path, monkeypatch, argv, seed, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", seed])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: argument --seed: {message}\n")
+
+
+def test_seed_zero_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "theorem1",
+                           "--cases", "1", "--seed", "0")
+    assert code == 0 and json.loads(out)["suites"][0]["seed"] == 0
+
+
 def test_verify_reports_a_counterexample_it_cannot_write(
         capsys, tmp_path, monkeypatch):
     # a directory in the way: the report still prints, with no path

@@ -21,6 +21,7 @@ from normratio.concave import (
     check_partition,
     check_vertex_consistency,
     chord_max_hull,
+    chord_max_hulls,
     chord_maxima,
     concave_envelope,
     concave_envelopes,
@@ -47,7 +48,7 @@ from normratio.geometry import (
     square,
     triangle,
 )
-from normratio.norms import lp_directional_norm
+from normratio.norms import lp_directional_norm, scanline_l1_norms
 from normratio.sampling import (
     keyed_rng,
     random_convex_polygon,
@@ -545,6 +546,10 @@ def test_chord_max_hull_at_support_offsets_of_slanted_edges():
                 assert np.all(np.diff(ht) > 0), f"angle {ang}"
 
 
+HULL_DIRS = [E1, E2, Direction.of(1, 1)] + [Direction.from_angle(a)
+                                            for a in (0.7, 1.9, 2.6)]
+
+
 def _chord_max_hull_reference(u, normal):
     """chord_max_hull's rule with its upper chain over (t, z) written out:
     the last point kept is popped while it is on or under the chord from
@@ -581,11 +586,9 @@ def test_chord_max_hull_matches_its_upper_chain_reference_bitwise():
                 except ValueError:
                     continue
     assert sum(u.descriptor["kind"] == "tent" for u in funcs) >= 100
-    dirs = [E1, E2, Direction.of(1, 1)] + [Direction.from_angle(a)
-                                           for a in (0.7, 1.9, 2.6)]
     profiles = 0
     for k, u in enumerate(funcs):
-        for h in dirs:
+        for h in HULL_DIRS:
             normal = h.perp().as_array()
             got = chord_max_hull(u, normal)
             ref = _chord_max_hull_reference(u, normal)
@@ -594,6 +597,121 @@ def test_chord_max_hull_matches_its_upper_chain_reference_bitwise():
                     f"function {k}: {u}, direction {h}"
             profiles += 1
     assert profiles >= 16000
+
+
+def _hull_batch(funcs):
+    """Every function of funcs across every HULL_DIRS normal, as one
+    batch: (verts, values, vstart, fn, normals, tol)."""
+    nv = [len(u.verts) for u in funcs]
+    fn = np.repeat(np.arange(len(funcs)), len(HULL_DIRS))
+    normals = np.array([h.perp().as_array() for h in HULL_DIRS])
+    return (np.concatenate([u.verts for u in funcs]),
+            np.concatenate([u.vert_values for u in funcs]),
+            np.cumsum([0, *nv[:-1]]), fn, np.tile(normals, (len(funcs), 1)),
+            np.array([u.domain.tol for u in funcs])[fn])
+
+
+def _hulls(*batch):
+    """chord_max_hulls as one (t, m) pair per profile."""
+    t, m, cut = chord_max_hulls(*batch)
+    return [(t[a:b], m[a:b]) for a, b in zip(cut[:-1], cut[1:])]
+
+
+@pytest.fixture(scope="module")
+def hull_funcs():
+    """Corpus envelopes and search candidates, tents with up to 256 hull
+    breakpoints among them."""
+    funcs = [u for seed in (42, 7) for k in range(150)
+             for _, u in _case(seed, k).envelopes]
+    for dom, budget in ((disc(512), 20), (disc(128), 60), (square(), 60),
+                        (diamond(), 60)):
+        for p in (1.0, 2.0):
+            for desc in _candidates(dom, p, E1, E2, budget, 42):
+                try:
+                    funcs.append(build_function(dom, desc))
+                except ValueError:
+                    continue
+    assert sum(u.descriptor["kind"] == "tent" for u in funcs) >= 40
+    return funcs
+
+
+def _same_bits(got, want, where):
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        for a, b in zip(g, w):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
+                f"{where}: profile {i}"
+
+
+def test_chord_max_hulls_in_one_call_match_the_reference_bitwise(hull_funcs):
+    # and so do the scan-line norms, against np.trapezoid on each
+    # reference hull
+    verts, values, vstart, fn, normals, tol = batch = _hull_batch(hull_funcs)
+    got = _hulls(*batch)
+    assert len(got) >= 9000
+    assert max(len(t) for t, _ in got) >= 200
+    want = [_chord_max_hull_reference(hull_funcs[k], normal)
+            for k, normal in zip(fn.tolist(), normals)]
+    _same_bits(got, want, "one call")
+    h = np.tile([h.as_array() for h in HULL_DIRS], (len(hull_funcs), 1))
+    scan = scanline_l1_norms(verts, values, vstart, fn, h, tol)
+    ref = np.array([np.trapezoid(2.0 * m, t) for t, m in want])
+    assert scan.tobytes() == ref.tobytes()
+
+
+def test_chord_max_hull_does_not_depend_on_its_batch(hull_funcs):
+    # alone, inside the whole batch and with the batch reversed
+    verts, values, vstart, fn, normals, tol = _hull_batch(hull_funcs)
+    block = _hulls(verts, values, vstart, fn, normals, tol)
+    alone = [chord_max_hull(hull_funcs[k], normal)
+             for k, normal in zip(fn.tolist(), normals)]
+    _same_bits(block, alone, "alone")
+    back = _hulls(verts, values, vstart, fn[::-1], normals[::-1], tol[::-1])
+    _same_bits(back[::-1], block, "reversed")
+
+
+def test_chord_max_hulls_keep_the_ends_of_profiles_that_meet():
+    # on the unit square the profile across (0, -1) ends at t = 0, where the
+    # one across (0, 1) starts: each keeps its own end points
+    u = concave_envelope(square(), [((0.3, 0.6), 1.0)])
+    normals = np.array([[0.0, -1.0], [0.0, 1.0], [0.0, -1.0]])
+    got = _hulls(u.verts, u.vert_values, [0], [0, 0, 0], normals,
+                 u.domain.tol)
+    _same_bits(got, [chord_max_hull(u, n) for n in normals], "meeting ends")
+    assert got[0][0][-1] == got[1][0][0] == 0.0
+
+
+def test_chord_max_hulls_snap_each_profile_with_its_own_tol():
+    # the walls of the large square lean 5e-7 in x, inside its tol (about
+    # 1.4e-6) and outside the unit square's.  The tent is 1 on the right
+    # wall: across (-1, 0) its two ends are one hull point only when they
+    # snap onto one support value, under the large tol
+    big = ConvexDomain([(0.0, 0.0), (1e3, 0.0), (1e3 + 5e-7, 1e3),
+                        (5e-7, 1e3)])
+    wall = big.vertices[big.vertices[:, 0] > 1.0]
+    funcs = [concave_envelope(square(), [((0.3, 0.6), 1.0)]),
+             tent_function(big, wall)]
+    for order in (funcs, funcs[::-1]):
+        got = _hulls(*_hull_batch(order))
+        _same_bits(got, [chord_max_hull(u, h.perp().as_array())
+                         for u in order for h in HULL_DIRS], "own tol")
+    t, m = chord_max_hull(funcs[1], E2.perp().as_array())
+    assert t[0] == -1e3 - 5e-7 and len(t) == 2 and m[0] == 1.0
+
+
+def test_chord_max_hulls_read_no_unwritten_memory():
+    # freed NaN-filled buffers of every size the call allocates are handed
+    # back to it; a slot read before it is written would change the bits
+    funcs = [u for k in range(40) for _, u in _case(42, k).envelopes]
+    dom = disc(128)
+    funcs.append(tent_function(dom, dom.vertices[[5, 70]]))
+    batch = _hull_batch(funcs)
+    first = _hulls(*batch)
+    for _ in range(3):
+        for n in range(1, 2 * len(batch[0]) * len(HULL_DIRS), 97):
+            junk = np.full(n, np.nan)
+            del junk
+        _same_bits(_hulls(*batch), first, "after NaN buffers")
 
 
 def test_max_profile_of_diamond_cone():
