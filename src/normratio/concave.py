@@ -10,9 +10,10 @@ gradient.  Functions are immutable once built.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import accumulate
+from operator import add
 
 import numpy as np
 
@@ -158,15 +159,6 @@ def chord_maxima(u: ConcaveFunction, P0: np.ndarray, P1: np.ndarray):
     return vals[rows, k], ts[rows, k]
 
 
-def chord_max_hull(u: ConcaveFunction, normal) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints (t, m) of the full-chord maximum profile,
-    m(t) = max{u(x) : x . normal = t}: :func:`chord_max_hulls` over one
-    profile of one function."""
-    t, m, _ = chord_max_hulls(u.verts, u.vert_values, [0], [0],
-                              np.asarray(normal, dtype=float), u.domain.tol)
-    return t, m
-
-
 def chord_max_hulls(verts, values, vstart, fn, normals, tol) -> tuple:
     """Breakpoints (t, m) of many full-chord maximum profiles,
     m(t) = max{u(x) : x . normal = t}, each of its own function.
@@ -230,7 +222,7 @@ def max_profile(u: ConcaveFunction,
                 h: Direction) -> tuple[np.ndarray, np.ndarray]:
     """Chord maxima m along PROFILE_LINES evenly spaced parallel lines in
     direction h, spanning the domain, at offsets t along h's normal:
-    (t, m), as :func:`chord_max_hull` gives its breakpoints.
+    (t, m), as :func:`chord_max_hulls` gives each profile's breakpoints.
 
     The per-chord maximum is exact for the PL function; the profile is a
     concave function of the offset.  Along a chord u is piecewise linear
@@ -241,7 +233,7 @@ def max_profile(u: ConcaveFunction,
     shared edge is read twice, which leaves the maximum unchanged.  A side
     parallel to the lines is skipped: u is linear along it, and each of
     its ends is also an end of another side of the same facet, which is
-    not parallel.  As in :func:`chord_max_hull`, projections within tol of
+    not parallel.  As in :func:`chord_max_hulls`, projections within tol of
     the two support values are snapped onto them.
     """
     normal = h.perp().as_array()
@@ -279,15 +271,100 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
     constraints: iterable of ((x, y), height) with strictly interior points
     and positive heights.  Constraints that end up below the hull of the
     others are strictly exceeded rather than active.  It is the batch of
-    one of :func:`concave_envelopes`, which says how it is built.
+    one of :func:`concave_envelope_groups`, which says how it is built.
     """
-    return concave_envelopes(dom, [constraints])[0]
+    return concave_envelope_groups([(dom, [constraints])])[0][0]
 
 
 def concave_envelopes(dom: ConvexDomain, constraint_sets) -> list:
-    """The :func:`concave_envelope` of each constraint set over one domain,
-    built in one batched pass: bit for bit the functions that building
-    each set alone gives.
+    """The :func:`concave_envelope` of each constraint set over one domain:
+    the group of one of :func:`concave_envelope_groups`."""
+    return concave_envelope_groups([(dom, constraint_sets)])[0]
+
+
+def _edge_facets(pts, hts, sdom, nbset, tol, first, gset) -> tuple:
+    """The facet over each domain edge of each set, for
+    :func:`concave_envelope_groups`: set k is over ``sdom[k]``, with
+    ``nbset[k]`` edges and tol ``tol[k]``, and owns the constraints
+    ``pts``, ``hts`` from ``first[k]`` on; group g holds the sets
+    ``gset[g]:gset[g + 1]``.
+
+    Column ``colstart[k] + e`` is set k's edge e.  The slack table has a
+    row per constraint of the longest set: set k's constraints fill the
+    top of its columns, each against its own domain's edges.  It is padded
+    to the most edges of any domain, and a shorter set's rows after its
+    real ones, at infinite slack and zero height, which never win a
+    maximum nor tie; each column ties within its own domain's tol.
+    Returns the edge facets' triangles, in each set's own ids [ring, its
+    constraints], and planes, the tie table, the columns with one tied
+    constraint and each column's previous and next column.  The tables,
+    a batch's largest arrays, die with the call.
+    """
+    colstart = list(accumulate(nbset, initial=0))
+    # slack[i, e] of constraint i at edge e of its domain, one part per
+    # group, taken from the difference rather than as the edge offset minus
+    # n_e . a, which cancels for points near the boundary; its row minimum
+    # is the distance to the boundary
+    parts, spans = [], []
+    for j, k in zip(gset, gset[1:]):
+        if j == k:
+            continue
+        spans.append((j, k))
+        a, b, dom = first[j], first[k], sdom[j]
+        v, n = dom.vertices, dom.edge_normals()
+        parts.append(n[:, 0] * (v[:, 0] - pts[a:b, :1])
+                     + n[:, 1] * (v[:, 1] - pts[a:b, 1:]))
+        if parts[-1].min() <= dom.tol:
+            raise ValueError("constraint points must lie strictly inside "
+                             "the domain")
+    # one set keeps its own layout: its ring's columns, one domain's tol
+    slack, height, nbcol, coltol = parts[0], hts[:, None], nbset[0], tol[0]
+    normals, offsets = sdom[0].edge_normals(), sdom[0].edge_offsets()
+    col = np.arange(colstart[-1])
+    prev, nxt = col - 1, col + 1           # the columns of edges e - 1, e + 1
+    nxt[-1] = 0
+    ends = col, nxt                        # the edge ids in a set's own ids
+    if len(sdom) > 1:
+        counts = np.diff(first)
+        rows = counts.max()
+        real = np.arange(rows) < counts[:, None]                 # (S, rows)
+        table = np.full((len(sdom), rows, max(nbset)), np.inf)
+        for part, (j, k) in zip(parts, spans):
+            table[j:k, :, :nbset[j]][real[j:k]] = part
+        height = np.zeros(real.shape)
+        height[real] = hts
+        nb = np.array(nbset)
+        edge = np.arange(table.shape[2]) < nb[:, None]
+        slack = table.transpose(1, 0, 2).reshape(rows, -1)[:, edge.ravel()]
+        height = np.repeat(height.T, nb, axis=1)
+        # each column's set's first column, edge count and tol
+        lo = np.array(colstart[:-1])
+        start, nbcol, coltol = (np.repeat(x, nb) for x in (lo, nb, tol))
+        prev[lo] += nb
+        nxt[lo + nb - 1] = lo
+        ends = col - start, nxt - start
+        normals = np.concatenate([dom.edge_normals() for dom in sdom])
+        offsets = np.concatenate([dom.edge_offsets() for dom in sdom])
+    ratio = height / slack                                     # (rows, columns)
+    top = ratio.argmax(axis=0)
+    s = ratio.max(axis=0)
+    tied = slack - height / s <= coltol
+    single = tied.sum(axis=0) == 1
+    # edge facet e of a set is [e, e + 1, apex] on the plane s_e (-n_e, c_e),
+    # in the set's own ids [ring, its constraints]
+    edge_tris = np.empty((len(col), 3), dtype=np.int64)
+    edge_tris[:, 0], edge_tris[:, 1], edge_tris[:, 2] = *ends, nbcol + top
+    edge_planes = np.empty((len(col), 3))
+    np.multiply(-s, normals[:, 0], out=edge_planes[:, 0])
+    np.multiply(-s, normals[:, 1], out=edge_planes[:, 1])
+    np.multiply(s, offsets, out=edge_planes[:, 2])
+    return edge_tris, edge_planes, tied, single, prev, nxt
+
+
+def concave_envelope_groups(groups) -> list:
+    """The :func:`concave_envelope` of each constraint set of each group
+    ``(domain, constraint_sets)``, built in one batched pass: one list per
+    group, bit for bit the functions that building each set alone gives.
 
     The facet over edge e is closed form.  With the slack
     d_e(a) = n_e . (v_e - a), its plane vanishes on the edge with slope
@@ -303,25 +380,34 @@ def concave_envelopes(dom: ConvexDomain, constraint_sets) -> list:
     vertex.  One constraint has no switch vertex and gives the cone over
     the ring.
 
-    The sets share every array pass.  The per-edge arrays have a column
-    per edge of each set, column k nb + e for set k's edge e, and the slack
-    table a row per constraint of the longest set: set k's constraints
-    fill the top of its columns, and a shorter set's are padded after its
-    real ones with zero heights at infinite slack, which never win a
-    maximum nor tie.  One wrap (called as ``ConvexHull``) takes the
-    frontiers of every set that has switch vertices.  Each facet goes to
-    its set's own list as it is made, in that set's ids [ring, its
-    constraints]: its single edge facets, then its tied edge facets, then
-    its wrapped facets.  A batch of one keeps one set's array layout.  A
-    set that fails makes the batch raise the ValueError that building it
-    alone raises.
+    The sets share every array pass, whatever their domains: the edge
+    facets (:func:`_edge_facets`), the switch vertices and every round of
+    one wrap (called as ``ConvexHull``) over the frontiers of every set
+    that has switch vertices.  In the wrap's graph each set has its own
+    points [its domain's ring, its constraints], set after set, shifted by
+    its domain's first vertex, and its domain's tol, so every float is the
+    one a lone build computes.  Each facet goes to its set's own list as
+    it is made, in that set's ids: its single edge facets, then its tied
+    edge facets, then its wrapped facets.  A batch of one keeps the one-set
+    array layout.  A set that fails makes the batch raise the ValueError
+    that building it alone raises.
     """
-    sets = [[(float(p[0]), float(p[1]), float(h)) for p, h in constraints]
-            for constraints in constraint_sets]
+    # set k is over sdom[k], with nbset[k] edges and tol[k]; group g holds
+    # the sets gset[g]:gset[g + 1]
+    sets, sdom, nbset, tol, gset = [], [], [], [], [0]
+    for dom, group in groups:
+        for cons in group:
+            sets.append([(float(p[0]), float(p[1]), float(h))
+                         for p, h in cons])
+        n = len(sets) - gset[-1]
+        sdom += [dom] * n
+        nbset += [dom.n] * n
+        tol += [dom.tol] * n
+        gset.append(len(sets))
     if not all(sets):
         raise ValueError("need at least one constraint")
     if not sets:
-        return []
+        return [[] for _ in gset[1:]]
     con = np.array([c for cons in sets for c in cons])     # rows (x, y, height)
     if not np.isfinite(con).all():
         raise ValueError("constraint points and heights must be finite")
@@ -329,114 +415,79 @@ def concave_envelopes(dom: ConvexDomain, constraint_sets) -> list:
     if hts.min() <= 0.0:
         raise ValueError("constraint heights must be positive")
 
-    v = dom.vertices
-    nb = dom.n
-    normals = dom.edge_normals()
-    # slack[i, e] of constraint i at edge e, taken from the difference
-    # rather than as the edge offset minus n_e . a, which cancels for points
-    # near the boundary; its row minimum is the distance to the boundary
-    slack = (normals[:, 0] * (v[:, 0] - pts[:, :1])
-             + normals[:, 1] * (v[:, 1] - pts[:, 1:]))            # (m, E)
-    if slack.min() <= dom.tol:
-        raise ValueError("constraint points must lie strictly inside the domain")
-    nsets = len(sets)
-    counts = [len(cons) for cons in sets]
-    first = list(accumulate(counts, initial=0))   # set k: rows first[k]:first[k + 1]
-    nring = nsets * nb
-    height = hts[:, None]
-    if nsets > 1:
-        # column k nb + e is set k's edge e; set k's constraints fill the
-        # top rows of its columns
-        rows = max(counts)
-        real = np.arange(rows) < np.array(counts)[:, None]        # (S, rows)
-        table = np.full((nsets, rows, nb), np.inf)
-        table[real] = slack
-        height = np.zeros((nsets, rows))
-        height[real] = hts
-        slack = table.transpose(1, 0, 2).reshape(rows, nring)
-        height = np.repeat(height.T, nb, axis=1)
-    ratio = height / slack                                     # (rows, S E)
-    top = ratio.argmax(axis=0)
-    col = np.arange(nring)
-    s = ratio[top, col]
-    tied = slack - height / s <= dom.tol
-    single = tied.sum(axis=0) == 1
-    # edge facet e of a set is [e, e + 1, apex] on the plane s_e (-n_e, c_e),
-    # in the set's own ids [ring, its constraints]
-    prev, nxt = col - 1, col + 1           # the columns of edges e - 1, e + 1
-    nxt[-1] = 0
-    ends, offsets = (col, nxt), dom.edge_offsets()
-    if nsets > 1:                          # within each set
-        prev[::nb] += nb
-        nxt[nb - 1::nb] = col[::nb]
-        ends = col % nb, nxt % nb
-        normals = np.concatenate([normals] * nsets)
-        offsets = np.concatenate([offsets] * nsets)
-    edge_tris = np.empty((nring, 3), dtype=np.int64)
-    edge_tris[:, 0], edge_tris[:, 1], edge_tris[:, 2] = *ends, nb + top
-    edge_planes = np.empty((nring, 3))
-    np.multiply(-s[:, None], normals, out=edge_planes[:, :2])
-    np.multiply(s, offsets, out=edge_planes[:, 2])
-    # the wrap's graph points are [ring, constraints of every set]: set k's
-    # own id nb + i is nb + first[k] + i there
-    points = np.concatenate((v, pts))
-    z = np.concatenate((np.zeros(nb), hts))
-    # each set's facets, in its own ids, from its single edge facets on:
-    # those of set k follow its first k nb columns but their tied ones
-    tied_cols = np.flatnonzero(~single).tolist()
-    cut = [k * nb - bisect_left(tied_cols, k * nb) for k in range(nsets + 1)]
-    kept_tris, kept_planes = edge_tris[single], edge_planes[single]
-    tris = [[kept_tris[a:b]] for a, b in zip(cut, cut[1:])]
-    planes = [[kept_planes[a:b]] for a, b in zip(cut, cut[1:])]
-    polys = [[] for _ in sets]          # tied edge facets, in graph ids
+    first = list(accumulate(map(len, sets), initial=0))   # set k's rows
+    colstart = list(accumulate(nbset, initial=0))
+    edge_tris, edge_planes, tied, single, prev, nxt = _edge_facets(
+        pts, hts, sdom, nbset, tol, first, gset)
+    # the wrap's graph points are set after set, each in its own ids [ring,
+    # its constraints]: set k's own id i is base[k] + i there, and its ring
+    # vertex of column i is i + first[k].  tris[k] and planes[k] gather its
+    # facets but its single edge facets, polys[k] its tied edge facets
+    base = list(map(add, colstart, first))
+    ring_z = np.zeros(max(nbset))
+    xy, z, tris, planes, polys = [], [], [], [], []
+    for k, dom in enumerate(sdom):
+        rows = slice(first[k], first[k + 1])
+        xy += dom.vertices, pts[rows]
+        z += ring_z[:dom.n], hts[rows]
+        tris.append([])
+        planes.append([])
+        polys.append([])
+    points, z = np.concatenate(xy), np.concatenate(z)
+    # set k's single edge facets follow its first colstart[k] columns but
+    # their tied ones
+    tied_cols = (~single).nonzero()[0].tolist()
+    cut = [c - bisect_left(tied_cols, c) for c in colstart]
+    # compress: a boolean index of a 2-d array costs several times more
+    kept_tris = edge_tris.compress(single, axis=0)
+    kept_planes = edge_planes.compress(single, axis=0)
     for i in tied_cols:
-        k, j = divmod(i, nb)
-        ids = np.concatenate(
-            [[j, nxt[i] % nb], nb + first[k] + np.flatnonzero(tied[:, i])])
-        poly = ids[_polygon_ccw(points[ids] - v[j], dom.tol)]
+        k = bisect_right(colstart, i) - 1
+        nb, off = nbset[k], base[k]
+        ids = np.concatenate([edge_tris[i, :2], nb + np.flatnonzero(tied[:, i])])
+        poly = ids[_polygon_ccw(points[off + ids] - points[off + ids[0]],
+                                tol[k])]
         # a tied constraint that is no vertex of the polygon must not make a
         # switch vertex: with it the reduced hull can come out flat
         tied[:, i] = False
-        tied[poly[poly >= nb] - nb - first[k], i] = True
+        tied[poly[poly >= nb] - nb, i] = True
         poly, fan = _fan(poly.tolist())
-        polys[k].append(poly)
-        tris[k].append(np.array([a - first[k] if a >= nb else a for a in fan],
-                                dtype=np.int64).reshape(-1, 3))
+        polys[k].append([off + a for a in poly])
+        tris[k].append(np.array(fan, dtype=np.int64).reshape(-1, 3))
         planes[k].append(np.tile(edge_planes[i], (len(fan) // 3, 1)))
-    change = (tied != tied[:, prev]).any(axis=0)
-    switch = np.flatnonzero(change)
+    change = (tied != tied.take(prev, axis=1)).any(axis=0)
+    switch = change.nonzero()[0]
     if len(switch):
         cands = [[] for _ in sets]
         for i in switch.tolist():
-            cands[i // nb].append(i % nb)
+            k = bisect_right(colstart, i) - 1
+            cands[k].append(i + first[k])
         # the edge facets at a switch vertex first, then the tied ones
         near = [[] for _ in sets]
-        at = np.flatnonzero((change | change[nxt]) & single)
-        for i, (a, b, c) in zip(at.tolist(), edge_tris[at].tolist()):
-            near[i // nb].append([a, b, c + first[i // nb]])
-        wrap = [k for k in range(nsets) if cands[k]]
+        at = ((change | change[nxt]) & single).nonzero()[0]
+        for i, facet in zip(at.tolist(), edge_tris[at].tolist()):
+            k = bisect_right(colstart, i) - 1
+            near[k].append([base[k] + a for a in facet])
+        wrap = [k for k, c in enumerate(cands) if c]
+        # each set in the frame of its domain's first vertex
+        v0 = points[base[:-1]]
+        shift = np.repeat(v0, [b - a for a, b in zip(base, base[1:])], axis=0)
         # called as ConvexHull: see the note at its definition
         inner = ConvexHull(
-            points - v[0], z,
-            [cands[k] + list(range(nb + first[k], nb + first[k + 1]))
+            points - shift, z,
+            [cands[k] + list(range(base[k] + nbset[k], base[k + 1]))
              for k in wrap],
-            [near[k] + polys[k] for k in wrap], nb, dom.tol)
+            [near[k] + polys[k] for k in wrap],
+            [range(base[k], base[k] + nbset[k]) for k in wrap],
+            [tol[k] for k in wrap])
         for k, (inner_tris, inner_planes) in zip(wrap, inner):
-            inner_planes[:, 2] -= dot2(inner_planes[:, :2], v[0])
-            if first[k]:
-                inner_tris[inner_tris >= nb] -= first[k]
-            tris[k].append(inner_tris)
+            inner_planes[:, 2] -= dot2(inner_planes[:, :2], v0[k])
+            tris[k].append(inner_tris - base[k])
             planes[k].append(inner_planes)
     out = []
-    for k, cons in enumerate(sets):
-        # set k's points are [ring, its constraints]; set 0's lead the graph
-        lo, hi = nb + first[k], nb + first[k + 1]
-        if k:
-            own = np.concatenate((v, points[lo:hi]))
-            own_z = np.concatenate((z[:nb], z[lo:hi]))
-        else:
-            own, own_z = points[:hi], z[:hi]
-        set_tris = np.concatenate(tris[k])
+    for k, (cons, dom) in enumerate(zip(sets, sdom)):
+        own, own_z = points[base[k]:base[k + 1]], z[base[k]:base[k + 1]]
+        set_tris = np.concatenate([kept_tris[cut[k]:cut[k + 1]]] + tris[k])
         used = np.zeros(len(own), dtype=bool)
         used[set_tris] = True
         if not used.all():
@@ -447,15 +498,16 @@ def concave_envelopes(dom: ConvexDomain, constraint_sets) -> list:
             verts=own,
             vert_values=own_z,
             tris=set_tris,
-            planes=np.concatenate(planes[k]),
-            trace=np.zeros(nb),
+            planes=np.concatenate([kept_planes[cut[k]:cut[k + 1]]]
+                                  + planes[k]),
+            trace=np.zeros(dom.n),
             descriptor={"kind": "envelope",
                         "constraints": [list(c) for c in cons]},
         )
         if not check_partition(fn):
             raise ValueError("upper hull does not triangulate the domain")
         out.append(fn)
-    return out
+    return [out[a:b] for a, b in zip(gset, gset[1:])]
 
 
 # ---------------------------------------------------------------------------

@@ -13,24 +13,31 @@ name over a given list of cases, and ``run_all`` is the one path that
 walks the corpus.  It goes block by block: it builds a :class:`Block` of
 :data:`CASE_BLOCK` consecutive corpus cases, runs every requested suite
 over it, one suite after another, and drops it before it builds the next
-block.  At most ``CASE_BLOCK`` cases are in memory at a time, so peak
-memory does not grow with the number of cases, and each suite still runs
-over several cases in a row.  Nothing is cached between blocks or
-between runs.  A block's envelopes form one :class:`facets.FacetTable`,
-built on first use and dropped with the block: theorem1, edge-slope,
-sup-boundary, envelope-structure, slope-cap, line-mass and oracle-l1 are
-array programs over it.  line-mass takes its chord-max hulls from one
+block.  A block draws its cases' domains and descriptors case by case,
+each from its own keyed stream, and then builds all their envelopes in
+one :func:`concave.concave_envelope_groups` call, over the block's
+domains; :func:`_case`, which :func:`replay` uses, is the block of one,
+with the same bits.  At most ``CASE_BLOCK`` cases are in memory at a
+time, so peak memory does not grow with the number of cases, and each
+suite still runs over several cases in a row.  Nothing is cached between
+blocks or between runs.  A block's envelopes form one
+:class:`facets.FacetTable`, built on first use and dropped with the
+block: theorem1, edge-slope, sup-boundary, envelope-structure, slope-cap,
+line-mass and oracle-l1 are array programs over it.  line-mass takes each
+case's projection range once per direction, its chord-max hulls from one
 :func:`concave.chord_max_hulls` pass and its line masses from one
 :func:`norms.line_masses` pass over all the block's lines; oracle-l1
 takes its scan-line norms from one :func:`norms.scanline_l1_norms`
-pass.  shear-transport reads every norm from it and from a second
-table, :attr:`Block.images`, of the images of each case's first two
-envelopes under its normalizing map.  The other suites
-run case by case; the normalizing affine map and the images, which
-lemma-tan and the image table both read, are computed once per case on
-:class:`Case`.  Per suite, the block results are merged in block order,
-so the results, and the first failure, are those of running each suite
-over the whole corpus in turn.
+pass.  cone-mass builds the cones of all the block's cases in one
+:func:`concave.concave_envelope_groups` call of its own, which a run
+without cone-mass does not make.  shear-transport reads every norm from
+the table and from a second one, :attr:`Block.images`, of the images of
+each case's first two envelopes under its normalizing map.  The other
+suites run case by case; the normalizing affine map and the images,
+which lemma-tan and the image table both read, are computed once per
+case on :class:`Case`.  Per suite, the block results are merged in block
+order, so the results, and the first failure, are those of running each
+suite over the whole corpus in turn.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from . import norms
 from .bounds import affine_normalize, directional_k1_upper
 from .concave import (
     chord_max_hulls,
-    concave_envelopes,
+    concave_envelope_groups,
     gradients_at,
     max_profile,
     transform_function,
@@ -84,7 +91,8 @@ CASE_BLOCK = 16
 
 @dataclass(frozen=True)
 class Case:
-    """One corpus entry: a random polygon and its random envelopes.
+    """One corpus entry: a random polygon and its random envelopes, built
+    with the other cases of its :class:`Block`, bit for bit as alone.
 
     The normalizing map and the images of the first two envelopes are
     computed on first use and dropped with the case.  Values read per
@@ -114,20 +122,36 @@ class Case:
 
 
 def _case(seed: int, index: int) -> Case:
-    dom = random_convex_polygon(keyed_rng(seed, index, 0))
-    descs = [random_envelope_descriptor(keyed_rng(seed, index, 1 + j), dom)
-             for j in range(ENVELOPES_PER_CASE)]
-    envs = concave_envelopes(dom, [[((x, y), h) for x, y, h in d["constraints"]]
-                                   for d in descs])
-    return Case(index=index, seed=seed, domain=dom,
-                envelopes=tuple((u.descriptor, u) for u in envs))
+    """Corpus case ``index``: the block of one of :meth:`Block.build`."""
+    return Block.build(seed, [index])[0]
 
 
 class Block(tuple):
     """Consecutive cases and, built on first use, a
     :class:`facets.FacetTable` of all their envelopes and one of the
-    images in :attr:`Case.normalized`.  ``run_suite`` wraps any other
-    sequence of cases in one."""
+    images in :attr:`Case.normalized`.  :meth:`build` makes the corpus
+    block of given indices; ``run_suite`` wraps any other sequence of
+    cases in one."""
+
+    @classmethod
+    def build(cls, seed: int, indices) -> "Block":
+        """The corpus cases at ``indices``: each case's domain and five
+        envelope descriptors are drawn in turn, each from its own keyed
+        stream, and then all the cases' envelopes are built in one
+        :func:`concave.concave_envelope_groups` call, bit for bit what
+        building each case alone gives."""
+        drawn = []
+        for index in indices:
+            dom = random_convex_polygon(keyed_rng(seed, index, 0))
+            descs = [random_envelope_descriptor(keyed_rng(seed, index, 1 + j),
+                                                dom)
+                     for j in range(ENVELOPES_PER_CASE)]
+            drawn.append((index, dom, [[((x, y), h) for x, y, h
+                                        in d["constraints"]] for d in descs]))
+        built = concave_envelope_groups([(dom, sets) for _, dom, sets in drawn])
+        return cls(Case(index=index, seed=seed, domain=dom,
+                        envelopes=tuple((u.descriptor, u) for u in envs))
+                   for (index, dom, _), envs in zip(drawn, built))
 
     @cached_property
     def table(self) -> FacetTable:
@@ -260,26 +284,34 @@ def _suite_sandwich(block: Block, tol: float):
         "2wM": 2 * lo[k, a]})
 
 
-def _suite_cone_mass(case: Case, tol: float):
-    """Single-peak envelopes hit the lower wall exactly: ||d_h u||_1 = w*M."""
-    checks, bad = 0, []
+def _cones(case: Case) -> tuple:
+    """cone-mass's group: the case's domain and two one-point constraint
+    sets, drawn from the case's own stream."""
     rng = case.rng(1)
     pts = random_interior_points(rng, case.domain, 2)
     heights = [float(rng.uniform(0.2, 1.0)) for _ in pts]
-    widths = [(h, width(case.domain, h)) for h in AXES]
-    cones = concave_envelopes(case.domain, [[(pt, height)] for pt, height
-                                            in zip(pts, heights)])
-    for u in cones:
-        desc = u.descriptor
-        for h, w in widths:
-            val = norms.lp_directional_norm(u, h, 1).value
-            target = w * u.max_value
-            checks += 1
-            if abs(val - target) > tol * max(1.0, target):
-                bad.append(_violation(
-                    {"h": [h.dx, h.dy], "norm": val, "wM": target,
-                     "error": val - target}, desc))
-    return checks, bad
+    return case.domain, [[(pt, height)] for pt, height in zip(pts, heights)]
+
+
+def _suite_cone_mass(block: Block, tol: float):
+    """Single-peak envelopes hit the lower wall exactly: ||d_h u||_1 = w*M.
+
+    The cones of the whole block are built in one
+    :func:`concave.concave_envelope_groups` call."""
+    checks, found = [], []
+    groups = concave_envelope_groups([_cones(case) for case in block])
+    for pos, cones in enumerate(groups):
+        widths = [(h, width(block[pos].domain, h)) for h in AXES]
+        checks.append(len(cones) * len(widths))
+        for u in cones:
+            for h, w in widths:
+                val = norms.lp_directional_norm(u, h, 1).value
+                target = w * u.max_value
+                if abs(val - target) > tol * max(1.0, target):
+                    found.append((pos, _violation(
+                        {"h": [h.dx, h.dy], "norm": val, "wM": target,
+                         "error": val - target}, u.descriptor)))
+    return checks, found
 
 
 def _suite_line_mass(block: Block, tol: float):
@@ -297,14 +329,15 @@ def _suite_line_mass(block: Block, tol: float):
     rows, rngs = [], []         # per envelope and direction
     for pos, case in enumerate(block):
         rng = case.rng(2)
-        dirs = (E1, random_direction(rng))
+        spans = []              # per direction: h, its normal, the range
+        for h in (E1, random_direction(rng)):
+            n = h.perp().as_array()
+            proj = dot2(case.domain.vertices, n)
+            spans.append((h.as_array(), n, float(proj.min()),
+                          float(proj.max()), case.domain.tol))
         for k, _ in enumerate(case.envelopes[:2], t.cstart[pos]):
-            for h in dirs:
-                n = h.perp().as_array()
-                proj = dot2(case.domain.vertices, n)
-                rows.append((k, h.as_array(), n, float(proj.min()),
-                             float(proj.max()), case.domain.tol))
-                rngs.append(rng)
+            rows += [(k, *span) for span in spans]
+            rngs += [rng] * len(spans)
     env, h, n, lo, hi, dtol = (np.array(x) for x in zip(*rows))
     hull_t, hull_m, cut = chord_max_hulls(t.verts, t.vert_values, t.vstart,
                                           env, n, dtol)
@@ -613,7 +646,7 @@ SUITES = {
         _suite_sandwich, 1e-9,
         "wM <= ||d_h u||_1 <= 2wM for every envelope and both axes"),
     "cone-mass": SuiteSpec(
-        _each(_suite_cone_mass), 1e-11,
+        _suite_cone_mass, 1e-11,
         "single-peak envelopes attain ||d_h u||_1 = wM exactly"),
     "line-mass": SuiteSpec(
         _suite_line_mass, 1e-9,
@@ -702,8 +735,7 @@ def run_all(cases: int = DEFAULT_CASES, seed: int = 42,
     _check_run(cases, tol)
     totals = {name: [0, []] for name in suites}    # checks, failures
     for start in range(0, cases, CASE_BLOCK):
-        block = Block(_case(seed, k)
-                      for k in range(start, min(start + CASE_BLOCK, cases)))
+        block = Block.build(seed, range(start, min(start + CASE_BLOCK, cases)))
         for name, acc in totals.items():
             res = run_suite(name, block, tol)
             acc[0] += res.checks

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from normratio.concave import chord_max_hulls
 from normratio.geometry import (
     ConvexDomain,
     diamond,
@@ -38,3 +39,11 @@ def frame_domains():
             + [disc(512), square(), diamond(), triangle(0, 0, 2, 0, 1, 1),
                parallelogram(2.0, 1.0)]
             + [ConvexDomain(v) for v in NEAR_VERTICAL_SQUARES])
+
+
+def chord_max_hull(u, normal):
+    """Breakpoints (t, m) of u's full-chord maximum profile across normal:
+    one profile of :func:`concave.chord_max_hulls`."""
+    t, m, _ = chord_max_hulls(u.verts, u.vert_values, [0], [0],
+                              np.asarray(normal, dtype=float), u.domain.tol)
+    return t, m

@@ -20,10 +20,10 @@ from normratio.concave import (
     check_concavity,
     check_partition,
     check_vertex_consistency,
-    chord_max_hull,
     chord_max_hulls,
     chord_maxima,
     concave_envelope,
+    concave_envelope_groups,
     concave_envelopes,
     evaluate,
     family_u_omega,
@@ -56,9 +56,9 @@ from normratio.sampling import (
     random_interior_points,
 )
 from normratio.search import _candidates
-from normratio.verify import ENVELOPES_PER_CASE, _case
+from normratio.verify import CASE_BLOCK, ENVELOPES_PER_CASE, Block, _case, _cones
 
-from conftest import corpus_domains
+from conftest import chord_max_hull, corpus_domains
 
 
 # ---------------------------------------------------------------------------
@@ -1115,23 +1115,29 @@ def test_batched_corpus_builds_match_single_builds_bytewise():
                                    f"seed {seed} case {k} envelope {j}")
 
 
+def _special_sets(dom):
+    """Tied edge facets, a tied constraint inside its facet, a plateau of
+    many constraints, a cone and a dominated constraint."""
+    centre = dom.vertices.mean(axis=0)
+    _, plateau = family_u_phi_eps(dom, math.pi / 6, 0.05)
+    lo = dom.vertices[:, 1].min()
+    return [
+        [((x, lo + 0.3), 1.0) for x in (centre[0] - 0.25, centre[0],
+                                         centre[0] + 0.25)],
+        [((centre[0], centre[1] - 0.1), 1.0),
+         ((centre[0] - 0.2, centre[1] - 0.3), 0.5)],
+        [(p, 1.0) for p in plateau],
+        [(centre, 1.0)],
+        [(centre, 1.0), (centre + 0.05, 0.2)],
+    ]
+
+
 def test_batched_special_sets_match_single_builds_bytewise():
-    # tied edge facets, a tied constraint inside its facet, a plateau of
-    # many constraints, a cone and a dominated constraint, in one ragged
-    # batch per domain and in the reverse order
+    # the special sets in one ragged batch per domain and in the reverse
+    # order
     for dom in (square(), disc(64)):
+        sets = _special_sets(dom)
         centre = dom.vertices.mean(axis=0)
-        _, plateau = family_u_phi_eps(dom, math.pi / 6, 0.05)
-        lo = dom.vertices[:, 1].min()
-        sets = [
-            [((x, lo + 0.3), 1.0) for x in (centre[0] - 0.25, centre[0],
-                                             centre[0] + 0.25)],
-            [((centre[0], centre[1] - 0.1), 1.0),
-             ((centre[0] - 0.2, centre[1] - 0.3), 0.5)],
-            [(p, 1.0) for p in plateau],
-            [(centre, 1.0)],
-            [(centre, 1.0), (centre + 0.05, 0.2)],
-        ]
         # and equal-size batches, which have no padded rows
         cones = [sets[3], [(centre + 0.1, 0.5)]]
         pairs = [sets[1], sets[4]]
@@ -1140,30 +1146,106 @@ def test_batched_special_sets_match_single_builds_bytewise():
                 _assert_same_build(u, concave_envelope(dom, cons), f"{dom}")
 
 
+def test_ragged_group_matches_single_builds_bytewise():
+    # a triangle, the square and a 64-gon, 3, 4 and 64 edges, with the
+    # special sets each, in one group call: in this order and reversed,
+    # domains and sets both, and with a domain that has no set
+    groups = [(dom, _special_sets(dom))
+              for dom in (triangle(0, 0, 2, 0, 2, 1.5), square(), disc(64))]
+    reverse = [(dom, sets[::-1]) for dom, sets in groups[::-1]]
+    for order in (groups, reverse, [(square(), [])] + groups[1:]):
+        built = concave_envelope_groups(order)
+        assert [len(envs) for envs in built] == [len(s) for _, s in order]
+        for (dom, sets), envs in zip(order, built):
+            for u, cons in zip(envs, sets):
+                assert u.domain is dom
+                _assert_same_build(u, concave_envelope(dom, cons), f"{dom}")
+    assert concave_envelope_groups([]) == []
+    assert concave_envelope_groups([(square(), [])]) == [[]]
+    (dom, sets), = groups[:1]
+    built = concave_envelope_groups([(square(), []), (dom, sets[:1]),
+                                     (disc(64), [])])
+    assert [len(envs) for envs in built] == [0, 1, 0]
+    _assert_same_build(built[1][0], concave_envelope(dom, sets[0]), "alone")
+
+
+def test_group_ties_each_set_within_its_own_domains_tol():
+    # on a square 1000 across, tol is 1.4e-6, on the unit square 1.4e-9:
+    # constraints 1e-7 off a tie are tied on the large domain only, at its
+    # bottom edge and on an interior plateau, so a set ties with its own
+    # domain's tol or its functions change
+    big = ConvexDomain([(0, 0), (1000, 0), (1000, 1000), (0, 1000)])
+    big_sets = [
+        [((400.0, 300.0), 1.0), ((500.0, 300.0 - 1e-7), 1.0),
+         ((600.0, 300.0), 1.0)],
+        [((300.0, 300.0), 1.0), ((700.0, 300.0), 1.0 - 1e-7),
+         ((700.0, 700.0), 1.0 + 1e-7), ((300.0, 700.0), 1.0)],
+    ]
+    small = [(square(), _special_sets(square())[:2])]
+    for groups in ([(big, big_sets)] + small, small + [(big, big_sets)]):
+        for (dom, sets), envs in zip(groups, concave_envelope_groups(groups)):
+            for u, cons in zip(envs, sets):
+                _assert_same_build(u, concave_envelope(dom, cons), f"{dom}")
+
+
+@pytest.mark.parametrize("seed", [42, 7, 31337])
+def test_corpus_blocks_built_as_one_group_match_per_domain_builds(seed):
+    # a verify block builds its envelopes, and cone-mass its cones, with
+    # one group call over the block's domains; each domain's functions are
+    # the bits of building that domain's sets on their own
+    for start in range(0, 200, CASE_BLOCK):
+        block = Block.build(seed, range(start, min(start + CASE_BLOCK, 200)))
+        cones = [_cones(case) for case in block]
+        for case, (dom, sets), built in zip(block, cones,
+                                            concave_envelope_groups(cones)):
+            label = f"seed {seed} case {case.index}"
+            ref = concave_envelopes(dom, sets)
+            assert dom is case.domain and len(built) == len(ref) == 2
+            for j, (u, r) in enumerate(zip(built, ref)):
+                _assert_same_build(u, r, f"{label} cone {j}")
+            sets = [[((x, y), h) for x, y, h in desc["constraints"]]
+                    for desc, _ in case.envelopes]
+            ref = concave_envelopes(dom, sets)
+            for j, ((_, u), r) in enumerate(zip(case.envelopes, ref)):
+                _assert_same_build(u, r, f"{label} envelope {j}")
+
+
 def test_wrap_returns_each_sets_facets_in_its_own_range(monkeypatch):
-    # one wrap call takes three sets and gives back one (tris, planes)
-    # pair per set, whose constraint ids are that set's graph ids
-    dom = square()
-    sets = [[((0.5, 0.5), 1.0), ((0.3, 0.7), 0.8), ((0.75, 0.3), 0.7)],
-            [((0.5, 0.5), 1.0), ((0.3, 0.7), 0.8)],
-            [((0.4, 0.6), 0.9), ((0.7, 0.7), 0.5)]]
+    # one wrap call takes three sets over two domains with 4 and 6 edges
+    # and gives back one (tris, planes) pair per set.  Each set has its
+    # own ring and ids in the wrap's graph, set after set, its points in
+    # the frame of its own domain's first vertex, and its domain's tol
+    sq, hexagon = square(), disc(6)
+    groups = [(sq, [[((0.5, 0.5), 1.0), ((0.3, 0.7), 0.8), ((0.75, 0.3), 0.7)],
+                    [((0.5, 0.5), 1.0), ((0.3, 0.7), 0.8)]]),
+              (hexagon, [[((0.1, 0.2), 1.0), ((-0.3, -0.2), 0.9),
+                          ((0.4, -0.3), 0.8)]])]
     hull, calls = concave.ConvexHull, []
 
     def record(*args):
         out = hull(*args)
-        calls.append([(t.copy(), p.copy()) for t, p in out])   # as returned
+        calls.append((args, [(t.copy(), p.copy()) for t, p in out]))
         return out
 
     monkeypatch.setattr(concave, "ConvexHull", record)
-    concave_envelopes(dom, sets)
-    (pairs,) = calls
-    assert len(pairs) == len(sets)
-    nb, lo = dom.n, dom.n
-    for (tris, planes), cons in zip(pairs, sets):
+    concave_envelope_groups(groups)
+    (((xy, z, cands, polys, rings, tols), pairs),) = calls
+    sets = [(dom, cons) for dom, group in groups for cons in group]
+    assert len(pairs) == len(sets) == len(rings) == len(tols)
+    base = 0
+    for (dom, cons), (tris, planes), ring, tol in zip(sets, pairs, rings,
+                                                      tols):
+        nb, end = dom.n, base + dom.n + len(cons)
+        assert ring == range(base, base + nb) and tol == dom.tol
+        pts = np.array([p for p, _ in cons])
+        np.testing.assert_array_equal(
+            xy[base:end], np.concatenate((dom.vertices, pts)) - dom.vertices[0])
+        np.testing.assert_array_equal(z[base + nb:end], [h for _, h in cons])
         assert len(tris) and tris.shape == planes.shape == (len(tris), 3)
-        ids = tris[tris >= nb]
-        assert len(ids) and ids.min() >= lo and ids.max() < lo + len(cons)
-        lo += len(cons)
+        assert tris.min() >= base and tris.max() < end
+        assert (tris >= base + nb).any()
+        base = end
+    assert len(xy) == base
 
 
 def test_batch_raises_as_its_failing_set_alone():
@@ -1178,6 +1260,25 @@ def test_batch_raises_as_its_failing_set_alone():
             concave_envelope(dom, bad)
         with pytest.raises(ValueError, match=match):
             concave_envelopes(dom, [good, bad])
+
+
+def test_group_raises_as_its_failing_set_alone():
+    # a set that fails on a later domain makes the group raise what it
+    # raises alone: (0.5, 0.5) lies inside the square, outside the triangle
+    sq, tri = square(), triangle(0, 0, 1, 0, 0, 0.4)
+    good = [((0.5, 0.5), 1.0), ((0.3, 0.7), 0.8)]
+    fits = [((0.2, 0.1), 1.0)]
+    for bad, match in (([], "need at least one constraint"),
+                       ([((math.nan, 0.1), 1.0)], "must be finite"),
+                       ([((0.2, 0.1), 0.0)], "heights must be positive"),
+                       ([((0.5, 0.5), 1.0)], "strictly inside")):
+        with pytest.raises(ValueError, match=match):
+            concave_envelope(tri, bad)
+        for groups in ([(sq, [good, good]), (tri, [fits, bad])],
+                       [(tri, [bad]), (sq, [good])]):
+            with pytest.raises(ValueError, match=match):
+                concave_envelope_groups(groups)
+    assert concave_envelope_groups([(sq, [good]), (tri, [fits])])
 
 
 def _exact_grid(values):

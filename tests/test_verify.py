@@ -2,6 +2,7 @@
 corpus, violations serialize with enough context to replay, and replays
 notice stale inputs."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -16,8 +17,8 @@ from normratio.cli import main
 from normratio.concave import build_function
 from normratio.geometry import domain_from_json
 from normratio.sampling import keyed_rng, random_envelope_descriptor
-from normratio.verify import (CASE_BLOCK, SUITES, first_failure, jsonify,
-                              replay, run_all, run_suite)
+from normratio.verify import (CASE_BLOCK, SUITES, Block, first_failure,
+                              jsonify, replay, run_all, run_suite)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
@@ -164,6 +165,38 @@ LEMMA_TAN_20 = """{
   "counterexample_path": null
 }
 """
+
+
+# sha256 of the stdout of ``verify --cases 200 --seed <seed>``
+VERIFY_200_STDOUT = {
+    42: "b220256139587bfe99b05bde9daee6504fb6e6b2c182437e334795c5687ed9ed",
+    31337: "df202eb3e60d3e9508983026edf6a267eee5dfcbefba921e614a3a393463a227",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_200_STDOUT))
+def test_full_verify_stdout_is_unchanged(seed, capsys):
+    assert main(["verify", "--cases", "200", "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_200_STDOUT[seed]
+
+
+@pytest.mark.parametrize("seed", [42, 31337])
+def test_case_alone_is_its_block_case_bytewise(seed):
+    # replay builds one case alone, run_all builds it inside its block of
+    # CASE_BLOCK cases; both must give the same domain and envelopes
+    block = Block.build(seed, range(CASE_BLOCK, 2 * CASE_BLOCK))
+    for case in block:
+        alone = verify._case(seed, case.index)
+        assert (alone.index, alone.seed) == (case.index, case.seed)
+        assert alone.domain.vertices.tobytes() == case.domain.vertices.tobytes()
+        assert len(alone.envelopes) == len(case.envelopes)
+        for (da, a), (db, b) in zip(alone.envelopes, case.envelopes):
+            assert da == db
+            for name in ("verts", "vert_values", "tris", "planes", "trace"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.shape == y.shape, name
+                assert x.tobytes() == y.tobytes(), (case.index, name)
 
 
 def test_single_suite_stdout_is_unchanged(capsys):

@@ -2,15 +2,18 @@
 
 theorem1, edge-slope, sup-boundary, envelope-structure, slope-cap,
 line-mass, oracle-l1 and shear-transport run as array programs over the
-facet tables of a block of cases.  The per-case bodies below are those
-suites as they were written before, one envelope at a time, with the
-``norms`` calls behind the axis values; the block programs must give the
-same checks and violations, maxima and minima bit for bit, and sums up
-to their order of addition.  line-mass and oracle-l1 read their chord
-maxima from one ``chord_max_hulls`` call per block where the bodies below
-take one ``chord_max_hull`` or ``scanline_l1_norm`` per envelope and
+facet tables of a block of cases, and cone-mass builds the cones of a
+whole block in one ``concave_envelope_groups`` call.  The per-case
+bodies below are those suites as they were written before, one envelope
+at a time, with the ``norms`` calls behind the axis values; the block
+programs must give the same checks and violations, maxima and minima
+bit for bit, and sums up to their order of addition.  line-mass and
+oracle-l1 read their chord maxima from one ``chord_max_hulls`` call per
+block where the bodies below take one ``chord_max_hull`` (a profile of
+one, in ``conftest``) or ``scanline_l1_norm`` per envelope and
 direction; every sum they add is in the same order, so their records
-agree bit for bit.
+agree bit for bit.  cone-mass's body builds each cone alone, and its
+records agree bit for bit too.
 """
 
 import json
@@ -21,17 +24,19 @@ import pytest
 
 from normratio import norms
 from normratio.concave import (check_concavity, check_partition,
-                               check_vertex_consistency, chord_max_hull,
+                               check_vertex_consistency, concave_envelope,
                                evaluate, plane_values, tent_function)
 from normratio.facets import FacetTable
 from normratio.geometry import (E1, E2, cross2, domain_to_json, dot2,
                                 max_boundary_slope, square, width)
-from normratio.sampling import random_direction
+from normratio.sampling import random_direction, random_interior_points
 from normratio.verify import (CASE_BLOCK, SUITES, Block, _case, _violation,
                               jsonify, run_all, run_suite)
 
+from conftest import chord_max_hull
+
 REL = 1e-13
-BITWISE = ("line-mass", "oracle-l1")
+BITWISE = ("cone-mass", "line-mass", "oracle-l1")
 
 
 def ref_sandwich(case, tol):
@@ -146,6 +151,25 @@ def ref_slope_cap(case, tol):
     return checks, bad
 
 
+def ref_cone_mass(case, tol):
+    # each cone built alone
+    checks, bad = 0, []
+    rng = case.rng(1)
+    pts = random_interior_points(rng, case.domain, 2)
+    heights = [float(rng.uniform(0.2, 1.0)) for _ in pts]
+    for pt, height in zip(pts, heights):
+        u = concave_envelope(case.domain, [(pt, height)])
+        for h in (E1, E2):
+            val = norms.lp_directional_norm(u, h, 1).value
+            target = width(case.domain, h) * u.max_value
+            checks += 1
+            if abs(val - target) > tol * max(1.0, target):
+                bad.append(_violation(
+                    {"h": [h.dx, h.dy], "norm": val, "wM": target,
+                     "error": val - target}, u.descriptor))
+    return checks, bad
+
+
 def ref_line_mass(case, tol):
     checks, bad = 0, []
     rng = case.rng(2)
@@ -220,6 +244,7 @@ def ref_shear_transport(case, tol):
 
 REFERENCE = {
     "theorem1": ref_sandwich,
+    "cone-mass": ref_cone_mass,
     "edge-slope": ref_edge_slope,
     "sup-boundary": ref_sup_boundary,
     "envelope-structure": ref_envelope_structure,
