@@ -80,6 +80,16 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
+class _Once(argparse.Action):
+    """Store a flag's value, refusing a second one: a repeated flag
+    would otherwise drop all but its last value without a word."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "given more than once")
+        setattr(namespace, self.dest, values)
+
+
 def _add_domain_flags(sub):
     sub.add_argument("--domain", metavar="FILE",
                      help="JSON file with a 'vertices' array")
@@ -136,7 +146,7 @@ def _parser() -> argparse.ArgumentParser:
 
     s = sp.add_parser("verify", help="seeded property suites")
     _add_output_flags(s)
-    s.add_argument("--suite", choices=sorted(verify.SUITES),
+    s.add_argument("--suite", choices=sorted(verify.SUITES), action=_Once,
                    help="run one suite (default: all)")
     s.add_argument("--cases", type=int, default=verify.DEFAULT_CASES)
     s.add_argument("--seed", type=_parse_seed, default=42)

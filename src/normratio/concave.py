@@ -17,6 +17,7 @@ from operator import add
 
 import numpy as np
 
+from .facets import active_gradients
 from .geometry import (
     ConvexDomain,
     Direction,
@@ -93,23 +94,17 @@ def plane_values(u: ConcaveFunction, arr: np.ndarray) -> np.ndarray:
 
 
 def gradients_at(u: ConcaveFunction, pts: np.ndarray):
-    """Values and gradients at many points, with a mask of the regular ones.
+    """Values and gradients at many points, with a mask of the regular ones:
+    the batch of one of :func:`facets.active_gradients`.
 
-    The planes within 1e-11 of the minimum at a point are its active
-    planes; the point is regular when their gradients agree to 1e-9 and it
-    lies inside the domain widened by its margin.  Returns (values,
+    The point is regular when its active planes agree (within
+    ``facets.TIE`` of the minimum, gradients within ``facets.AGREE``) and
+    it lies inside the domain widened by its margin.  Returns (values,
     gradients of the first active plane, regular).
     """
-    vals = plane_values(u, pts)
-    vmin = vals.min(axis=1)
-    tie = vals <= (vmin + 1e-11 * (1.0 + np.abs(vmin)))[:, None]
-    grads = u.planes[:, :2]
-    first = grads[tie.argmax(axis=1)]
-    spread = np.where(tie[:, :, None], np.abs(grads - first[:, None, :]), 0.0)
-    mag = np.where(tie[:, :, None], np.abs(grads), 0.0)
-    regular = ((spread.max(axis=(1, 2)) <= 1e-9 * (1.0 + mag.max(axis=(1, 2))))
-               & u.domain.contains(pts, u.domain.margin))
-    return vmin, first, regular
+    vmin, first, agree = active_gradients(u.planes, [0], pts,
+                                          np.zeros(len(pts), dtype=int))
+    return vmin, first, agree & u.domain.contains(pts, u.domain.margin)
 
 
 def gradient_at(u: ConcaveFunction, pt) -> np.ndarray:

@@ -121,20 +121,77 @@ class FacetTable:
 
     def min_planes(self, pts: np.ndarray, env: np.ndarray) -> np.ndarray:
         """At each point, the min over its function's planes: what
-        ``concave.plane_values(u, pts).min(axis=1)`` gives, bit for bit.
-
-        The planes are padded to (most facets, 3, functions), slot j
-        holding plane j of each function; a function with fewer planes
-        gets gradient 0 at z0 = +inf there, never the min.  One pass per
-        slot keeps memory linear in the points.
-        """
-        nf = np.diff(np.append(self.fstart, len(self.planes)))
-        pad = np.zeros((nf.max(), 3, len(nf)))
-        pad[:, 2] = np.inf
-        pad[np.arange(len(self.planes)) - self.fstart[self.fenv], :,
-            self.fenv] = self.planes
-        x, y = pts[:, 0], pts[:, 1]
+        ``concave.plane_values(u, pts).min(axis=1)`` gives, bit for bit,
+        from one pass per plane slot (:func:`plane_slots`)."""
         out = np.full(len(pts), np.inf)
-        for gx, gy, z0 in pad:
-            np.minimum(out, x * gx[env] + y * gy[env] + z0[env], out=out)
+        for _, _, vals in plane_slots(self.planes, self.fstart, pts, env):
+            np.minimum(out, vals, out=out)
         return out
+
+
+def plane_slots(planes, fstart, pts, fn):
+    """Plane j of function ``fn[i]`` at each point i, one slot j = 0, 1,
+    ... at a time: the arrays (g_x, g_y, value), value the rounding of
+    ``concave.plane_values``, (x g_x + y g_y) + z0.  Function k owns the
+    ``planes`` from ``fstart[k]`` on.  The planes are padded to (most
+    planes, 3, functions), and a function with fewer planes gets gradient
+    0 at z0 = +inf in the slots it lacks, never the min and never within
+    a finite distance of it.  One slot at a time keeps memory linear in
+    the points.
+    """
+    nf = np.diff(np.append(fstart, len(planes)))
+    pad = np.zeros((nf.max(), 3, len(nf)))
+    pad[:, 2] = np.inf
+    pad[np.arange(len(planes)) - np.repeat(fstart, nf), :,
+        np.repeat(np.arange(len(nf)), nf)] = planes
+    x, y = pts[:, 0], pts[:, 1]
+    for gx, gy, z0 in pad:
+        gx, gy = gx[fn], gy[fn]
+        yield gx, gy, x * gx + y * gy + z0[fn]
+
+
+# the planes within TIE (relative) of the min at a point are its active
+# planes, and their gradients agree when within AGREE (relative)
+TIE = 1e-11
+AGREE = 1e-9
+
+
+def active_gradients(planes, fstart, pts, fn) -> tuple:
+    """Values and gradients at many points, each in its own function, and
+    whether the active planes agree there.
+
+    Point i is in function ``fn[i]``, which owns the ``planes`` from
+    ``fstart[fn[i]]`` on.  Plane j is active at a point when its value is
+    at most v + TIE (1 + |v|), v the min over the planes; the active
+    gradients agree when none differs from the first active one by more
+    than AGREE (1 + the largest active gradient component), component by
+    component.  At a point with one active plane the difference is 0, so
+    only points with two or more are compared.  Every step is a pass per
+    plane slot (:func:`plane_slots`).  Returns (values, gradient of the
+    first active plane, agree).
+    """
+    fn = np.asarray(fn)
+    vmin = np.full(len(pts), np.inf)
+    for _, _, vals in plane_slots(planes, fstart, pts, fn):
+        np.minimum(vmin, vals, out=vmin)
+    top = vmin + TIE * (1.0 + np.abs(vmin))
+    ties = np.zeros(len(pts), dtype=int)
+    first = np.zeros(len(pts), dtype=int)
+    for j, (_, _, vals) in enumerate(plane_slots(planes, fstart, pts, fn)):
+        tie = vals <= top
+        first[tie & (ties == 0)] = j
+        ties += tie
+    grads = planes[np.asarray(fstart)[fn] + first, :2]
+    agree = ties < 2
+    (many,) = np.nonzero(~agree)
+    if len(many):
+        fx, fy = grads[many].T
+        spread, mag = np.zeros((2, len(many)))
+        for gx, gy, vals in plane_slots(planes, fstart, pts[many], fn[many]):
+            tie = vals <= top[many]
+            spread = np.maximum(spread, np.where(
+                tie, np.maximum(np.abs(gx - fx), np.abs(gy - fy)), 0.0))
+            mag = np.maximum(mag, np.where(
+                tie, np.maximum(np.abs(gx), np.abs(gy)), 0.0))
+        agree[many] = spread <= AGREE * (1.0 + mag)
+    return vmin, grads, agree

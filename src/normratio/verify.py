@@ -30,14 +30,17 @@ case's projection range once per direction, its chord-max hulls from one
 takes its scan-line norms from one :func:`norms.scanline_l1_norms`
 pass.  cone-mass builds the cones of all the block's cases in one
 :func:`concave.concave_envelope_groups` call of its own, which a run
-without cone-mass does not make.  shear-transport reads every norm from
-the table and from a second one, :attr:`Block.images`, of the images of
-each case's first two envelopes under its normalizing map.  The other
-suites run case by case; the normalizing affine map and the images,
-which lemma-tan and the image table both read, are computed once per
-case on :class:`Case`.  Per suite, the block results are merged in block
-order, so the results, and the first failure, are those of running each
-suite over the whole corpus in turn.
+without cone-mass does not make.  A second table, :attr:`Block.images`,
+holds the images of each case's first two envelopes under its
+normalizing map (:attr:`Case.normalized`): shear-transport reads every
+norm from the two tables, and lemma-tan takes its values and gradients
+at all the block's points from one :func:`facets.active_gradients` pass
+over the image table.  product-four takes the widths of all the block's
+direction pairs from one projection of the block's domain vertices.
+Only profile-concavity still runs case by case (:func:`_each`).  Per
+suite, the block results are merged in block order, so the results, and
+the first failure, are those of running each suite over the whole corpus
+in turn.
 """
 
 from __future__ import annotations
@@ -49,20 +52,18 @@ from functools import cached_property
 import numpy as np
 
 from . import norms
-from .bounds import affine_normalize, directional_k1_upper
+from .bounds import affine_normalize
 from .concave import (
     chord_max_hulls,
     concave_envelope_groups,
-    gradients_at,
     max_profile,
     transform_function,
 )
-from .facets import FacetTable, segments
+from .facets import FacetTable, active_gradients, segments
 from .geometry import (
     E1,
     E2,
     ConvexDomain,
-    Direction,
     cross2,
     domain_from_json,
     domain_to_json,
@@ -98,7 +99,7 @@ class Case:
     computed on first use and dropped with the case.  Values read per
     envelope (axis norms and sups, the facets on the boundary, line
     masses) come from the facet table of the case's :class:`Block`, and
-    the images' norms from its image table.
+    the images' norms, values and gradients from its image table.
     """
 
     index: int
@@ -161,7 +162,8 @@ class Block(tuple):
     @cached_property
     def images(self) -> FacetTable:
         """The images of each case's first two envelopes under its
-        normalizing map, from :attr:`Case.normalized`."""
+        normalizing map, from :attr:`Case.normalized`, which lemma-tan
+        and shear-transport read."""
         images = [case.normalized[2] for case in self]
         return FacetTable([tu for im in images for tu in im],
                           [len(im) for im in images])
@@ -233,7 +235,8 @@ def _violation(detail: dict, descriptor=None) -> dict:
 # ---------------------------------------------------------------------------
 # suite bodies.  A suite takes a Block and returns its checks per case and
 # its violations as (case position, violation) pairs, in order.  A body
-# over one case returns (checks, violations); _each runs it over a block.
+# over one case returns (checks, violations); _each runs it over a block,
+# and serves only profile-concavity.
 # ---------------------------------------------------------------------------
 
 AXES = (E1, E2)
@@ -362,31 +365,37 @@ def _suite_line_mass(block: Block, tol: float):
                                     "line_mass": li[i], "chord_max": ms[i]})
 
 
-def _suite_tangent(case: Case, tol: float):
+def _suite_tangent(block: Block, tol: float):
     """Tangent-plane bounds through the normalized extreme points.
 
     After the shear-and-scale the extremes sit at (0,0) and (2,0) where u
     vanishes, so at every differentiable point the supporting plane gives
     x*u_x <= u - y*u_y and (x-2)*u_x <= u - y*u_y, hence
-    |u_x| <= (u - y*u_y)/min(x, 2-x).
+    |u_x| <= (u - y*u_y)/min(x, 2-x).  Values and gradients come from one
+    :func:`facets.active_gradients` pass over the image table,
+    :attr:`Block.images`, at 25 points per image, drawn from each case's
+    own stream.
     """
-    checks, bad = 0, []
-    img, _, images = case.normalized
-    rng = case.rng(3)
-    for (desc, _), tu in zip(case.envelopes, images):
-        scale = 1.0 + tu.max_value
-        pts = random_interior_points(rng, img, 25)
-        vals, grads, regular = gradients_at(tu, pts)
-        for (x, y), val, (gx, gy) in zip(pts[regular].tolist(),
-                                         vals[regular].tolist(),
-                                         grads[regular].tolist()):
-            rhs = val - y * gy
-            checks += 1
-            if x * gx > rhs + tol * scale or (x - 2.0) * gx > rhs + tol * scale:
-                bad.append(_violation(
-                    {"point": [x, y], "u": val, "grad": [gx, gy],
-                     "rhs": rhs}, desc))
-    return checks, bad
+    img, n = block.images, 25
+    pts, inside = [], []
+    for case in block:
+        dom, _, images = case.normalized
+        rng = case.rng(3)
+        pts.append(np.concatenate([random_interior_points(rng, dom, n)
+                                   for _ in images]))
+        inside.append(dom.contains(pts[-1], dom.margin))
+    env = np.repeat(np.arange(len(img.fstart)), n)
+    pts = np.concatenate(pts)
+    vals, grads, regular = active_gradients(img.planes, img.fstart, pts, env)
+    regular &= np.concatenate(inside)
+    (x, y), (gx, gy) = pts.T, grads.T
+    rhs = vals - y * gy
+    cap = rhs + tol * (1.0 + img.max_values[env])
+    (i,) = np.nonzero(regular & ((x * gx > cap) | ((x - 2.0) * gx > cap)))
+    src = np.flatnonzero(_leading(block.table, 2))  # image k is of src[k]
+    return np.bincount(img.ecase[env[regular]], minlength=img.ncases), _found(
+        block.table, src[env[i]], i, lambda k, i: {
+            "point": pts[i], "u": vals[i], "grad": grads[i], "rhs": rhs[i]})
 
 
 def _suite_edge_slope(block: Block, tol: float):
@@ -530,22 +539,34 @@ def _suite_shear_transport(block: Block, tol: float):
     return _per_case(img, 4), _found(t, src[i], 4 * i + part, detail)
 
 
-def _suite_product_four(case: Case, tol: float):
-    """Opposite-order width bounds multiply to exactly 4 for every pair."""
-    checks, bad = 0, []
-    rng = case.rng(5)
-    angles = [0.0] + [float(a) for a in rng.uniform(0.0, math.pi, size=2)]
-    for ang in angles:
-        h1 = Direction.from_angle(ang)
-        h2 = h1.perp()
-        b12 = directional_k1_upper(case.domain, h1, h2).value
-        b21 = directional_k1_upper(case.domain, h2, h1).value
-        checks += 1
-        if abs(b12 * b21 - 4.0) > 4.0 * tol:
-            bad.append(_violation(
-                {"angle": ang, "forward": b12, "reverse": b21,
-                 "product": b12 * b21}))
-    return checks, bad
+def _suite_product_four(block: Block, tol: float):
+    """Opposite-order width bounds multiply to exactly 4 for every pair.
+
+    Per case, three direction pairs (h1, h2 = h1 turned a quarter): E1 and
+    two drawn from the case's stream.  The bound 2 w(h1) / w(h2) is
+    :func:`bounds.directional_k1_upper`'s value, with w the width of
+    :func:`geometry.width`, the range of the vertices' projections onto
+    the normal; all the block's widths come from one projection.
+    """
+    angles, normals = [], []
+    for case in block:
+        angles.append([0.0, *case.rng(5).uniform(0.0, math.pi, size=2)])
+        for ang in angles[-1]:
+            c, s = math.cos(ang), math.sin(ang)
+            normals += [(-s, c), (-c, -s)]      # h1.perp(), h2.perp()
+    vstart, vcase = segments([case.domain.n for case in block])
+    verts = np.concatenate([case.domain.vertices for case in block])
+    normals = np.reshape(normals, (len(block), 6, 2))
+    proj = dot2(verts[:, None, :], normals[vcase])
+    w = np.maximum.reduceat(proj, vstart) - np.minimum.reduceat(proj, vstart)
+    w1, w2 = w[:, 0::2], w[:, 1::2]
+    forward, reverse = 2.0 * w1 / w2, 2.0 * w2 / w1
+    product = forward * reverse
+    fail = np.abs(product - 4.0) > 4.0 * tol
+    return np.full(len(block), 3), [
+        (c, _violation({"angle": angles[c][j], "forward": forward[c, j],
+                        "reverse": reverse[c, j], "product": product[c, j]}))
+        for c, j in zip(*np.nonzero(fail))]
 
 
 PARTS = ("partition", "concavity", "vertex-values", "domination", "peak",
@@ -652,7 +673,7 @@ SUITES = {
         _suite_line_mass, 1e-9,
         "per-line derivative mass equals twice the chord maximum"),
     "lemma-tan": SuiteSpec(
-        _each(_suite_tangent), 1e-9,
+        _suite_tangent, 1e-9,
         "tangent-plane bound |u_x| <= (u - y u_y)/min(x, 2-x) after "
         "normalization"),
     "edge-slope": SuiteSpec(
@@ -669,7 +690,7 @@ SUITES = {
         _suite_shear_transport, 1e-9,
         "affine pushforward: gradient transport and norm scaling"),
     "product-four": SuiteSpec(
-        _each(_suite_product_four), 1e-12,
+        _suite_product_four, 1e-12,
         "opposite-order width bounds multiply to 4"),
     "envelope-structure": SuiteSpec(
         _suite_envelope_structure, 1e-8,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from normratio.concave import chord_max_hulls
+from normratio.concave import chord_max_hulls, plane_values
 from normratio.geometry import (
     ConvexDomain,
     diamond,
@@ -47,3 +47,20 @@ def chord_max_hull(u, normal):
     t, m, _ = chord_max_hulls(u.verts, u.vert_values, [0], [0],
                               np.asarray(normal, dtype=float), u.domain.tol)
     return t, m
+
+
+def stacked_gradients_at(u, pts):
+    """(values, gradient of the first active plane, regular) at many
+    points from the full (points, planes) table: the rule of
+    ``concave.gradients_at`` as it was written before the slot passes of
+    ``facets.active_gradients``."""
+    vals = plane_values(u, pts)
+    vmin = vals.min(axis=1)
+    tie = vals <= (vmin + 1e-11 * (1.0 + np.abs(vmin)))[:, None]
+    grads = u.planes[:, :2]
+    first = grads[tie.argmax(axis=1)]
+    spread = np.where(tie[:, :, None], np.abs(grads - first[:, None, :]), 0.0)
+    mag = np.where(tie[:, :, None], np.abs(grads), 0.0)
+    regular = ((spread.max(axis=(1, 2)) <= 1e-9 * (1.0 + mag.max(axis=(1, 2))))
+               & u.domain.contains(pts, u.domain.margin))
+    return vmin, first, regular

@@ -223,6 +223,17 @@ def test_verify_n_lines_routing(capsys):
     assert "--n-lines" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_repeated_suite(capsys):
+    # argparse would keep only the last value and run one suite
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "lemma-tan", "--suite", "product-four",
+              "--cases", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --suite: given more than once" in captured.err
+
+
 def test_verify_failure_writes_replayable_counterexample(
         capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -2,6 +2,7 @@
 chord maxima and the parametric families."""
 
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -29,11 +30,13 @@ from normratio.concave import (
     family_u_omega,
     family_u_phi_eps,
     gradient_at,
+    gradients_at,
     linear_extremal_triangle,
     max_profile,
     tent_function,
     transform_function,
 )
+from normratio.facets import active_gradients
 from normratio.geometry import (
     ConvexDomain,
     Direction,
@@ -58,7 +61,7 @@ from normratio.sampling import (
 from normratio.search import _candidates
 from normratio.verify import CASE_BLOCK, ENVELOPES_PER_CASE, Block, _case, _cones
 
-from conftest import chord_max_hull, corpus_domains
+from conftest import chord_max_hull, corpus_domains, stacked_gradients_at
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +416,104 @@ def test_gradient_at_regular_and_ridge_points():
         gradient_at(u, (0.7, 0.7))  # diagonal ridge
     with pytest.raises(ValueError):
         gradient_at(u, (2.0, 0.5))  # outside
+
+
+def _gradient_batch():
+    """(planes, domain, points) per function: the images of a seed-42
+    block under each case's normalizing map, at lemma-tan's points, the
+    midpoints of their facet edges (two active planes, which disagree),
+    their mesh vertices (three or more), a point just outside the margin
+    and one far outside per domain vertex; then planes on the unit square
+    with two active planes that agree, three of which one disagrees, and
+    two active at u = -5, where the tie threshold needs |u|."""
+    batch = []
+    for case in Block.build(42, range(CASE_BLOCK)):
+        dom, _, images = case.normalized
+        rng = case.rng(3)
+        c = dom.vertices.mean(axis=0)
+        out = dom.vertices - c
+        out /= np.hypot(out[:, 0], out[:, 1])[:, None]
+        outside = np.concatenate([dom.vertices + 2.0 * dom.margin * out,
+                                  c + 4.0 * (dom.vertices - c)])
+        for tu in images:
+            edges = tu.tris[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
+            batch.append((tu.planes, dom, np.concatenate([
+                random_interior_points(rng, dom, 25),
+                tu.verts[edges].mean(axis=1), tu.verts, outside])))
+    sq = square()
+    batch.append((np.array([[1.0, 0.0, 0.0], [1.0 + 1e-12, 0.0, 0.0],
+                            [-1.0, 0.0, 1.0]]), sq,
+                  np.array([[0.25, 0.3], [0.25, 0.7], [0.5, 0.5],
+                            [0.9, 0.2]])))
+    batch.append((np.array([[0.0, 0.0, 10.0], [1.0, 0.0, -5.5],
+                            [0.0, 0.0, -5.0 + 4e-11]]), sq,
+                  np.array([[0.5, 0.5], [0.5, 0.2]])))
+    return batch
+
+
+def _active_counts(planes, pts):
+    vals = dot2(pts[:, None, :], planes[:, :2]) + planes[:, 2]
+    vmin = vals.min(axis=1)
+    return (vals <= (vmin + 1e-11 * (1.0 + np.abs(vmin)))[:, None]).sum(axis=1)
+
+
+def _batch_gradients(batch):
+    """active_gradients over every function of ``batch`` in one call, and
+    each domain's containment, as gradients_at's regular mask takes it."""
+    planes = np.concatenate([p for p, _, _ in batch])
+    fstart = np.cumsum([0] + [len(p) for p, _, _ in batch[:-1]])
+    fn = np.repeat(np.arange(len(batch)), [len(x) for _, _, x in batch])
+    pts = np.concatenate([x for _, _, x in batch])
+    vals, grads, agree = active_gradients(planes, fstart, pts, fn)
+    inside = np.concatenate([d.contains(x, d.margin) for _, d, x in batch])
+    return vals, grads, agree & inside
+
+
+def _split(arrays, batch):
+    cut = np.cumsum([len(x) for _, _, x in batch])[:-1]
+    return zip(*(np.split(a, cut) for a in arrays))
+
+
+def test_active_gradients_match_the_stacked_rule_bitwise():
+    batch = _gradient_batch()
+    got = _batch_gradients(batch)
+    counts = np.concatenate([_active_counts(p, x) for p, _, x in batch])
+    agreeing = []
+    for (planes, dom, pts), block_part in zip(batch, _split(got, batch)):
+        u = types.SimpleNamespace(planes=planes, domain=dom)
+        want = stacked_gradients_at(u, pts)
+        for a, b, c in zip(block_part, gradients_at(u, pts), want):
+            assert a.dtype == c.dtype and a.tobytes() == c.tobytes()
+            assert b.dtype == c.dtype and b.tobytes() == c.tobytes()
+        agreeing += (want[2] & (_active_counts(planes, pts) > 1)).tolist()
+    regular = got[2]
+    # the batch holds every kind of point the rule tells apart
+    assert (regular & (counts == 1)).sum() >= 400
+    assert (~regular & (counts == 2)).sum() >= 500
+    assert sum(agreeing) == 2
+    assert (~regular & (counts >= 3)).sum() >= 100
+    assert (~regular & (counts == 1)).any()          # outside the margin
+    assert (got[0] < -1.0).sum() >= 100
+
+
+def test_active_gradients_do_not_depend_on_their_batch():
+    # each function alone, and the batch reversed; freed NaN-filled
+    # buffers of the sizes the call allocates are handed back to it first,
+    # so a slot read before it is written would change the bits
+    batch = _gradient_batch()
+    whole = _batch_gradients(batch)
+    for _ in range(2):
+        for n in range(1, 4 * len(whole[0]), 53):
+            junk = np.full(n, np.nan)
+            del junk
+        again = _batch_gradients(batch)
+        for a, b in zip(again, whole):
+            assert a.tobytes() == b.tobytes()
+    back = list(_split(_batch_gradients(batch[::-1]), batch[::-1]))[::-1]
+    for part, rev, item in zip(_split(whole, batch), back, batch):
+        alone = _batch_gradients([item])
+        for a, b, c in zip(part, rev, alone):
+            assert a.tobytes() == b.tobytes() == c.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,26 @@
 """The block suites against the per-case code they replace.
 
 theorem1, edge-slope, sup-boundary, envelope-structure, slope-cap,
-line-mass, oracle-l1 and shear-transport run as array programs over the
-facet tables of a block of cases, and cone-mass builds the cones of a
-whole block in one ``concave_envelope_groups`` call.  The per-case
-bodies below are those suites as they were written before, one envelope
-at a time, with the ``norms`` calls behind the axis values; the block
-programs must give the same checks and violations, maxima and minima
-bit for bit, and sums up to their order of addition.  line-mass and
-oracle-l1 read their chord maxima from one ``chord_max_hulls`` call per
-block where the bodies below take one ``chord_max_hull`` (a profile of
-one, in ``conftest``) or ``scanline_l1_norm`` per envelope and
-direction; every sum they add is in the same order, so their records
-agree bit for bit.  cone-mass's body builds each cone alone, and its
-records agree bit for bit too.
+line-mass, oracle-l1, shear-transport, lemma-tan and product-four run as
+array programs over the facet tables of a block of cases, and cone-mass
+builds the cones of a whole block in one ``concave_envelope_groups``
+call.  The per-case bodies below are those suites as they were written
+before, one envelope at a time, with the ``norms`` calls behind the axis
+values; the block programs must give the same checks and violations,
+maxima and minima bit for bit, and sums up to their order of addition.
+line-mass and oracle-l1 read their chord maxima from one
+``chord_max_hulls`` call per block where the bodies below take one
+``chord_max_hull`` (a profile of one, in ``conftest``) or
+``scanline_l1_norm`` per envelope and direction; every sum they add is
+in the same order, so their records agree bit for bit.  cone-mass's body
+builds each cone alone, and its records agree bit for bit too.
+lemma-tan's body takes each image's gradients from the full (points,
+planes) table (``stacked_gradients_at`` in ``conftest``), and
+product-four's calls ``directional_k1_upper`` per direction pair; both
+agree bit for bit with the block programs.
 """
 
+import hashlib
 import json
 import math
 
@@ -23,20 +28,22 @@ import numpy as np
 import pytest
 
 from normratio import norms
+from normratio.bounds import directional_k1_upper
 from normratio.concave import (check_concavity, check_partition,
                                check_vertex_consistency, concave_envelope,
                                evaluate, plane_values, tent_function)
 from normratio.facets import FacetTable
-from normratio.geometry import (E1, E2, cross2, domain_to_json, dot2,
-                                max_boundary_slope, square, width)
+from normratio.geometry import (E1, E2, Direction, cross2, domain_to_json,
+                                dot2, max_boundary_slope, square, width)
 from normratio.sampling import random_direction, random_interior_points
 from normratio.verify import (CASE_BLOCK, SUITES, Block, _case, _violation,
                               jsonify, run_all, run_suite)
 
-from conftest import chord_max_hull
+from conftest import chord_max_hull, stacked_gradients_at
 
 REL = 1e-13
-BITWISE = ("cone-mass", "line-mass", "oracle-l1")
+BITWISE = ("cone-mass", "line-mass", "oracle-l1", "lemma-tan",
+           "product-four")
 
 
 def ref_sandwich(case, tol):
@@ -242,6 +249,43 @@ def ref_shear_transport(case, tol):
     return checks, bad
 
 
+def ref_tangent(case, tol):
+    checks, bad = 0, []
+    img, _, images = case.normalized
+    rng = case.rng(3)
+    for (desc, _), tu in zip(case.envelopes, images):
+        scale = 1.0 + tu.max_value
+        pts = random_interior_points(rng, img, 25)
+        vals, grads, regular = stacked_gradients_at(tu, pts)
+        for (x, y), val, (gx, gy) in zip(pts[regular].tolist(),
+                                         vals[regular].tolist(),
+                                         grads[regular].tolist()):
+            rhs = val - y * gy
+            checks += 1
+            if x * gx > rhs + tol * scale or (x - 2.0) * gx > rhs + tol * scale:
+                bad.append(_violation(
+                    {"point": [x, y], "u": val, "grad": [gx, gy],
+                     "rhs": rhs}, desc))
+    return checks, bad
+
+
+def ref_product_four(case, tol):
+    checks, bad = 0, []
+    rng = case.rng(5)
+    angles = [0.0] + [float(a) for a in rng.uniform(0.0, math.pi, size=2)]
+    for ang in angles:
+        h1 = Direction.from_angle(ang)
+        h2 = h1.perp()
+        b12 = directional_k1_upper(case.domain, h1, h2).value
+        b21 = directional_k1_upper(case.domain, h2, h1).value
+        checks += 1
+        if abs(b12 * b21 - 4.0) > 4.0 * tol:
+            bad.append(_violation(
+                {"angle": ang, "forward": b12, "reverse": b21,
+                 "product": b12 * b21}))
+    return checks, bad
+
+
 REFERENCE = {
     "theorem1": ref_sandwich,
     "cone-mass": ref_cone_mass,
@@ -252,6 +296,8 @@ REFERENCE = {
     "line-mass": ref_line_mass,
     "oracle-l1": ref_oracle_l1,
     "shear-transport": ref_shear_transport,
+    "lemma-tan": ref_tangent,
+    "product-four": ref_product_four,
 }
 
 
@@ -311,6 +357,31 @@ def test_block_suites_match_per_case_code(seed, tol):
             assert_close(wire(res.failures), wire(failures), res.suite)
         if tol is None:
             assert res.passed, res.suite
+
+
+# sha256 of json.dumps(jsonify({"result": res.to_dict(), "failures":
+# list(res.failures)})) for each suite of run_all(40, seed, tol=-1), as
+# the per-case suites wrote them
+RECORDS_40 = {
+    ("lemma-tan", 42):
+        "92f4c729860729ba4fe1b228dbfe2b1367aaa4b3bece4856aecaaa7d7a20eca8",
+    ("product-four", 42):
+        "ecf77a4b16e787a72fc69e7f79ee0ca7f22c17c08251108bb22f40d974db0588",
+    ("lemma-tan", 7):
+        "eaa482e8e81032960241101509a53953ebd4bb9f1c0f254164785494d16c0c77",
+    ("product-four", 7):
+        "8399fe8868641d09f30bb45c3682bf76f743de46f8f327ecf800ee9304d554fc",
+}
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_forced_records_are_unchanged(seed):
+    for res in run_all(40, seed=seed, tol=-1.0,
+                       suites=["lemma-tan", "product-four"]):
+        text = json.dumps(jsonify({"result": res.to_dict(),
+                                   "failures": list(res.failures)}))
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == RECORDS_40[res.suite, seed]), res.suite
 
 
 @pytest.mark.parametrize("seed", [42, 7])
