@@ -25,6 +25,38 @@ def segments(counts) -> tuple:
             np.repeat(np.arange(len(counts), dtype=np.int32), counts))
 
 
+def edge_table(doms) -> tuple:
+    """(normals, offsets, margins) of the domains: domain c's edge normals
+    and offsets fill the first rows of ``normals[c]`` and ``offsets[c]``,
+    padded to the most edges of any of them with zero normals at +inf
+    offsets, whose slack is +inf at every point."""
+    normals = np.zeros((len(doms), max(d.n for d in doms), 2))
+    offsets = np.full(normals.shape[:2], np.inf)
+    for c, d in enumerate(doms):
+        normals[c, :d.n] = d.edge_normals()
+        offsets[c, :d.n] = d.edge_offsets()
+    return normals, offsets, np.array([d.margin for d in doms])
+
+
+def edge_slacks(normals, offsets, pts, dom):
+    """Each point's slack to edge line j of its domain ``dom[i]`` in an
+    :func:`edge_table`, one slot j = 0, 1, ... at a time:
+    offset - (x n_x + y n_y), the floats that
+    ``ConvexDomain.signed_boundary_distance`` takes the min of.  One slot
+    at a time, in place, keeps memory linear in the points."""
+    x, y = pts[:, 0], pts[:, 1]
+    for j, (nx, ny) in enumerate(normals.transpose(1, 2, 0)):
+        dot = nx[dom]
+        dot *= x
+        yy = ny[dom]
+        yy *= y
+        dot += yy
+        del yy
+        slack = offsets[dom, j]
+        slack -= dot
+        yield slack
+
+
 class FacetTable:
     """The functions ``envelopes`` as one table, in cases: case c is the
     next ``per_case[c]`` functions, on the domain of the first of them.
@@ -33,13 +65,11 @@ class FacetTable:
     ``vstart[k]``; ``tris`` index the concatenated vertices.  Each facet
     and vertex carries its function (``fenv``, ``venv``) and its case
     (``fcase``, ``vcase``); ``ecase`` is each function's case, and case c
-    starts at function ``cstart[c]``.  Case
-    c's edge normals and offsets fill the first rows of ``normals[c]`` and
-    ``offsets[c]``, padded to the most edges of any case with zero normals
-    at +inf offsets, which no point is near; these and each case's
-    ``margin`` are built on first use.  The norms read facets only,
-    so the functions must vanish on the boundary (no jump part), as
-    envelopes do; one with a boundary trace raises ValueError.
+    starts at function ``cstart[c]``.  The cases' domains form an
+    :func:`edge_table` (``normals``, ``offsets``, ``margin``), built on
+    first use.  The norms read facets only, so the functions must vanish
+    on the boundary (no jump part), as envelopes do; one with a boundary
+    trace raises ValueError.
     """
 
     def __init__(self, envelopes, per_case):
@@ -63,13 +93,7 @@ class FacetTable:
 
     @cached_property
     def _edges(self) -> tuple:
-        doms = [self.envelopes[k].domain for k in self.cstart]
-        normals = np.zeros((len(doms), max(d.n for d in doms), 2))
-        offsets = np.full(normals.shape[:2], np.inf)
-        for c, d in enumerate(doms):
-            normals[c, :d.n] = d.edge_normals()
-            offsets[c, :d.n] = d.edge_offsets()
-        return normals, offsets, np.array([d.margin for d in doms])
+        return edge_table([self.envelopes[k].domain for k in self.cstart])
 
     normals = property(lambda self: self._edges[0])
     offsets = property(lambda self: self._edges[1])
@@ -100,11 +124,10 @@ class FacetTable:
         lines, as ``ConvexDomain.signed_boundary_distance`` takes it before
         its min; +inf at padded edges.  One pass per edge slot keeps
         memory linear in the vertices."""
-        x, y = self.verts[:, 0], self.verts[:, 1]
-        slack = np.empty((len(x), self.offsets.shape[1]))
-        for j, (nx, ny) in enumerate(self.normals.transpose(1, 2, 0)):
-            slack[:, j] = self.offsets[self.vcase, j] - (x * nx[self.vcase]
-                                                       + y * ny[self.vcase])
+        slack = np.empty((len(self.verts), self.offsets.shape[1]))
+        for j, col in enumerate(edge_slacks(self.normals, self.offsets,
+                                            self.verts, self.vcase)):
+            slack[:, j] = col
         return slack
 
     @cached_property

@@ -13,14 +13,18 @@ name over a given list of cases, and ``run_all`` is the one path that
 walks the corpus.  It goes block by block: it builds a :class:`Block` of
 :data:`CASE_BLOCK` consecutive corpus cases, runs every requested suite
 over it, one suite after another, and drops it before it builds the next
-block.  A block draws its cases' domains and descriptors case by case,
-each from its own keyed stream, and then builds all their envelopes in
-one :func:`concave.concave_envelope_groups` call, over the block's
-domains; :func:`_case`, which :func:`replay` uses, is the block of one,
-with the same bits.  At most ``CASE_BLOCK`` cases are in memory at a
-time, so peak memory does not grow with the number of cases, and each
-suite still runs over several cases in a row.  Nothing is cached between
-blocks or between runs.  A block's envelopes form one
+block.  A block draws each case's domain from its own keyed stream, then
+all its cases' descriptors, one keyed stream each, from one
+:func:`sampling.random_envelope_descriptors` call, and then builds all
+their envelopes in one :func:`concave.concave_envelope_groups` call,
+over the block's domains; :func:`_case`, which :func:`replay` uses, is
+the block of one, with the same bits.  Wherever a suite draws interior
+points, it draws those of the whole block in one
+:func:`sampling.random_interior_point_sets` call, and each stream draws
+what it draws alone, in the same order.  At most ``CASE_BLOCK`` cases
+are in memory at a time, so peak memory does not grow with the number of
+cases, and each suite still runs over several cases in a row.  Nothing
+is cached between blocks or between runs.  A block's envelopes form one
 :class:`facets.FacetTable`, built on first use and dropped with the
 block: theorem1, edge-slope, sup-boundary, envelope-structure, slope-cap,
 line-mass and oracle-l1 are array programs over it.  line-mass takes each
@@ -48,6 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -75,8 +80,8 @@ from .sampling import (
     keyed_rng,
     random_convex_polygon,
     random_direction,
-    random_envelope_descriptor,
-    random_interior_points,
+    random_envelope_descriptors,
+    random_interior_point_sets,
 )
 
 DEFAULT_CASES = 200
@@ -136,23 +141,25 @@ class Block(tuple):
 
     @classmethod
     def build(cls, seed: int, indices) -> "Block":
-        """The corpus cases at ``indices``: each case's domain and five
-        envelope descriptors are drawn in turn, each from its own keyed
-        stream, and then all the cases' envelopes are built in one
-        :func:`concave.concave_envelope_groups` call, bit for bit what
-        building each case alone gives."""
-        drawn = []
-        for index in indices:
-            dom = random_convex_polygon(keyed_rng(seed, index, 0))
-            descs = [random_envelope_descriptor(keyed_rng(seed, index, 1 + j),
-                                                dom)
-                     for j in range(ENVELOPES_PER_CASE)]
-            drawn.append((index, dom, [[((x, y), h) for x, y, h
-                                        in d["constraints"]] for d in descs]))
-        built = concave_envelope_groups([(dom, sets) for _, dom, sets in drawn])
+        """The corpus cases at ``indices``: each case's domain is drawn
+        from its own keyed stream, then the five envelope descriptors of
+        every case from one :func:`sampling.random_envelope_descriptors`
+        call over their 5 streams per case, and then all the cases'
+        envelopes are built in one :func:`concave.concave_envelope_groups`
+        call, bit for bit what building each case alone gives."""
+        indices = list(indices)
+        doms = [random_convex_polygon(keyed_rng(seed, index, 0))
+                for index in indices]
+        sets = iter([[((x, y), h) for x, y, h in d["constraints"]]
+                     for d in random_envelope_descriptors(
+                         (keyed_rng(seed, index, 1 + j), dom)
+                         for index, dom in zip(indices, doms)
+                         for j in range(ENVELOPES_PER_CASE))])
+        built = concave_envelope_groups(
+            [(dom, list(islice(sets, ENVELOPES_PER_CASE))) for dom in doms])
         return cls(Case(index=index, seed=seed, domain=dom,
                         envelopes=tuple((u.descriptor, u) for u in envs))
-                   for (index, dom, _), envs in zip(drawn, built))
+                   for index, dom, envs in zip(indices, doms, built))
 
     @cached_property
     def table(self) -> FacetTable:
@@ -287,13 +294,16 @@ def _suite_sandwich(block: Block, tol: float):
         "2wM": 2 * lo[k, a]})
 
 
-def _cones(case: Case) -> tuple:
-    """cone-mass's group: the case's domain and two one-point constraint
-    sets, drawn from the case's own stream."""
-    rng = case.rng(1)
-    pts = random_interior_points(rng, case.domain, 2)
-    heights = [float(rng.uniform(0.2, 1.0)) for _ in pts]
-    return case.domain, [[(pt, height)] for pt, height in zip(pts, heights)]
+def _cones(block: Block) -> list:
+    """cone-mass's groups: each case's domain and two one-point constraint
+    sets, drawn from the case's own stream, the points of all the block's
+    cases in one :func:`sampling.random_interior_point_sets` call and then
+    each case's two heights."""
+    rngs = [case.rng(1) for case in block]
+    pts = random_interior_point_sets([(rng, case.domain, 2)
+                                      for rng, case in zip(rngs, block)])
+    return [(case.domain, [[(pt, float(rng.uniform(0.2, 1.0)))] for pt in p])
+            for case, rng, p in zip(block, rngs, pts)]
 
 
 def _suite_cone_mass(block: Block, tol: float):
@@ -302,7 +312,7 @@ def _suite_cone_mass(block: Block, tol: float):
     The cones of the whole block are built in one
     :func:`concave.concave_envelope_groups` call."""
     checks, found = [], []
-    groups = concave_envelope_groups([_cones(case) for case in block])
+    groups = concave_envelope_groups(_cones(block))
     for pos, cones in enumerate(groups):
         widths = [(h, width(block[pos].domain, h)) for h in AXES]
         checks.append(len(cones) * len(widths))
@@ -365,6 +375,26 @@ def _suite_line_mass(block: Block, tol: float):
                                     "line_mass": li[i], "chord_max": ms[i]})
 
 
+def _tangent_points(block: Block, n: int) -> tuple:
+    """lemma-tan's points, ``n`` per image in :attr:`Block.images` order,
+    drawn from each case's own stream over its normalized domain: image 0
+    of every case in one :func:`sampling.random_interior_point_sets` call,
+    then image 1 in another; and the mask of those within the margin."""
+    rngs = [case.rng(3) for case in block]
+    doms = [case.normalized[0] for case in block]
+    pts = [[] for _ in block]
+    for j in range(max(len(case.normalized[2]) for case in block)):
+        live = [c for c, case in enumerate(block)
+                if j < len(case.normalized[2])]
+        drawn = random_interior_point_sets([(rngs[c], doms[c], n)
+                                            for c in live])
+        for c, p in zip(live, drawn):
+            pts[c].append(p)
+    pts = [np.concatenate(p) for p in pts]
+    inside = [dom.contains(p, dom.margin) for dom, p in zip(doms, pts)]
+    return np.concatenate(pts), np.concatenate(inside)
+
+
 def _suite_tangent(block: Block, tol: float):
     """Tangent-plane bounds through the normalized extreme points.
 
@@ -374,20 +404,13 @@ def _suite_tangent(block: Block, tol: float):
     |u_x| <= (u - y*u_y)/min(x, 2-x).  Values and gradients come from one
     :func:`facets.active_gradients` pass over the image table,
     :attr:`Block.images`, at 25 points per image, drawn from each case's
-    own stream.
+    own stream (:func:`_tangent_points`).
     """
     img, n = block.images, 25
-    pts, inside = [], []
-    for case in block:
-        dom, _, images = case.normalized
-        rng = case.rng(3)
-        pts.append(np.concatenate([random_interior_points(rng, dom, n)
-                                   for _ in images]))
-        inside.append(dom.contains(pts[-1], dom.margin))
+    pts, inside = _tangent_points(block, n)
     env = np.repeat(np.arange(len(img.fstart)), n)
-    pts = np.concatenate(pts)
     vals, grads, regular = active_gradients(img.planes, img.fstart, pts, env)
-    regular &= np.concatenate(inside)
+    regular &= inside
     (x, y), (gx, gy) = pts.T, grads.T
     rhs = vals - y * gy
     cap = rhs + tol * (1.0 + img.max_values[env])

@@ -18,6 +18,39 @@ def rng():
     return keyed_rng(20240817)
 
 
+def reference_interior_points(rng, dom, k):
+    """k points uniform over the domain shrunk by its margin, one request
+    at a time by rejection from the bounding box through ``rng.uniform``:
+    the rule of ``sampling.random_interior_point_sets`` as it was written
+    before the sampler served many requests at once."""
+    v = dom.vertices
+    lo = v.min(axis=0)
+    hi = v.max(axis=0)
+    out = np.empty((k, 2))
+    have = 0
+    for _ in range(10000):
+        if have >= k:
+            break
+        cand = rng.uniform(lo, hi, size=(max(4 * (k - have), 16), 2))
+        good = cand[dom.signed_boundary_distance(cand) > dom.margin]
+        take = min(len(good), k - have)
+        out[have:have + take] = good[:take]
+        have += take
+    if have < k:
+        raise RuntimeError("interior rejection sampling failed")
+    return out
+
+
+def reference_envelope_descriptor(rng, dom):
+    """``sampling.random_envelope_descriptor`` over the reference points."""
+    k = int(rng.integers(1, 6))
+    pts = reference_interior_points(rng, dom, k)
+    hts = rng.uniform(0.2, 1.0, size=k)
+    return {"kind": "envelope",
+            "constraints": [[float(p[0]), float(p[1]), float(h)]
+                            for p, h in zip(pts, hts)]}
+
+
 def corpus_domains(seed, count):
     """Deterministic list of random convex polygons for property loops."""
     return [random_convex_polygon(keyed_rng(seed, k)) for k in range(count)]

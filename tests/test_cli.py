@@ -3,6 +3,7 @@ codes, determinism, and the counterexample/replay loop."""
 
 import ast
 import csv
+import hashlib
 import io
 import json
 import math
@@ -199,6 +200,29 @@ def test_sweep_triangle_csv(capsys):
         assert float(r["best_ratio"]) <= float(r["upper_bound"]) + 1e-9
 
 
+# sha256 of the stdout of the benchmark's estimate and sweep invocations at
+# seed 42: the search draws its random candidates through the same sampler
+# as verify's corpus
+SEARCH_STDOUT = {
+    ("estimate", "--preset", "disc", "--n", "512", "--p", "1", "--budget",
+     "200", "--seed", "42"):
+    "fb89587931f11c48cd4ee40ff8d2f97cefc3f61f1286705fbf36b0a07de19cf9",
+    ("estimate", "--preset", "disc", "--n", "512", "--p", "2", "--budget",
+     "200", "--seed", "42"):
+    "b41398100f5bfad6f271c441527cd4be0f63709586584ff44f19a5287168d80c",
+    ("sweep", "--preset", "disc", "--n", "128", "--p", "2", "--budget", "60",
+     "--seed", "42"):
+    "f9d3883de19b1b276d2dd52b59f9b15371e98bee08c96e9dc900c3da6fa7ba11",
+}
+
+
+@pytest.mark.parametrize("argv", list(SEARCH_STDOUT))
+def test_search_stdout_is_unchanged(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_STDOUT[argv]
+
+
 # ---------------------------------------------------------------------------
 # verify and the counterexample loop
 # ---------------------------------------------------------------------------
@@ -358,6 +382,18 @@ def test_domain_source_must_be_exactly_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", "--domain", str(f),
                            "--preset", "square")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+def test_search_on_a_too_thin_domain_is_an_input_error(capsys, tmp_path,
+                                                       command):
+    # valid, but its inradius is below its interior margin, so no random
+    # candidate can be drawn: refused at once, not after 10,000 rounds
+    f = tmp_path / "thin.json"
+    f.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [0.5, 1e-8]]}))
+    code, out, err = run_cli(capsys, command, "--domain", str(f), "--p", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: domain too thin to sample")
 
 
 def test_empty_domain_path_is_not_ignored(capsys):

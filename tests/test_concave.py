@@ -1296,7 +1296,7 @@ def test_corpus_blocks_built_as_one_group_match_per_domain_builds(seed):
     # the bits of building that domain's sets on their own
     for start in range(0, 200, CASE_BLOCK):
         block = Block.build(seed, range(start, min(start + CASE_BLOCK, 200)))
-        cones = [_cones(case) for case in block]
+        cones = _cones(block)
         for case, (dom, sets), built in zip(block, cones,
                                             concave_envelope_groups(cones)):
             label = f"seed {seed} case {case.index}"

@@ -14,7 +14,9 @@ line-mass and oracle-l1 read their chord maxima from one
 ``scanline_l1_norm`` per envelope and direction; every sum they add is
 in the same order, so their records agree bit for bit.  cone-mass's body
 builds each cone alone, and its records agree bit for bit too.
-lemma-tan's body takes each image's gradients from the full (points,
+cone-mass's and lemma-tan's bodies draw their points one request at a
+time (``reference_interior_points`` in ``conftest``), where the block
+suites draw all of a block's in one sampler call.  lemma-tan's body takes each image's gradients from the full (points,
 planes) table (``stacked_gradients_at`` in ``conftest``), and
 product-four's calls ``directional_k1_upper`` per direction pair; both
 agree bit for bit with the block programs.
@@ -35,11 +37,12 @@ from normratio.concave import (check_concavity, check_partition,
 from normratio.facets import FacetTable
 from normratio.geometry import (E1, E2, Direction, cross2, domain_to_json,
                                 dot2, max_boundary_slope, square, width)
-from normratio.sampling import random_direction, random_interior_points
+from normratio.sampling import random_direction
 from normratio.verify import (CASE_BLOCK, SUITES, Block, _case, _violation,
                               jsonify, run_all, run_suite)
 
-from conftest import chord_max_hull, stacked_gradients_at
+from conftest import (chord_max_hull, reference_interior_points,
+                      stacked_gradients_at)
 
 REL = 1e-13
 BITWISE = ("cone-mass", "line-mass", "oracle-l1", "lemma-tan",
@@ -162,7 +165,7 @@ def ref_cone_mass(case, tol):
     # each cone built alone
     checks, bad = 0, []
     rng = case.rng(1)
-    pts = random_interior_points(rng, case.domain, 2)
+    pts = reference_interior_points(rng, case.domain, 2)
     heights = [float(rng.uniform(0.2, 1.0)) for _ in pts]
     for pt, height in zip(pts, heights):
         u = concave_envelope(case.domain, [(pt, height)])
@@ -255,7 +258,7 @@ def ref_tangent(case, tol):
     rng = case.rng(3)
     for (desc, _), tu in zip(case.envelopes, images):
         scale = 1.0 + tu.max_value
-        pts = random_interior_points(rng, img, 25)
+        pts = reference_interior_points(rng, img, 25)
         vals, grads, regular = stacked_gradients_at(tu, pts)
         for (x, y), val, (gx, gy) in zip(pts[regular].tolist(),
                                          vals[regular].tolist(),
