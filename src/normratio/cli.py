@@ -35,6 +35,7 @@ from .geometry import (
     diamond,
     disc,
     domain_from_json,
+    extreme_x_points,
     parallelogram,
     square,
     triangle,
@@ -268,9 +269,7 @@ def cmd_analyze(args):
     w_x, w_y = width(dom, E2), width(dom, E1)
     we = width_extremes(dom)
     info = vertical_support_classification(dom)
-    iA, iB = info.extremes
-    A, B = dom.vertices[iA], dom.vertices[iB]
-    rise = float(B[1] - A[1])
+    A, B, rise = extreme_x_points(dom)
     obj = {
         "command": "analyze",
         "n_vertices": dom.n,

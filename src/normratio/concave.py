@@ -17,7 +17,7 @@ from operator import add
 
 import numpy as np
 
-from .facets import active_gradients
+from .facets import active_gradients, segments
 from .geometry import (
     ConvexDomain,
     Direction,
@@ -28,7 +28,7 @@ from .geometry import (
 )
 from .hull import _chain, _fan, _interior_facets, _polygon_ccw
 
-PROFILE_LINES = 33          # scan lines per max_profile
+PROFILE_LINES = 33          # scan lines per profile of max_profiles
 
 
 class ConcaveFunction:
@@ -93,25 +93,14 @@ def plane_values(u: ConcaveFunction, arr: np.ndarray) -> np.ndarray:
     return dot2(arr[:, None, :], u.planes[:, :2]) + u.planes[:, 2]
 
 
-def gradients_at(u: ConcaveFunction, pts: np.ndarray):
-    """Values and gradients at many points, with a mask of the regular ones:
-    the batch of one of :func:`facets.active_gradients`.
-
-    The point is regular when its active planes agree (within
-    ``facets.TIE`` of the minimum, gradients within ``facets.AGREE``) and
-    it lies inside the domain widened by its margin.  Returns (values,
-    gradients of the first active plane, regular).
-    """
-    vmin, first, agree = active_gradients(u.planes, [0], pts,
-                                          np.zeros(len(pts), dtype=int))
-    return vmin, first, agree & u.domain.contains(pts, u.domain.margin)
-
-
 def gradient_at(u: ConcaveFunction, pt) -> np.ndarray:
-    """Gradient at a regular point (see :func:`gradients_at`); raises on
-    facet edges and vertices and outside the domain."""
-    _, grads, regular = gradients_at(u, np.asarray(pt, dtype=float)[None, :])
-    if not regular[0]:
+    """Gradient at a point where the active planes agree (within
+    ``facets.TIE`` of the minimum, gradients within ``facets.AGREE``, by
+    :func:`facets.active_gradients`) inside the domain widened by its
+    margin; raises on facet edges and vertices and outside the domain."""
+    pts = np.asarray(pt, dtype=float)[None, :]
+    _, grads, agree = active_gradients(u.planes, [0], pts, [0])
+    if not (agree[0] and u.domain.contains(pts, u.domain.margin)[0]):
         raise ValueError("gradient undefined: the point is on a facet edge "
                          "or vertex, or outside the domain")
     return grads[0]
@@ -154,6 +143,32 @@ def chord_maxima(u: ConcaveFunction, P0: np.ndarray, P1: np.ndarray):
     return vals[rows, k], ts[rows, k]
 
 
+def _gather(start, n, fn) -> tuple:
+    """The elements of function ``fn[i]`` for each profile i in turn, of
+    ``n`` elements of which function k owns those from ``start[k]`` on:
+    (each profile's first position, each position's profile, its element)."""
+    count = np.diff(np.append(start, n))[fn]
+    first, prof = segments(count)
+    return first, prof, np.arange(len(prof)) + np.repeat(start[fn] - first,
+                                                        count)
+
+
+def _support_projections(verts, vstart, fn, normals, tol) -> tuple:
+    """Each profile's vertices projected onto its normal, those within tol
+    of its support values lo, hi (their extremes) snapped onto them, for
+    :func:`chord_max_hulls` and :func:`max_profiles`: (t, prof, idx,
+    pstart, lo, hi), as :func:`_gather` and the support values."""
+    vstart, fn = np.asarray(vstart), np.asarray(fn)
+    normals = np.broadcast_to(normals, fn.shape + (2,))
+    tol = np.broadcast_to(tol, fn.shape)
+    pstart, prof, idx = _gather(vstart, len(verts), fn)
+    t = dot2(verts[idx], normals[prof])
+    lo, hi = np.minimum.reduceat(t, pstart), np.maximum.reduceat(t, pstart)
+    t = np.where(t <= (lo + tol)[prof], lo[prof], t)
+    t = np.where(t >= (hi - tol)[prof], hi[prof], t)
+    return t, prof, idx, pstart, lo, hi
+
+
 def chord_max_hulls(verts, values, vstart, fn, normals, tol) -> tuple:
     """Breakpoints (t, m) of many full-chord maximum profiles,
     m(t) = max{u(x) : x . normal = t}, each of its own function.
@@ -170,11 +185,10 @@ def chord_max_hulls(verts, values, vstart, fn, normals, tol) -> tuple:
     the projected vertices (v . normal, u(v)), so m is that hull: a concave
     polyline over the whole projection range, found by one monotone chain
     (Andrew 1979), :func:`hull._chain`.  It reads vertex values only,
-    never facet planes.
-
-    The ends of a support edge can project a rounding apart, so
-    projections within tol of the two support values are snapped onto
-    them: the highest vertex on each support line then stays on the hull.
+    never facet planes.  The ends of a support edge can project a
+    rounding apart, so projections within tol of the two support values
+    are snapped onto them (:func:`_support_projections`): the highest
+    vertex on each support line then stays on the hull.
 
     The projection, the snapping, the sort and the highest-at-equal-t
     filter are one array pass over all profiles; the chain runs on each
@@ -183,19 +197,9 @@ def chord_max_hulls(verts, values, vstart, fn, normals, tol) -> tuple:
     profiles of the batch.  Returns (t, m, cut): the breakpoints of every
     profile, in order, with profile i's at ``cut[i]:cut[i + 1]``.
     """
-    vstart, fn = np.asarray(vstart), np.asarray(fn)
-    normals = np.broadcast_to(normals, fn.shape + (2,))
-    tol = np.broadcast_to(tol, fn.shape)
-    nv = np.diff(np.append(vstart, len(verts)))[fn]
-    # profile p reads its function's vertices, from pstart[p] on
-    pstart = np.cumsum(np.append(0, nv[:-1]))
-    prof = np.repeat(np.arange(len(fn)), nv)
-    idx = np.arange(len(prof)) + np.repeat(vstart[fn] - pstart, nv)
-    t = dot2(verts[idx], normals[prof])
+    t, prof, idx, _, _, _ = _support_projections(verts, vstart, fn, normals,
+                                                 tol)
     z = values[idx]
-    lo, hi = np.minimum.reduceat(t, pstart), np.maximum.reduceat(t, pstart)
-    t = np.where(t <= (lo + tol)[prof], lo[prof], t)
-    t = np.where(t >= (hi - tol)[prof], hi[prof], t)
     # by profile first, and prof is already sorted, so it stays as it is
     order = np.lexsort((z, t, prof))
     t, z = t[order], z[order]
@@ -213,38 +217,43 @@ def chord_max_hulls(verts, values, vstart, fn, normals, tol) -> tuple:
     return t[keep], z[keep], cut
 
 
-def max_profile(u: ConcaveFunction,
-                h: Direction) -> tuple[np.ndarray, np.ndarray]:
-    """Chord maxima m along PROFILE_LINES evenly spaced parallel lines in
-    direction h, spanning the domain, at offsets t along h's normal:
-    (t, m), as :func:`chord_max_hulls` gives each profile's breakpoints.
-
-    The per-chord maximum is exact for the PL function; the profile is a
-    concave function of the offset.  Along a chord u is piecewise linear
-    with breakpoints where the chord crosses mesh edges, and its ends lie
-    on boundary edges, which are mesh edges too; so the maximum on the
-    line x . normal = t is the largest value interpolated along the mesh
-    edges whose projections span t.  Every triangle side is read, so a
-    shared edge is read twice, which leaves the maximum unchanged.  A side
-    parallel to the lines is skipped: u is linear along it, and each of
-    its ends is also an end of another side of the same facet, which is
-    not parallel.  As in :func:`chord_max_hulls`, projections within tol of
-    the two support values are snapped onto them.
+def max_profiles(verts, values, tris, fstart, vstart, fn, normals,
+                 tol) -> tuple:
+    """Chord maxima of many profiles at PROFILE_LINES offsets t spanning
+    each support range: (t, m), each (profiles, PROFILE_LINES).  The
+    arguments, support values and snapping are those of
+    :func:`chord_max_hulls`; function k also owns ``tris`` from
+    ``fstart[k]`` on.  Along a chord u is piecewise linear with
+    breakpoints on mesh edges, so the maximum on the line x . normal = t
+    is the largest value interpolated along the triangle sides whose
+    projections span t.  A side parallel to the lines is skipped: its ends
+    are ends of the facet's other sides.  Each line is one pass over all
+    the profiles' sides, so memory stays linear in the sides.
     """
-    normal = h.perp().as_array()
-    proj = dot2(u.domain.vertices, normal)
-    c, d = float(proj.min()), float(proj.max())
-    ts = np.linspace(c, d, PROFILE_LINES)
-    t = dot2(u.verts, normal)
-    t[t <= c + u.domain.tol] = c
-    t[t >= d - u.domain.tol] = d
-    a, b = u.tris.ravel(), u.tris[:, [1, 2, 0]].ravel()
-    ta, za = t[a], u.vert_values[a]
-    span = t[b] - ta
+    t, _, _, pstart, lo, hi = _support_projections(verts, vstart, fn,
+                                                   normals, tol)
+    fn = np.asarray(fn)
+    ts = np.linspace(lo, hi, PROFILE_LINES, axis=1)
+    fpos, fprof, facet = _gather(np.asarray(fstart), len(tris), fn)
+    # the sides (a, b) of each facet, their ends shifted to positions in t
+    a, shift = tris[facet], (pstart - np.asarray(vstart)[fn])[fprof, None]
+    b = a[:, [1, 2, 0]]
+    ta, za = t[a + shift].ravel(), values[a].ravel()
+    span, dz = t[b + shift].ravel() - ta, values[b].ravel() - za
+    del a, b, shift     # the side arrays kept below are the pass's memory
     # nan fails both range tests below, so parallel sides drop out
-    lam = (ts[:, None] - ta) / np.where(span == 0.0, np.nan, span)  # (L, 3F)
-    on = (lam >= 0.0) & (lam <= 1.0)
-    ms = np.where(on, za + lam * (u.vert_values[b] - za), -np.inf).max(axis=1)
+    span[span == 0.0] = np.nan
+    sprof, ms = np.repeat(fprof, 3), np.empty(ts.shape)
+    for j, tj in enumerate(ts.T):
+        # za + lam dz on the sides that span line j, else -inf, in place
+        lam = tj[sprof]
+        lam -= ta
+        lam /= span
+        off = ~((lam >= 0.0) & (lam <= 1.0))
+        lam *= dz
+        lam += za
+        lam[off] = -np.inf
+        ms[:, j] = np.maximum.reduceat(lam, 3 * fpos)
     return ts, ms
 
 
@@ -269,12 +278,6 @@ def concave_envelope(dom: ConvexDomain, constraints) -> ConcaveFunction:
     one of :func:`concave_envelope_groups`, which says how it is built.
     """
     return concave_envelope_groups([(dom, [constraints])])[0][0]
-
-
-def concave_envelopes(dom: ConvexDomain, constraint_sets) -> list:
-    """The :func:`concave_envelope` of each constraint set over one domain:
-    the group of one of :func:`concave_envelope_groups`."""
-    return concave_envelope_groups([(dom, constraint_sets)])[0]
 
 
 def _edge_facets(pts, hts, sdom, nbset, tol, first, gset) -> tuple:

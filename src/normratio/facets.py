@@ -12,6 +12,7 @@ addition.
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
 
 import numpy as np
@@ -109,10 +110,13 @@ class FacetTable:
         return np.stack([self.slopes(h.as_array()) for h in (E1, E2)], axis=1)
 
     def axis_norms(self, p: float) -> np.ndarray:
-        """(functions, 2): ||d_h u||_p along E1 and E2, for finite p >= 1."""
-        return np.stack([np.bincount(self.fenv, s ** p * self.areas,
-                                     len(self.fstart))
-                         for s in self.axis_slopes.T], axis=1) ** (1.0 / p)
+        """(functions, 2): ||d_h u||_p along E1 and E2, for finite p >= 1;
+        a sum out of range raises as :func:`power_sum_root` says."""
+        with np.errstate(over="ignore"):
+            sums = np.stack([np.bincount(self.fenv, s ** p * self.areas,
+                                         len(self.fstart))
+                             for s in self.axis_slopes.T], axis=1)
+        return power_sum_root(sums, self.axis_sups, p)
 
     @cached_property
     def axis_sups(self) -> np.ndarray:
@@ -150,6 +154,18 @@ class FacetTable:
         for _, _, vals in plane_slots(self.planes, self.fstart, pts, env):
             np.minimum(out, vals, out=out)
         return out
+
+
+def power_sum_root(sums, slopes, p):
+    """||d_h u||_p from sums of |d_h u|^p times the facet areas: a float
+    with its facets' slopes, or an array with each sum's largest slope.
+    Above p = 1, a sum with a nonzero slope outside the normal floats has
+    lost the norm and raises ValueError."""
+    lost = (sums < sys.float_info.min) | (sums == np.inf) | (sums != sums)
+    # a float sum in range is False, and its slopes are not read
+    if p != 1.0 and lost is not False and np.any(lost & (slopes != 0.0)):
+        raise ValueError(f"||d_h u||_{p} is out of floating-point range")
+    return sums ** (1.0 / p)
 
 
 def plane_slots(planes, fstart, pts, fn):

@@ -11,12 +11,12 @@ p > 1 norm infinite unless the sheet is parallel to h.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .concave import ConcaveFunction, chord_max_hulls
+from .facets import power_sum_root
 from .geometry import Direction, dot2
 
 
@@ -52,8 +52,7 @@ def lp_directional_norm(u: ConcaveFunction, h: Direction, p) -> NormReport:
 
     With a nonzero boundary trace only p = 1 is finite when the boundary
     sheet has a component along h; p > 1 then raises rather than returning infinity.
-    So does a facet sum of |d_h u|^p that overflows or underflows (below
-    the least normal float), where the p-th root has lost the norm.
+    So does a facet sum out of range (:func:`facets.power_sum_root`).
     """
     if p == math.inf:
         return sup_directional_norm(u, h)
@@ -72,9 +71,7 @@ def lp_directional_norm(u: ConcaveFunction, h: Direction, p) -> NormReport:
             "component along h")
     with np.errstate(over="ignore"):
         total = float((slopes ** p * u.facet_areas).sum())
-    if not sys.float_info.min <= total < math.inf and slopes.any():
-        raise ValueError(f"||d_h u||_{p} is out of floating-point range")
-    ac = total ** (1.0 / p)
+    ac = power_sum_root(total, slopes, p)
     return NormReport(value=ac, p=p, h=h, ac_part=ac, jump_part=0.0)
 
 

@@ -23,28 +23,18 @@ points, it draws those of the whole block in one
 :func:`sampling.random_interior_point_sets` call, and each stream draws
 what it draws alone, in the same order.  At most ``CASE_BLOCK`` cases
 are in memory at a time, so peak memory does not grow with the number of
-cases, and each suite still runs over several cases in a row.  Nothing
-is cached between blocks or between runs.  A block's envelopes form one
-:class:`facets.FacetTable`, built on first use and dropped with the
-block: theorem1, edge-slope, sup-boundary, envelope-structure, slope-cap,
-line-mass and oracle-l1 are array programs over it.  line-mass takes each
-case's projection range once per direction, its chord-max hulls from one
-:func:`concave.chord_max_hulls` pass and its line masses from one
-:func:`norms.line_masses` pass over all the block's lines; oracle-l1
-takes its scan-line norms from one :func:`norms.scanline_l1_norms`
-pass.  cone-mass builds the cones of all the block's cases in one
-:func:`concave.concave_envelope_groups` call of its own, which a run
-without cone-mass does not make.  A second table, :attr:`Block.images`,
-holds the images of each case's first two envelopes under its
-normalizing map (:attr:`Case.normalized`): shear-transport reads every
-norm from the two tables, and lemma-tan takes its values and gradients
-at all the block's points from one :func:`facets.active_gradients` pass
-over the image table.  product-four takes the widths of all the block's
-direction pairs from one projection of the block's domain vertices.
-Only profile-concavity still runs case by case (:func:`_each`).  Per
-suite, the block results are merged in block order, so the results, and
-the first failure, are those of running each suite over the whole corpus
-in turn.
+cases.  Nothing is cached between blocks or between runs.
+
+Every suite is an array program over the whole block.  A block's
+envelopes form one :class:`facets.FacetTable`, built on first use and
+dropped with the block, and a second table, :attr:`Block.images`, holds
+the images of each case's first two envelopes under its normalizing map
+(:attr:`Case.normalized`).  The suites read the two tables, and a suite
+that takes one more pass over the block (chord-max hulls, line masses,
+scan-line norms, max profiles, gradients, cones) says so.  Per suite,
+the block results are merged in block order, so the results, and the
+first failure, are those of running each suite over the whole corpus in
+turn.
 """
 
 from __future__ import annotations
@@ -61,7 +51,7 @@ from .bounds import affine_normalize
 from .concave import (
     chord_max_hulls,
     concave_envelope_groups,
-    max_profile,
+    max_profiles,
     transform_function,
 )
 from .facets import FacetTable, active_gradients, segments
@@ -123,7 +113,7 @@ class Case:
         envelopes."""
         img, lin, shift = affine_normalize(self.domain)
         images = tuple(transform_function(u, lin, shift, img)
-                       for _, u in self.envelopes[:2])
+                       for u in self.envelopes[:2])
         return img, lin, images
 
 
@@ -158,12 +148,12 @@ class Block(tuple):
         built = concave_envelope_groups(
             [(dom, list(islice(sets, ENVELOPES_PER_CASE))) for dom in doms])
         return cls(Case(index=index, seed=seed, domain=dom,
-                        envelopes=tuple((u.descriptor, u) for u in envs))
+                        envelopes=tuple(envs))
                    for index, dom, envs in zip(indices, doms, built))
 
     @cached_property
     def table(self) -> FacetTable:
-        return FacetTable([u for case in self for _, u in case.envelopes],
+        return FacetTable([u for case in self for u in case.envelopes],
                           [len(case.envelopes) for case in self])
 
     @cached_property
@@ -241,24 +231,10 @@ def _violation(detail: dict, descriptor=None) -> dict:
 
 # ---------------------------------------------------------------------------
 # suite bodies.  A suite takes a Block and returns its checks per case and
-# its violations as (case position, violation) pairs, in order.  A body
-# over one case returns (checks, violations); _each runs it over a block,
-# and serves only profile-concavity.
+# its violations as (case position, violation) pairs, in order.
 # ---------------------------------------------------------------------------
 
 AXES = (E1, E2)
-
-
-def _each(body):
-    """The suite that runs ``body`` case by case."""
-    def suite(block: Block, tol: float):
-        checks, found = [], []
-        for pos, case in enumerate(block):
-            n, bad = body(case, tol)
-            checks.append(n)
-            found += [(pos, v) for v in bad]
-        return checks, found
-    return suite
 
 
 def _per_case(t: FacetTable, per_envelope) -> np.ndarray:
@@ -641,23 +617,30 @@ def _suite_envelope_structure(block: Block, tol: float):
     return _per_case(t, 6), _found(t, *np.nonzero(fail), detail)
 
 
-def _suite_profile_concavity(case: Case, tol: float):
-    """Chord-max profiles are concave with peak equal to the global max."""
-    checks, bad = 0, []
-    for desc, u in case.envelopes[:3]:
-        _, v = max_profile(u, E1)
-        scale = 1.0 + u.max_value
-        checks += 2
-        if float(v.max()) > u.max_value + tol * scale:
-            bad.append(_violation(
-                {"part": "peak-cap", "profile_max": float(v.max()),
-                 "max_value": u.max_value}, desc))
-        second = v[2:] + v[:-2] - 2.0 * v[1:-1]
-        if second.size and float(second.max()) > tol * scale:
-            bad.append(_violation(
-                {"part": "concavity", "max_second_diff": float(second.max())},
-                desc))
-    return checks, bad
+def _suite_profile_concavity(block: Block, tol: float):
+    """Chord-max profiles are concave with peak equal to the global max.
+
+    The profiles across E1 of each case's first three envelopes come from
+    one :func:`concave.max_profiles` call over the block's table.
+    """
+    t, lead = block.table, _leading(block.table, 3)
+    first = np.flatnonzero(lead)
+    dtol = np.array([case.domain.tol for case in block])[t.ecase[first]]
+    _, v = max_profiles(t.verts, t.vert_values, t.tris, t.fstart, t.vstart,
+                        first, E1.perp().as_array(), dtol)
+    top, peak = t.max_values[first], v.max(axis=1)
+    scale = 1.0 + top
+    second = (v[:, 2:] + v[:, :-2] - 2.0 * v[:, 1:-1]).max(axis=1)
+    i, part = np.nonzero(np.stack([peak > top + tol * scale,
+                                   second > tol * scale], axis=1))
+
+    def detail(k, j):
+        i, part = divmod(j, 2)
+        if part:
+            return {"part": "concavity", "max_second_diff": second[i]}
+        return {"part": "peak-cap", "profile_max": peak[i],
+                "max_value": top[i]}
+    return _per_case(t, 2 * lead), _found(t, first[i], 2 * i + part, detail)
 
 
 def _suite_slope_cap(block: Block, tol: float):
@@ -719,7 +702,7 @@ SUITES = {
         _suite_envelope_structure, 1e-8,
         "hull envelopes tile, stay concave, and dominate their pins"),
     "profile-concavity": SuiteSpec(
-        _each(_suite_profile_concavity), 1e-9,
+        _suite_profile_concavity, 1e-9,
         "chord-max profiles are concave with the right peak"),
     "slope-cap": SuiteSpec(
         _suite_slope_cap, 1e-9,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from normratio.concave import chord_max_hulls, plane_values
+from normratio.concave import chord_max_hulls, max_profiles, plane_values
 from normratio.geometry import (
     ConvexDomain,
     diamond,
@@ -82,10 +82,18 @@ def chord_max_hull(u, normal):
     return t, m
 
 
+def max_profile(u, h):
+    """(t, m) of u's chord maxima at ``concave.PROFILE_LINES`` offsets
+    across h: one profile of :func:`concave.max_profiles`."""
+    ts, ms = max_profiles(u.verts, u.vert_values, u.tris, [0], [0], [0],
+                          h.perp().as_array(), u.domain.tol)
+    return ts[0], ms[0]
+
+
 def stacked_gradients_at(u, pts):
     """(values, gradient of the first active plane, regular) at many
     points from the full (points, planes) table: the rule of
-    ``concave.gradients_at`` as it was written before the slot passes of
+    ``concave.gradient_at`` as it was written before the slot passes of
     ``facets.active_gradients``."""
     vals = plane_values(u, pts)
     vmin = vals.min(axis=1)

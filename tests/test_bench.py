@@ -38,7 +38,7 @@ def test_builders_record_their_spans(monkeypatch):
     # a batch takes every set's wrap in one call of concave.ConvexHull
     sets = [cons, cons[:2], [((0.4, 0.6), 0.9), ((0.7, 0.7), 0.5)]]
     with Tracer().installed() as tracer:
-        envs = concave.concave_envelopes(dom, sets)
+        (envs,) = concave.concave_envelope_groups([(dom, sets)])
     layers = tracer.layers()
     assert len(envs) == 3
     assert layers["concave.qhull"]["calls"] == 1

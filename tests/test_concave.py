@@ -25,14 +25,11 @@ from normratio.concave import (
     chord_maxima,
     concave_envelope,
     concave_envelope_groups,
-    concave_envelopes,
     evaluate,
     family_u_omega,
     family_u_phi_eps,
     gradient_at,
-    gradients_at,
     linear_extremal_triangle,
-    max_profile,
     tent_function,
     transform_function,
 )
@@ -61,7 +58,8 @@ from normratio.sampling import (
 from normratio.search import _candidates
 from normratio.verify import CASE_BLOCK, ENVELOPES_PER_CASE, Block, _case, _cones
 
-from conftest import chord_max_hull, corpus_domains, stacked_gradients_at
+from conftest import (chord_max_hull, corpus_domains, max_profile,
+                      stacked_gradients_at)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +272,7 @@ def test_small_scaled_envelope_covers_its_domain():
     # covered 98% of the domain and passed a cover check that was absolute
     # below area 1; it must cover the domain or raise
     case = _case(42, 151)
-    desc, _ = case.envelopes[0]
+    desc = case.envelopes[0].descriptor
     dom = ConvexDomain(case.domain.vertices * 1e-4)
     cons = [((x * 1e-4, y * 1e-4), h) for x, y, h in desc["constraints"]]
     try:
@@ -459,7 +457,7 @@ def _active_counts(planes, pts):
 
 def _batch_gradients(batch):
     """active_gradients over every function of ``batch`` in one call, and
-    each domain's containment, as gradients_at's regular mask takes it."""
+    each domain's containment, as gradient_at's regular test takes it."""
     planes = np.concatenate([p for p, _, _ in batch])
     fstart = np.cumsum([0] + [len(p) for p, _, _ in batch[:-1]])
     fn = np.repeat(np.arange(len(batch)), [len(x) for _, _, x in batch])
@@ -482,7 +480,10 @@ def test_active_gradients_match_the_stacked_rule_bitwise():
     for (planes, dom, pts), block_part in zip(batch, _split(got, batch)):
         u = types.SimpleNamespace(planes=planes, domain=dom)
         want = stacked_gradients_at(u, pts)
-        for a, b, c in zip(block_part, gradients_at(u, pts), want):
+        vals, grads, agree = active_gradients(planes, [0], pts,
+                                              np.zeros(len(pts), dtype=int))
+        alone = vals, grads, agree & dom.contains(pts, dom.margin)
+        for a, b, c in zip(block_part, alone, want):
             assert a.dtype == c.dtype and a.tobytes() == c.tobytes()
             assert b.dtype == c.dtype and b.tobytes() == c.tobytes()
         agreeing += (want[2] & (_active_counts(planes, pts) > 1)).tolist()
@@ -678,7 +679,7 @@ def test_chord_max_hull_matches_its_upper_chain_reference_bitwise():
     # (t, z) does; a chain run the other way round rounds its turn tests
     # differently and keeps other points at near-collinear triples
     funcs = [u for seed in (42, 7) for k in range(200)
-             for _, u in _case(seed, k).envelopes]
+             for u in _case(seed, k).envelopes]
     for dom in (disc(512), disc(128), square(), diamond()):
         for p in (1.0, 2.0):
             for desc in _candidates(dom, p, E1, E2, 100, 42):
@@ -723,7 +724,7 @@ def hull_funcs():
     """Corpus envelopes and search candidates, tents with up to 256 hull
     breakpoints among them."""
     funcs = [u for seed in (42, 7) for k in range(150)
-             for _, u in _case(seed, k).envelopes]
+             for u in _case(seed, k).envelopes]
     for dom, budget in ((disc(512), 20), (disc(128), 60), (square(), 60),
                         (diamond(), 60)):
         for p in (1.0, 2.0):
@@ -803,7 +804,7 @@ def test_chord_max_hulls_snap_each_profile_with_its_own_tol():
 def test_chord_max_hulls_read_no_unwritten_memory():
     # freed NaN-filled buffers of every size the call allocates are handed
     # back to it; a slot read before it is written would change the bits
-    funcs = [u for k in range(40) for _, u in _case(42, k).envelopes]
+    funcs = [u for k in range(40) for u in _case(42, k).envelopes]
     dom = disc(128)
     funcs.append(tent_function(dom, dom.vertices[[5, 70]]))
     batch = _hull_batch(funcs)
@@ -828,7 +829,7 @@ def test_max_profile_matches_chords_of_the_domain():
     # reference: the domain's chords at the profile's offsets, each
     # maximized by the segment oracle chord_maxima, which finds the chord
     # ends and edge crossings itself instead of reading projected edges
-    funcs = [u for k in range(200) for _, u in _case(42, k).envelopes]
+    funcs = [u for k in range(200) for u in _case(42, k).envelopes]
     para = ConvexDomain([(0.0, 0.0), (2.0, 0.0), (2.7, 1.3), (0.7, 1.3)])
     for dom in (square(), disc(64), diamond(), triangle(0, 0, 3, 0, 0.5, 2),
                 para):
@@ -1210,8 +1211,8 @@ def test_batched_corpus_builds_match_single_builds_bytewise():
     for seed in (42, 7):
         for k in range(200):
             case = _case(seed, k)
-            for j, (desc, u) in enumerate(case.envelopes):
-                cons = [((x, y), h) for x, y, h in desc["constraints"]]
+            for j, u in enumerate(case.envelopes):
+                cons = [((x, y), h) for x, y, h in u.descriptor["constraints"]]
                 _assert_same_build(u, concave_envelope(case.domain, cons),
                                    f"seed {seed} case {k} envelope {j}")
 
@@ -1243,7 +1244,8 @@ def test_batched_special_sets_match_single_builds_bytewise():
         cones = [sets[3], [(centre + 0.1, 0.5)]]
         pairs = [sets[1], sets[4]]
         for batch in (sets, sets[::-1], cones, pairs):
-            for u, cons in zip(concave_envelopes(dom, batch), batch):
+            (envs,) = concave_envelope_groups([(dom, batch)])
+            for u, cons in zip(envs, batch):
                 _assert_same_build(u, concave_envelope(dom, cons), f"{dom}")
 
 
@@ -1300,14 +1302,14 @@ def test_corpus_blocks_built_as_one_group_match_per_domain_builds(seed):
         for case, (dom, sets), built in zip(block, cones,
                                             concave_envelope_groups(cones)):
             label = f"seed {seed} case {case.index}"
-            ref = concave_envelopes(dom, sets)
+            (ref,) = concave_envelope_groups([(dom, sets)])
             assert dom is case.domain and len(built) == len(ref) == 2
             for j, (u, r) in enumerate(zip(built, ref)):
                 _assert_same_build(u, r, f"{label} cone {j}")
-            sets = [[((x, y), h) for x, y, h in desc["constraints"]]
-                    for desc, _ in case.envelopes]
-            ref = concave_envelopes(dom, sets)
-            for j, ((_, u), r) in enumerate(zip(case.envelopes, ref)):
+            sets = [[((x, y), h) for x, y, h in u.descriptor["constraints"]]
+                    for u in case.envelopes]
+            (ref,) = concave_envelope_groups([(dom, sets)])
+            for j, (u, r) in enumerate(zip(case.envelopes, ref)):
                 _assert_same_build(u, r, f"{label} envelope {j}")
 
 
@@ -1352,7 +1354,7 @@ def test_wrap_returns_each_sets_facets_in_its_own_range(monkeypatch):
 def test_batch_raises_as_its_failing_set_alone():
     dom = square()
     good = [((0.5, 0.5), 1.0), ((0.3, 0.7), 0.8)]
-    assert concave_envelopes(dom, []) == []
+    assert concave_envelope_groups([(dom, [])]) == [[]]
     for bad, match in (([], "need at least one constraint"),
                        ([((math.nan, 0.5), 1.0)], "must be finite"),
                        ([((0.5, 0.5), 0.0)], "heights must be positive"),
@@ -1360,7 +1362,7 @@ def test_batch_raises_as_its_failing_set_alone():
         with pytest.raises(ValueError, match=match):
             concave_envelope(dom, bad)
         with pytest.raises(ValueError, match=match):
-            concave_envelopes(dom, [good, bad])
+            concave_envelope_groups([(dom, [good, bad])])
 
 
 def test_group_raises_as_its_failing_set_alone():
@@ -1399,7 +1401,7 @@ def test_corpus_envelopes_are_exactly_concave_with_exact_l1_norms():
     # ||d_h u||_2^2 = sum M^2 / (2 |D|) and ||d_h u||_inf = max |M / D|
     dirs = [E1, E2] + [Direction.from_angle(t) for t in (0.3, 1.1, 2.5)]
     for k in range(0, 200, 10):
-        for desc, u in _case(42, k).envelopes:
+        for u in _case(42, k).envelopes:
             X, dx = _exact_grid(u.verts[:, 0])
             Y, dy = _exact_grid(u.verts[:, 1])
             Z, dz = _exact_grid(u.vert_values)
@@ -1473,7 +1475,7 @@ def _reference_builds():
     for seed in (42, 7):
         for k in range(40):
             case = _case(seed, k)
-            yield from (u for _, u in case.envelopes)
+            yield from case.envelopes
     dom = disc(512)
     for p in (1.0, 2.0):
         for desc in _candidates(dom, p, E1, E2, 200, 42):

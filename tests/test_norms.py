@@ -22,6 +22,7 @@ from normratio.concave import (
     plane_values,
     tent_function,
 )
+from normratio.facets import FacetTable
 from normratio.geometry import (
     ConvexDomain,
     Direction,
@@ -380,7 +381,7 @@ def test_line_masses_match_per_function_calls():
     # diagonal of the pyramid), both support offsets, one within tol of a
     # support offset and one off each side
     block = Block(_case(42, k) for k in range(CASE_BLOCK))
-    funcs = [u for case in block for _, u in case.envelopes]
+    funcs = [u for case in block for u in case.envelopes]
     for case in block:
         v = case.domain.vertices
         funcs.append(tent_function(case.domain, [v[0], 0.5 * (v[-2] + v[-1])]))
@@ -482,6 +483,23 @@ def test_norm_beyond_float_range_raises_naming_p():
     u = concave_envelope(square(), [((0.5, 0.5), 1.0)])
     assert lp_directional_norm(u, E1, 150.0).value == pytest.approx(
         2.0 * 0.5 ** (1.0 / 150.0), rel=1e-14)
+
+
+def test_table_norm_beyond_float_range_raises_as_the_function_norm():
+    # a table slope past 1e308^(1/p) (200 > 114 at p = 150) overflows its
+    # power sum, and one of 0.02 at p = 300 underflows: axis_norms raises
+    # as lp_directional_norm does, beside an envelope in range too
+    steep = concave_envelope(square(), [((0.5, 0.5), 100.0)])
+    flat = concave_envelope(square(), [((0.5, 0.5), 0.01)])
+    calm = concave_envelope(square(), [((0.3, 0.6), 1.0)])
+    for u, p in ((steep, 150.0), (flat, 300.0)):
+        with pytest.raises(ValueError, match=f"_{p} is out of"):
+            FacetTable([calm, u], [2]).axis_norms(p)
+    # a zero slope has no norm to lose: 0, as lp_directional_norm gives
+    sheet = _affine_sheet(0.0, -1.0, 1.0)
+    got = FacetTable([sheet], [1]).axis_norms(150.0)
+    assert got.tolist() == [[lp_directional_norm(sheet, h, 150.0).value
+                             for h in (E1, E2)]] == [[0.0, 1.0]]
 
 
 def test_reports_carry_method_and_serialize():

@@ -109,8 +109,8 @@ def test_block_descriptors_match_the_loop(seed):
     # a block draws all its cases' descriptors in one sampler call
     block = Block.build(seed, range(16, 32))
     for case in block:
-        for j, (desc, _) in enumerate(case.envelopes):
-            assert desc == reference_envelope_descriptor(
+        for j, u in enumerate(case.envelopes):
+            assert u.descriptor == reference_envelope_descriptor(
                 keyed_rng(seed, case.index, 1 + j), case.domain)
 
 

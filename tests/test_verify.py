@@ -191,8 +191,8 @@ def test_case_alone_is_its_block_case_bytewise(seed):
         assert (alone.index, alone.seed) == (case.index, case.seed)
         assert alone.domain.vertices.tobytes() == case.domain.vertices.tobytes()
         assert len(alone.envelopes) == len(case.envelopes)
-        for (da, a), (db, b) in zip(alone.envelopes, case.envelopes):
-            assert da == db
+        for a, b in zip(alone.envelopes, case.envelopes):
+            assert a.descriptor == b.descriptor
             for name in ("verts", "vert_values", "tris", "planes", "trace"):
                 x, y = getattr(a, name), getattr(b, name)
                 assert x.dtype == y.dtype and x.shape == y.shape, name
@@ -234,8 +234,11 @@ def test_verify_memory_does_not_grow_with_cases():
 
     run_all(cases=1)                 # first-call allocations out of the way
     run_all(cases=CASE_BLOCK + 1)    # and those of a second block
-    grown = peak(60) - peak(10)
-    assert grown < 0.3e6, f"peak grew by {grown / 1e6:.2f} MB"
+    small, large = peak(10), peak(60)
+    grown = large - small
+    assert grown < 0.3e6, (f"peak grew by {grown / 1e6:.3f} MB: "
+                           f"peak(10) {small / 1e6:.3f} MB, "
+                           f"peak(60) {large / 1e6:.3f} MB")
 
 
 def test_suite_results_are_deterministic():
@@ -249,8 +252,8 @@ def test_corpus_descriptors_regenerate_and_rebuild(seed):
     # each corpus envelope keeps one descriptor, its function's own
     for index in range(40):
         case = verify._case(seed, index)
-        for j, (desc, u) in enumerate(case.envelopes):
-            assert desc is u.descriptor
+        for j, u in enumerate(case.envelopes):
+            desc = u.descriptor
             assert desc == random_envelope_descriptor(
                 keyed_rng(seed, index, 1 + j), case.domain)
             again = build_function(case.domain, desc)
@@ -311,7 +314,7 @@ def test_edge_slope_forced_violations_name_boundary_facets():
         case = verify._case(42, k)
         normals, offs = case.domain.edge_normals(), case.domain.edge_offsets()
         tol = 10 * case.domain.tol
-        for _, u in case.envelopes:
+        for u in case.envelopes:
             near = np.abs(u.verts @ normals.T - offs) <= tol
             with_edge += any(
                 (near[a] & near[b]).any()

@@ -1,25 +1,27 @@
 """The block suites against the per-case code they replace.
 
-theorem1, edge-slope, sup-boundary, envelope-structure, slope-cap,
-line-mass, oracle-l1, shear-transport, lemma-tan and product-four run as
-array programs over the facet tables of a block of cases, and cone-mass
-builds the cones of a whole block in one ``concave_envelope_groups``
-call.  The per-case bodies below are those suites as they were written
-before, one envelope at a time, with the ``norms`` calls behind the axis
-values; the block programs must give the same checks and violations,
-maxima and minima bit for bit, and sums up to their order of addition.
-line-mass and oracle-l1 read their chord maxima from one
-``chord_max_hulls`` call per block where the bodies below take one
-``chord_max_hull`` (a profile of one, in ``conftest``) or
+Every suite runs as an array program over the facet tables of a block of
+cases, and cone-mass builds the cones of a whole block in one
+``concave_envelope_groups`` call.  The per-case bodies below are those
+suites as they were written before, one envelope at a time, with the
+``norms`` calls behind the axis values; the block programs must give the
+same checks and violations, maxima and minima bit for bit, and sums up
+to their order of addition.  line-mass and oracle-l1 read their chord
+maxima from one ``chord_max_hulls`` call per block where the bodies
+below take one ``chord_max_hull`` (a profile of one, in ``conftest``) or
 ``scanline_l1_norm`` per envelope and direction; every sum they add is
 in the same order, so their records agree bit for bit.  cone-mass's body
 builds each cone alone, and its records agree bit for bit too.
 cone-mass's and lemma-tan's bodies draw their points one request at a
 time (``reference_interior_points`` in ``conftest``), where the block
-suites draw all of a block's in one sampler call.  lemma-tan's body takes each image's gradients from the full (points,
-planes) table (``stacked_gradients_at`` in ``conftest``), and
-product-four's calls ``directional_k1_upper`` per direction pair; both
-agree bit for bit with the block programs.
+suites draw all of a block's in one sampler call.  lemma-tan's body
+takes each image's gradients from the full (points, planes) table
+(``stacked_gradients_at`` in ``conftest``), product-four's calls
+``directional_k1_upper`` per direction pair, and profile-concavity's
+takes each profile from a (lines, sides) table of one function spanning
+its domain's vertices (``ref_max_profile``), where the block suite takes
+all of a block's from one ``max_profiles`` call spanning the mesh
+vertices; all three agree bit for bit with the block programs.
 """
 
 import hashlib
@@ -31,9 +33,10 @@ import pytest
 
 from normratio import norms
 from normratio.bounds import directional_k1_upper
-from normratio.concave import (check_concavity, check_partition,
-                               check_vertex_consistency, concave_envelope,
-                               evaluate, plane_values, tent_function)
+from normratio.concave import (PROFILE_LINES, check_concavity,
+                               check_partition, check_vertex_consistency,
+                               concave_envelope, evaluate, max_profiles,
+                               plane_values, tent_function)
 from normratio.facets import FacetTable
 from normratio.geometry import (E1, E2, Direction, cross2, domain_to_json,
                                 dot2, max_boundary_slope, square, width)
@@ -46,14 +49,15 @@ from conftest import (chord_max_hull, reference_interior_points,
 
 REL = 1e-13
 BITWISE = ("cone-mass", "line-mass", "oracle-l1", "lemma-tan",
-           "product-four")
+           "product-four", "profile-concavity")
 
 
 def ref_sandwich(case, tol):
     checks, bad = 0, []
     for h in (E1, E2):
         w = width(case.domain, h)
-        for desc, u in case.envelopes:
+        for u in case.envelopes:
+            desc = u.descriptor
             val = norms.lp_directional_norm(u, h, 1).value
             lo = w * u.max_value
             scale = max(1.0, lo)
@@ -71,7 +75,8 @@ def ref_edge_slope(case, tol):
     edge_dirs = np.stack([-normals[:, 1], normals[:, 0]], axis=1)
     offs = case.domain.edge_offsets()
     tol_geom = case.domain.margin
-    for desc, u in case.envelopes:
+    for u in case.envelopes:
+        desc = u.descriptor
         on_edge = np.abs(dot2(u.verts[:, None, :], normals) - offs) <= tol_geom
         pairs = u.tris[:, [[0, 1], [1, 2], [0, 2]]]
         inc = on_edge[pairs[..., 0]] & on_edge[pairs[..., 1]]
@@ -96,7 +101,8 @@ def ref_edge_slope(case, tol):
 def ref_sup_boundary(case, tol):
     checks, bad = 0, []
     dirs = (E1, E2, random_direction(case.rng(4)))
-    for desc, u in case.envelopes:
+    for u in case.envelopes:
+        desc = u.descriptor
         reps = [norms.sup_directional_norm(u, h) for h in dirs]
         axis_cap = math.sqrt(2.0) * max(reps[0].value, reps[1].value)
         for h, rep in zip(dirs, reps):
@@ -115,7 +121,8 @@ def ref_sup_boundary(case, tol):
 
 def ref_envelope_structure(case, tol):
     checks, bad = 0, []
-    for desc, u in case.envelopes:
+    for u in case.envelopes:
+        desc = u.descriptor
         scale = 1.0 + u.max_value
         checks += 3
         if not check_partition(u, tol):
@@ -150,7 +157,8 @@ def ref_slope_cap(case, tol):
     m = max_boundary_slope(case.domain)
     if math.isinf(m):
         return 0, []
-    for desc, u in case.envelopes:
+    for u in case.envelopes:
+        desc = u.descriptor
         s1 = norms.sup_directional_norm(u, E1).value
         s2 = norms.sup_directional_norm(u, E2).value
         checks += 1
@@ -184,7 +192,8 @@ def ref_line_mass(case, tol):
     checks, bad = 0, []
     rng = case.rng(2)
     dirs = (E1, random_direction(rng))
-    for desc, u in case.envelopes[:2]:
+    for u in case.envelopes[:2]:
+        desc = u.descriptor
         for h in dirs:
             n = h.perp().as_array()
             proj = dot2(case.domain.vertices, n)
@@ -206,9 +215,10 @@ def ref_oracle_l1(case, tol):
     # the facet sums from the case's own table, as the suite read them:
     # rel_err is a difference of two sums that agree to rounding
     checks, bad = 0, []
-    l1 = FacetTable([u for _, u in case.envelopes],
+    l1 = FacetTable(case.envelopes,
                     [len(case.envelopes)]).axis_norms(1.0)
-    for (desc, u), exact_l1 in zip(case.envelopes[:3], l1):
+    for u, exact_l1 in zip(case.envelopes[:3], l1):
+        desc = u.descriptor
         for h, exact in zip((E1, E2), exact_l1):
             scan = norms.scanline_l1_norm(u, h).value
             checks += 1
@@ -224,7 +234,8 @@ def ref_shear_transport(case, tol):
     checks, bad = 0, []
     _, lin, images = case.normalized
     det = abs(float(cross2(lin[0], lin[1])))
-    for (desc, u), tu in zip(case.envelopes, images):
+    for u, tu in zip(case.envelopes, images):
+        desc = u.descriptor
         back = dot2(tu.planes[:, None, :2], lin.T)
         gscale = 1.0 + float(np.abs(u.planes[:, :2]).max())
         checks += 1
@@ -256,7 +267,8 @@ def ref_tangent(case, tol):
     checks, bad = 0, []
     img, _, images = case.normalized
     rng = case.rng(3)
-    for (desc, _), tu in zip(case.envelopes, images):
+    for u, tu in zip(case.envelopes, images):
+        desc = u.descriptor
         scale = 1.0 + tu.max_value
         pts = reference_interior_points(rng, img, 25)
         vals, grads, regular = stacked_gradients_at(tu, pts)
@@ -269,6 +281,45 @@ def ref_tangent(case, tol):
                 bad.append(_violation(
                     {"point": [x, y], "u": val, "grad": [gx, gy],
                      "rhs": rhs}, desc))
+    return checks, bad
+
+
+def ref_max_profile(u, h):
+    # the chord maxima of one function at PROFILE_LINES offsets spanning
+    # the projections of its domain's vertices, from one (lines, sides)
+    # table
+    normal = h.perp().as_array()
+    proj = dot2(u.domain.vertices, normal)
+    c, d = float(proj.min()), float(proj.max())
+    ts = np.linspace(c, d, PROFILE_LINES)
+    t = dot2(u.verts, normal)
+    t[t <= c + u.domain.tol] = c
+    t[t >= d - u.domain.tol] = d
+    a, b = u.tris.ravel(), u.tris[:, [1, 2, 0]].ravel()
+    ta, za = t[a], u.vert_values[a]
+    span = t[b] - ta
+    lam = (ts[:, None] - ta) / np.where(span == 0.0, np.nan, span)
+    on = (lam >= 0.0) & (lam <= 1.0)
+    ms = np.where(on, za + lam * (u.vert_values[b] - za), -np.inf).max(axis=1)
+    return ts, ms
+
+
+def ref_profile_concavity(case, tol):
+    checks, bad = 0, []
+    for u in case.envelopes[:3]:
+        desc = u.descriptor
+        _, v = ref_max_profile(u, E1)
+        scale = 1.0 + u.max_value
+        checks += 2
+        if float(v.max()) > u.max_value + tol * scale:
+            bad.append(_violation(
+                {"part": "peak-cap", "profile_max": float(v.max()),
+                 "max_value": u.max_value}, desc))
+        second = v[2:] + v[:-2] - 2.0 * v[1:-1]
+        if second.size and float(second.max()) > tol * scale:
+            bad.append(_violation(
+                {"part": "concavity", "max_second_diff": float(second.max())},
+                desc))
     return checks, bad
 
 
@@ -301,6 +352,7 @@ REFERENCE = {
     "shear-transport": ref_shear_transport,
     "lemma-tan": ref_tangent,
     "product-four": ref_product_four,
+    "profile-concavity": ref_profile_concavity,
 }
 
 
@@ -374,17 +426,43 @@ RECORDS_40 = {
         "eaa482e8e81032960241101509a53953ebd4bb9f1c0f254164785494d16c0c77",
     ("product-four", 7):
         "8399fe8868641d09f30bb45c3682bf76f743de46f8f327ecf800ee9304d554fc",
+    ("profile-concavity", 42):
+        "c2e680ea5d1eac4ff17a852b9dc64a1c595aeffbb041c95dcc1de73e08cd4141",
+    ("profile-concavity", 7):
+        "1c05857695d96f4379608c0c3eb74693902acb45546baf58d2b71a571181452d",
 }
 
 
 @pytest.mark.parametrize("seed", [42, 7])
 def test_forced_records_are_unchanged(seed):
     for res in run_all(40, seed=seed, tol=-1.0,
-                       suites=["lemma-tan", "product-four"]):
+                       suites=["lemma-tan", "product-four",
+                               "profile-concavity"]):
         text = json.dumps(jsonify({"result": res.to_dict(),
                                    "failures": list(res.failures)}))
         assert (hashlib.sha256(text.encode()).hexdigest()
                 == RECORDS_40[res.suite, seed]), res.suite
+
+
+@pytest.mark.parametrize("seed", [42, 7, 31337])
+def test_block_profiles_match_the_per_function_reference_bitwise(seed):
+    # every envelope of 200 cases across E1, E2 and an oblique normal, all
+    # of a block's profiles from one max_profiles call, the functions in
+    # reverse order and each once per normal; the snapped support values
+    # of the mesh vertices are those of the domain vertices
+    dirs = (E1, E2, Direction.from_angle(0.7))
+    for start in range(0, 200, CASE_BLOCK):
+        t = Block.build(seed, range(start, min(start + CASE_BLOCK, 200))).table
+        n = len(t.envelopes)
+        fn = np.tile(np.arange(n)[::-1], len(dirs))
+        normals = np.repeat([h.perp().as_array() for h in dirs], n, axis=0)
+        tol = np.array([u.domain.tol for u in t.envelopes])[fn]
+        ts, ms = max_profiles(t.verts, t.vert_values, t.tris, t.fstart,
+                              t.vstart, fn, normals, tol)
+        for i, k in enumerate(fn):
+            want = ref_max_profile(t.envelopes[k], dirs[i // n])
+            assert ts[i].tobytes() == want[0].tobytes(), (start, i)
+            assert ms[i].tobytes() == want[1].tobytes(), (start, i)
 
 
 @pytest.mark.parametrize("seed", [42, 7])
@@ -393,7 +471,7 @@ def test_table_values_match_per_envelope_functions(seed):
     for cases in (corpus[:CASE_BLOCK], corpus[CASE_BLOCK:]):
         block = Block(cases)
         t = block.table
-        envs = [u for case in cases for _, u in case.envelopes]
+        envs = [u for case in cases for u in case.envelopes]
         np.testing.assert_array_equal(t.max_values,
                                       [u.max_value for u in envs])
         np.testing.assert_array_equal(
