@@ -5,19 +5,21 @@ Their facets and vertices are concatenated, each tagged with its
 function and its case, so a value per function is one segment reduction
 (``np.bincount``, ``np.maximum.reduceat``) over all of them rather than
 one small array pass per function.  The elementwise work is that of the
-per-function code in :mod:`norms` and :mod:`concave`: maxima and minima
-come out bit for bit the same, and sums differ only in the order of
-addition.
+per-function code in :mod:`norms` and :mod:`concave`, so maxima, minima
+and directional norms (:func:`directional_norms`, the one kernel for a
+table and one function) come out bit for bit the same; a ``np.bincount``
+sum differs from a per-function sum only in the order of addition.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from functools import cached_property
 
 import numpy as np
 
-from .geometry import E1, E2, dot2
+from .geometry import dot2
 
 
 def segments(counts) -> tuple:
@@ -75,7 +77,7 @@ class FacetTable:
 
     def __init__(self, envelopes, per_case):
         self.envelopes = envs = list(envelopes)
-        if any(u.trace.any() for u in envs):
+        if any(np.count_nonzero(u.trace) for u in envs):
             raise ValueError("a function with a boundary trace has a jump "
                              "part that the facet table does not hold")
         self.ncases = len(per_case)
@@ -88,9 +90,9 @@ class FacetTable:
         self.verts = np.concatenate([u.verts for u in envs])
         self.vert_values = np.concatenate([u.vert_values for u in envs])
         self.max_values = np.maximum.reduceat(self.vert_values, self.vstart)
-        self.tris = np.concatenate([u.tris + lo
-                                    for u, lo in zip(envs, self.vstart)],
-                                   dtype=np.int32, casting="same_kind")
+        self.tris = np.concatenate([u.tris for u in envs], dtype=np.int32,
+                                   casting="same_kind")
+        self.tris += self.vstart.astype(np.int32)[self.fenv, None]
 
     @cached_property
     def _edges(self) -> tuple:
@@ -100,28 +102,12 @@ class FacetTable:
     offsets = property(lambda self: self._edges[1])
     margin = property(lambda self: self._edges[2])
 
-    def slopes(self, h: np.ndarray) -> np.ndarray:
-        """|d_h u| on each facet; h is one direction or one per facet."""
-        return np.abs(dot2(self.planes[:, :2], h))
-
-    @cached_property
-    def axis_slopes(self) -> np.ndarray:
-        """(facets, 2): |d_h u| along E1 and E2."""
-        return np.stack([self.slopes(h.as_array()) for h in (E1, E2)], axis=1)
-
-    def axis_norms(self, p: float) -> np.ndarray:
-        """(functions, 2): ||d_h u||_p along E1 and E2, for finite p >= 1;
-        a sum out of range raises as :func:`power_sum_root` says."""
-        with np.errstate(over="ignore"):
-            sums = np.stack([np.bincount(self.fenv, s ** p * self.areas,
-                                         len(self.fstart))
-                             for s in self.axis_slopes.T], axis=1)
-        return power_sum_root(sums, self.axis_sups, p)
-
-    @cached_property
-    def axis_sups(self) -> np.ndarray:
-        """(functions, 2): ||d_h u||_inf along E1 and E2."""
-        return np.maximum.reduceat(self.axis_slopes, self.fstart)
+    def norms(self, h, p) -> np.ndarray:
+        """(functions, rows): :func:`directional_norms` for rows of ``h``,
+        (rows, 1, 2) for every facet or (rows, facets, 2)."""
+        return np.reshape(directional_norms(self.planes, self.areas,
+                                            self.fstart, h, p),
+                          (len(self.fstart), -1))
 
     def _slack(self) -> np.ndarray:
         """(vertices, most edges): each vertex's slack to its case's edge
@@ -156,16 +142,68 @@ class FacetTable:
         return out
 
 
-def power_sum_root(sums, slopes, p):
-    """||d_h u||_p from sums of |d_h u|^p times the facet areas: a float
-    with its facets' slopes, or an array with each sum's largest slope.
-    Above p = 1, a sum with a nonzero slope outside the normal floats has
-    lost the norm and raises ValueError."""
-    lost = (sums < sys.float_info.min) | (sums == np.inf) | (sums != sums)
-    # a float sum in range is False, and its slopes are not read
-    if p != 1.0 and lost is not False and np.any(lost & (slopes != 0.0)):
-        raise ValueError(f"||d_h u||_{p} is out of floating-point range")
-    return sums ** (1.0 / p)
+def slopes(planes, h) -> np.ndarray:
+    """|d_h u| = |g . h| on each facet; h broadcasts against the facets."""
+    return np.abs(dot2(planes, h))
+
+
+def directional_norms(planes, areas, fstart, h, p) -> list:
+    """||d_h u||_p, 1 <= p <= inf, of concatenated functions: function k
+    owns the ``planes`` and facet ``areas`` from ``fstart[k]`` on, and h
+    is one direction, one per facet or rows of either, (rows, 1 or facets,
+    2).  Returns the norms, Python floats, function by function and in a
+    function row by row.  |g . h|^p a is formed for all facets in one
+    pass, :func:`own_sums` adds each function's terms with the bits they
+    have alone, and :func:`power_sum_root` checks each sum and takes its
+    root.  At p = inf the norm is the largest slope."""
+    p = float(p)
+    if not p >= 1.0:                    # NaN too
+        raise ValueError("p must be at least 1")
+    s = slopes(planes, h)
+    if p == math.inf:
+        return np.maximum.reduceat(s, fstart, axis=-1).T.ravel().tolist()
+    if p == 1.0:                        # each norm is its sum
+        return own_sums(s * areas, fstart)
+    with np.errstate(over="ignore"):
+        terms = s ** p * areas
+    return power_sum_root(own_sums(terms, fstart), s, fstart, p)
+
+
+def own_sums(terms, fstart) -> list:
+    """Each function's ``.sum()`` of its slice of each row of ``terms``, in
+    the order of :func:`directional_norms`: the bits it has alone.  numpy
+    adds a contiguous run pairwise, the same alone as in a row of a 2-D
+    array, so the functions with n facets are the rows of one array.  One
+    function is summed as it is."""
+    if len(fstart) == 1:                # a lone row keeps its axis
+        return np.add.reduce(terms, -1, keepdims=terms.ndim == 1).tolist()
+    n = np.concatenate((fstart[1:], [terms.shape[-1]])) - fstart
+    order = np.argsort(n, kind="stable")
+    n = n[order]
+    lo = np.cumsum(n) - n               # each run's start, side by side
+    runs = terms.take(np.repeat(np.asarray(fstart)[order] - lo, n)
+                      + np.arange(terms.shape[-1]), axis=-1)
+    cut = [0, *(np.flatnonzero(n[1:] != n[:-1]) + 1).tolist(), len(n)]
+    lo, n, rows = lo.tolist(), n.tolist(), terms.shape[:-1]
+    sums = np.concatenate([np.add.reduce(runs[..., lo[a]:lo[b - 1] + n[a]]
+                                         .reshape(rows + (b - a, n[a])), -1)
+                           for a, b in zip(cut[:-1], cut[1:])], axis=-1)
+    return sums[..., np.argsort(order)].T.ravel().tolist()
+
+
+def power_sum_root(sums, s, fstart, p: float) -> list:
+    """||d_h u||_p, p > 1, from :func:`own_sums` of |d_h u|^p times the
+    facet areas, with the slopes ``s`` they came from.  A sum outside the
+    normal floats has lost the norm and raises ValueError, unless its
+    function's slopes (from ``fstart[k]`` on) are all 0 in its row; the
+    slopes are read only when a sum is out of range."""
+    lost = [i for i, total in enumerate(sums)
+            if not sys.float_info.min <= total < math.inf]
+    if lost:
+        sups = np.maximum.reduceat(s, fstart, axis=-1).T.ravel()
+        if sups[lost].any():
+            raise ValueError(f"||d_h u||_{p} is out of floating-point range")
+    return [total ** (1.0 / p) for total in sums]
 
 
 def plane_slots(planes, fstart, pts, fn):

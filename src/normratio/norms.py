@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concave import ConcaveFunction, chord_max_hulls
-from .facets import power_sum_root
+from .facets import directional_norms, slopes
 from .geometry import Direction, dot2
 
 
@@ -34,45 +34,40 @@ class NormReport:
     attained_on_boundary: bool = False
 
 
-def _jump_mass(u: ConcaveFunction, h: Direction) -> float:
+def _jump_mass(u: ConcaveFunction, h: Direction, p=1.0) -> float:
     """Total variation of the singular boundary sheet in direction h.
 
     Edge e carries the nonnegative trace with mean trace[e], so mass
     |e| * trace[e]; its contribution to d_h u is weighted by |h . n_e|.
+    A mass above p = 1 makes ||d_h u||_p infinite, and raises ValueError.
     """
-    if not u.trace.any():
+    if not np.count_nonzero(u.trace):
         return 0.0
     dom = u.domain
     w = np.abs(dot2(dom.edge_normals(), h.as_array()))
-    return float((w * dom.edge_lengths() * u.trace).sum())
+    mass = float((w * dom.edge_lengths() * u.trace).sum())
+    if p > 1.0 and mass > 1e-12 * (1.0 + u.max_value):
+        raise ValueError(
+            f"||d_h u||_{float(p)} is infinite: distributional boundary "
+            "sheet has a component along h")
+    return mass
 
 
 def lp_directional_norm(u: ConcaveFunction, h: Direction, p) -> NormReport:
     """Exact ||d_h u||_p.  p >= 1 or math.inf.
 
-    With a nonzero boundary trace only p = 1 is finite when the boundary
-    sheet has a component along h; p > 1 then raises rather than returning infinity.
-    So does a facet sum out of range (:func:`facets.power_sum_root`).
+    The facet part is :func:`facets.directional_norms` of u alone, which
+    raises for p < 1 and for a facet sum out of range.  With a nonzero
+    boundary trace only p = 1 is finite when the boundary sheet has a
+    component along h; p > 1 then raises rather than returning infinity.
     """
     if p == math.inf:
         return sup_directional_norm(u, h)
-    p = float(p)
-    if not p >= 1.0:                    # NaN too
-        raise ValueError("p must be at least 1")
-    slopes = np.abs(dot2(u.planes[:, :2], h.as_array()))
-    jump = _jump_mass(u, h)
-    scale = 1e-12 * (1.0 + u.max_value)
-    if p == 1.0:
-        ac = float((slopes * u.facet_areas).sum())
-        return NormReport(value=ac + jump, p=p, h=h, ac_part=ac, jump_part=jump)
-    if jump > scale:
-        raise ValueError(
-            f"||d_h u||_{p} is infinite: distributional boundary sheet has a "
-            "component along h")
-    with np.errstate(over="ignore"):
-        total = float((slopes ** p * u.facet_areas).sum())
-    ac = power_sum_root(total, slopes, p)
-    return NormReport(value=ac, p=p, h=h, ac_part=ac, jump_part=0.0)
+    jump = _jump_mass(u, h, p)
+    (ac,) = directional_norms(u.planes, u.facet_areas, [0], h.as_array(), p)
+    jump = jump if p == 1 else 0.0
+    return NormReport(value=ac + jump, p=float(p), h=h, ac_part=ac,
+                      jump_part=jump)
 
 
 def sup_directional_norm(u: ConcaveFunction, h: Direction) -> NormReport:
@@ -82,19 +77,13 @@ def sup_directional_norm(u: ConcaveFunction, h: Direction) -> NormReport:
     realized on a facet touching the boundary; the report records whether
     that held so verification suites can assert it.
     """
-    jump = _jump_mass(u, h)
-    scale = 1e-12 * (1.0 + u.max_value)
-    if jump > scale:
-        raise ValueError(
-            "||d_h u||_inf is infinite: distributional boundary sheet has a "
-            "component along h")
-    slopes = np.abs(dot2(u.planes[:, :2], h.as_array()))
-    k = int(np.argmax(slopes))
-    best = float(slopes[k])
-    near_bd = (slopes >= best * (1.0 - 1e-12)) & u.facet_on_boundary
+    _jump_mass(u, h, math.inf)
+    g = h.as_array()
+    (best,) = directional_norms(u.planes, u.facet_areas, [0], g, math.inf)
+    s = slopes(u.planes, g)
+    near_bd = (s >= best * (1.0 - 1e-12)) & u.facet_on_boundary
     on_bd = bool(near_bd.any())
-    if on_bd:
-        k = int(np.argmax(np.where(near_bd, slopes, -np.inf)))
+    k = int(np.argmax(np.where(near_bd, s, -np.inf) if on_bd else s))
     return NormReport(value=best, p=math.inf, h=h, ac_part=best, jump_part=0.0,
                       method="facet-max", argmax_facet=k,
                       attained_on_boundary=on_bd)

@@ -29,7 +29,8 @@ Every suite is an array program over the whole block.  A block's
 envelopes form one :class:`facets.FacetTable`, built on first use and
 dropped with the block, and a second table, :attr:`Block.images`, holds
 the images of each case's first two envelopes under its normalizing map
-(:attr:`Case.normalized`).  The suites read the two tables, and a suite
+(:attr:`Case.normalized`).  The suites read the two tables, whose
+directional norms are bit for bit those of :mod:`norms`, and a suite
 that takes one more pass over the block (chord-max hulls, line masses,
 scan-line norms, max profiles, gradients, cones) says so.  Per suite,
 the block results are merged in block order, so the results, and the
@@ -54,7 +55,7 @@ from .concave import (
     max_profiles,
     transform_function,
 )
-from .facets import FacetTable, active_gradients, segments
+from .facets import FacetTable, active_gradients, segments, slopes
 from .geometry import (
     E1,
     E2,
@@ -64,7 +65,6 @@ from .geometry import (
     domain_to_json,
     dot2,
     max_boundary_slope,
-    width,
 )
 from .sampling import (
     keyed_rng,
@@ -92,9 +92,9 @@ class Case:
 
     The normalizing map and the images of the first two envelopes are
     computed on first use and dropped with the case.  Values read per
-    envelope (axis norms and sups, the facets on the boundary, line
-    masses) come from the facet table of the case's :class:`Block`, and
-    the images' norms, values and gradients from its image table.
+    envelope (directional norms, the facets on the boundary, line masses)
+    come from the facet table of the case's :class:`Block`, and the
+    images' norms, values and gradients from its image table.
     """
 
     index: int
@@ -235,6 +235,19 @@ def _violation(detail: dict, descriptor=None) -> dict:
 # ---------------------------------------------------------------------------
 
 AXES = (E1, E2)
+AXIS_DIRS = np.array([[h.as_array()] for h in AXES])      # (2, 1, 2)
+AXIS_NORMALS = np.array([h.perp().as_array() for h in AXES])
+
+
+def _widths(block: Block, normals) -> np.ndarray:
+    """(cases, k): :func:`geometry.width` of each case across its k
+    ``normals``, (cases, k, 2) or (k, 2), from one projection."""
+    vstart, vcase = segments([case.domain.n for case in block])
+    verts = np.concatenate([case.domain.vertices for case in block])
+    normals = np.broadcast_to(normals, (len(block),) + np.shape(normals)[-2:])
+    proj = dot2(verts[:, None, :], normals[vcase])
+    return (np.maximum.reduceat(proj, vstart)
+            - np.minimum.reduceat(proj, vstart))
 
 
 def _per_case(t: FacetTable, per_envelope) -> np.ndarray:
@@ -259,9 +272,8 @@ def _found(t: FacetTable, envs, parts, detail) -> list:
 def _suite_sandwich(block: Block, tol: float):
     """w*M <= ||d_h u||_1 <= 2*w*M for every envelope, both axes."""
     t = block.table
-    w = np.array([[width(case.domain, h) for h in AXES] for case in block])
-    lo = w[t.ecase] * t.max_values[:, None]                   # (envelopes, 2)
-    val, scale = t.axis_norms(1.0), np.maximum(1.0, lo)
+    lo = _widths(block, AXIS_NORMALS)[t.ecase] * t.max_values[:, None]
+    val, scale = t.norms(AXIS_DIRS, 1.0), np.maximum(1.0, lo)
     fail = ~((lo - tol * scale <= val) & (val <= 2.0 * lo + tol * scale))
     k, a = np.nonzero(fail)
     order = np.lexsort((k, a, t.ecase[k]))        # case by case, axis-major
@@ -286,21 +298,18 @@ def _suite_cone_mass(block: Block, tol: float):
     """Single-peak envelopes hit the lower wall exactly: ||d_h u||_1 = w*M.
 
     The cones of the whole block are built in one
-    :func:`concave.concave_envelope_groups` call."""
-    checks, found = [], []
+    :func:`concave.concave_envelope_groups` call, and their norms come
+    from one table of them."""
     groups = concave_envelope_groups(_cones(block))
-    for pos, cones in enumerate(groups):
-        widths = [(h, width(block[pos].domain, h)) for h in AXES]
-        checks.append(len(cones) * len(widths))
-        for u in cones:
-            for h, w in widths:
-                val = norms.lp_directional_norm(u, h, 1).value
-                target = w * u.max_value
-                if abs(val - target) > tol * max(1.0, target):
-                    found.append((pos, _violation(
-                        {"h": [h.dx, h.dy], "norm": val, "wM": target,
-                         "error": val - target}, u.descriptor)))
-    return checks, found
+    t = FacetTable([u for cones in groups for u in cones],
+                   [len(cones) for cones in groups])
+    target = _widths(block, AXIS_NORMALS)[t.ecase] * t.max_values[:, None]
+    val = t.norms(AXIS_DIRS, 1.0)
+    error = val - target
+    k, a = np.nonzero(np.abs(error) > tol * np.maximum(1.0, target))
+    return _per_case(t, 2), _found(t, k, a, lambda k, a: {
+        "h": [AXES[a].dx, AXES[a].dy], "norm": val[k, a], "wM": target[k, a],
+        "error": error[k, a]})
 
 
 def _suite_line_mass(block: Block, tol: float):
@@ -448,13 +457,13 @@ def _suite_sup_boundary(block: Block, tol: float):
     and for any unit h it is at most sqrt(2) times the larger axis sup."""
     t = block.table
     dirs = [(*AXES, random_direction(case.rng(4))) for case in block]
-    rand = np.array([h.as_array() for _, _, h in dirs])
-    slopes = [*t.axis_slopes.T, t.slopes(rand[t.fcase])]
-    sups = np.stack([np.maximum.reduceat(s, t.fstart) for s in slopes], axis=1)
+    per_case = np.array([[(h.dx, h.dy) for h in hs] for hs in dirs])
+    hf = per_case[t.fcase].swapaxes(0, 1)                     # (3, facets, 2)
+    sups, facet_slopes = t.norms(hf, math.inf), slopes(t.planes, hf)
     # one direction at a time, which keeps memory low
     attained = np.stack([np.logical_or.reduceat(
         (s >= top[t.fenv] * (1.0 - 1e-12)) & t.facet_on_boundary, t.fstart)
-        for s, top in zip(slopes, sups.T)], axis=1)
+        for s, top in zip(facet_slopes, sups.T)], axis=1)
     cap = math.sqrt(2.0) * sups[:, :2].max(axis=1)
     fail = np.stack([~attained, sups > cap[:, None] + tol], axis=2)
     k, d, part = np.nonzero(fail)
@@ -464,7 +473,7 @@ def _suite_sup_boundary(block: Block, tol: float):
         h = dirs[t.ecase[k]][d]
         if part:
             return {"h": [h.dx, h.dy], "sup": sups[k, d], "axis_cap": cap[k]}
-        argmax = np.argmax(np.where(t.fenv == k, slopes[d], -np.inf))
+        argmax = np.argmax(np.where(t.fenv == k, facet_slopes[d], -np.inf))
         return {"h": [h.dx, h.dy], "sup": sups[k, d],
                 "argmax_facet": int(argmax - t.fstart[k])}
     return _per_case(t, 6), _found(t, k, 2 * d + part, detail)
@@ -477,9 +486,9 @@ def _suite_oracle_l1(block: Block, tol: float):
     t = block.table
     first = _leading(t, 3)
     env = np.repeat(np.flatnonzero(first), 2)
-    axes = np.tile([h.as_array() for h in AXES], (len(env) // 2, 1))
+    axes = np.tile(AXIS_DIRS[:, 0], (len(env) // 2, 1))
     dtol = np.array([case.domain.tol for case in block])[t.ecase[env]]
-    exact, scan = t.axis_norms(1.0), np.zeros((len(first), 2))
+    exact, scan = t.norms(AXIS_DIRS, 1.0), np.zeros((len(first), 2))
     scan[first] = norms.scanline_l1_norms(t.verts, t.vert_values, t.vstart,
                                           env, axes, dtol).reshape(-1, 2)
     denom = np.maximum(np.maximum(exact, scan), 1e-300)
@@ -512,8 +521,8 @@ def _suite_shear_transport(block: Block, tol: float):
     err = np.maximum.reduceat(np.abs(back - g).max(axis=1), img.fstart)
     gscale = 1.0 + np.maximum.reduceat(np.abs(g).max(axis=1), img.fstart)
     # (b) and (c)
-    image = {p: img.axis_norms(p) for p in (1.0, 2.0)}
-    source = {p: t.axis_norms(p)[src] for p in (1.0, 2.0)}
+    image = {p: img.norms(AXIS_DIRS, p) for p in (1.0, 2.0)}
+    source = {p: t.norms(AXIS_DIRS, p)[src] for p in (1.0, 2.0)}
     a = {p: image[p][:, 1] ** p for p in image}
     b = {p: det * source[p][:, 1] ** p for p in source}
     nx, (n1, n2) = source[2.0][:, 0], image[2.0].T
@@ -553,11 +562,7 @@ def _suite_product_four(block: Block, tol: float):
         for ang in angles[-1]:
             c, s = math.cos(ang), math.sin(ang)
             normals += [(-s, c), (-c, -s)]      # h1.perp(), h2.perp()
-    vstart, vcase = segments([case.domain.n for case in block])
-    verts = np.concatenate([case.domain.vertices for case in block])
-    normals = np.reshape(normals, (len(block), 6, 2))
-    proj = dot2(verts[:, None, :], normals[vcase])
-    w = np.maximum.reduceat(proj, vstart) - np.minimum.reduceat(proj, vstart)
+    w = _widths(block, np.reshape(normals, (len(block), 6, 2)))
     w1, w2 = w[:, 0::2], w[:, 1::2]
     forward, reverse = 2.0 * w1 / w2, 2.0 * w2 / w1
     product = forward * reverse
@@ -649,7 +654,7 @@ def _suite_slope_cap(block: Block, tol: float):
     m = np.array([max_boundary_slope(case.domain) for case in block])[t.ecase]
     live = ~np.isinf(m)
     m = np.where(live, m, 0.0)
-    s1, s2 = t.axis_sups.T
+    s1, s2 = t.norms(AXIS_DIRS, math.inf).T
     (k,) = np.nonzero(live & (s1 > (m + tol * (1.0 + m)) * s2))
     return _per_case(t, live), _found(t, k, k, lambda k, _: {
         "sup_x": s1[k], "sup_y": s2[k], "slope_cap": m[k],

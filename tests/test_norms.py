@@ -487,19 +487,35 @@ def test_norm_beyond_float_range_raises_naming_p():
 
 def test_table_norm_beyond_float_range_raises_as_the_function_norm():
     # a table slope past 1e308^(1/p) (200 > 114 at p = 150) overflows its
-    # power sum, and one of 0.02 at p = 300 underflows: axis_norms raises
-    # as lp_directional_norm does, beside an envelope in range too
+    # power sum, and one of 0.02 at p = 300 underflows: the table's norms
+    # raise as lp_directional_norm does, beside an envelope in range too
+    axes = np.array([[E1.as_array()], [E2.as_array()]])
     steep = concave_envelope(square(), [((0.5, 0.5), 100.0)])
     flat = concave_envelope(square(), [((0.5, 0.5), 0.01)])
     calm = concave_envelope(square(), [((0.3, 0.6), 1.0)])
     for u, p in ((steep, 150.0), (flat, 300.0)):
         with pytest.raises(ValueError, match=f"_{p} is out of"):
-            FacetTable([calm, u], [2]).axis_norms(p)
+            FacetTable([calm, u], [2]).norms(axes, p)
     # a zero slope has no norm to lose: 0, as lp_directional_norm gives
     sheet = _affine_sheet(0.0, -1.0, 1.0)
-    got = FacetTable([sheet], [1]).axis_norms(150.0)
+    got = FacetTable([sheet], [1]).norms(axes, 150.0)
     assert got.tolist() == [[lp_directional_norm(sheet, h, 150.0).value
                              for h in (E1, E2)]] == [[0.0, 1.0]]
+
+
+def test_table_norms_check_p_as_the_function_norm():
+    # the first seed-42 envelope: p below 1 and NaN raise lp's message, and
+    # p = inf gives the sups
+    u = _case(42, 0).envelopes[0]
+    table = FacetTable([u], [1])
+    axes = np.array([[E1.as_array()], [E2.as_array()]])
+    for p in (0.5, math.nan):
+        with pytest.raises(ValueError, match="p must be at least 1"):
+            lp_directional_norm(u, E1, p)
+        with pytest.raises(ValueError, match="p must be at least 1"):
+            table.norms(axes, p)
+    assert table.norms(axes, math.inf).tolist() == [
+        [sup_directional_norm(u, h).value for h in (E1, E2)]]
 
 
 def test_reports_carry_method_and_serialize():

@@ -2,12 +2,13 @@
 
 Every suite runs as an array program over the facet tables of a block of
 cases, and cone-mass builds the cones of a whole block in one
-``concave_envelope_groups`` call.  The per-case bodies below are those
-suites as they were written before, one envelope at a time, with the
-``norms`` calls behind the axis values; the block programs must give the
-same checks and violations, maxima and minima bit for bit, and sums up
-to their order of addition.  line-mass and oracle-l1 read their chord
-maxima from one ``chord_max_hulls`` call per block where the bodies
+``concave_envelope_groups`` call and takes their norms from one table of
+them.  The per-case bodies below are those suites as they were written
+before, one envelope at a time, with the ``norms`` calls behind the
+directional norms; the block programs must give the same checks and
+violations, maxima, minima and directional norms bit for bit, and other
+sums up to their order of addition.  line-mass and oracle-l1 read their
+chord maxima from one ``chord_max_hulls`` call per block where the bodies
 below take one ``chord_max_hull`` (a profile of one, in ``conftest``) or
 ``scanline_l1_norm`` per envelope and direction; every sum they add is
 in the same order, so their records agree bit for bit.  cone-mass's body
@@ -33,14 +34,17 @@ import pytest
 
 from normratio import norms
 from normratio.bounds import directional_k1_upper
-from normratio.concave import (PROFILE_LINES, check_concavity,
-                               check_partition, check_vertex_consistency,
-                               concave_envelope, evaluate, max_profiles,
-                               plane_values, tent_function)
+from normratio.concave import (PROFILE_LINES, build_function,
+                               check_concavity, check_partition,
+                               check_vertex_consistency, concave_envelope,
+                               evaluate, max_profiles, plane_values,
+                               tent_function)
 from normratio.facets import FacetTable
-from normratio.geometry import (E1, E2, Direction, cross2, domain_to_json,
-                                dot2, max_boundary_slope, square, width)
+from normratio.geometry import (E1, E2, Direction, cross2, disc,
+                                domain_to_json, dot2, max_boundary_slope,
+                                square, width)
 from normratio.sampling import random_direction
+from normratio.search import _candidates
 from normratio.verify import (CASE_BLOCK, SUITES, Block, _case, _violation,
                               jsonify, run_all, run_suite)
 
@@ -48,8 +52,9 @@ from conftest import (chord_max_hull, reference_interior_points,
                       stacked_gradients_at)
 
 REL = 1e-13
-BITWISE = ("cone-mass", "line-mass", "oracle-l1", "lemma-tan",
-           "product-four", "profile-concavity")
+BITWISE = ("theorem1", "cone-mass", "line-mass", "oracle-l1", "lemma-tan",
+           "shear-transport", "product-four", "profile-concavity")
+AXIS = np.array([[E1.as_array()], [E2.as_array()]])
 
 
 def ref_sandwich(case, tol):
@@ -215,8 +220,7 @@ def ref_oracle_l1(case, tol):
     # the facet sums from the case's own table, as the suite read them:
     # rel_err is a difference of two sums that agree to rounding
     checks, bad = 0, []
-    l1 = FacetTable(case.envelopes,
-                    [len(case.envelopes)]).axis_norms(1.0)
+    l1 = FacetTable(case.envelopes, [len(case.envelopes)]).norms(AXIS, 1.0)
     for u, exact_l1 in zip(case.envelopes[:3], l1):
         desc = u.descriptor
         for h, exact in zip((E1, E2), exact_l1):
@@ -465,6 +469,24 @@ def test_block_profiles_match_the_per_function_reference_bitwise(seed):
             assert ms[i].tobytes() == want[1].tobytes(), (start, i)
 
 
+def assert_table_norms_are_function_norms(table, funcs):
+    # at p = 1, 2 and inf, along E1, E2 and an oblique direction of each
+    # function's own, bit for bit the norms of the functions alone
+    oblique = [Direction.from_angle(0.3 + 0.7 * k) for k in range(len(funcs))]
+    dirs = [(E1, E2, h) for h in oblique]
+    rows = np.array([[(h.dx, h.dy) for h in hs] for hs in dirs])
+    per_facet = rows[table.fenv].swapaxes(0, 1)
+    for p in (1.0, 2.0, math.inf):
+        np.testing.assert_array_equal(
+            table.norms(per_facet, p),
+            [[norms.lp_directional_norm(u, h, p).value for h in hs]
+             for u, hs in zip(funcs, dirs)])
+        np.testing.assert_array_equal(
+            table.norms(AXIS, p),
+            [[norms.lp_directional_norm(u, h, p).value for h in (E1, E2)]
+             for u in funcs])
+
+
 @pytest.mark.parametrize("seed", [42, 7])
 def test_table_values_match_per_envelope_functions(seed):
     corpus = [_case(seed, k) for k in range(CASE_BLOCK + 3)]
@@ -474,18 +496,10 @@ def test_table_values_match_per_envelope_functions(seed):
         envs = [u for case in cases for u in case.envelopes]
         np.testing.assert_array_equal(t.max_values,
                                       [u.max_value for u in envs])
-        np.testing.assert_array_equal(
-            t.axis_sups, [[norms.sup_directional_norm(u, h).value
-                           for h in (E1, E2)] for u in envs])
-        # the axis p-norms, of the envelopes and of the images that
-        # shear-transport reads
+        # the envelopes' norms, and the images' that shear-transport reads
         images = [tu for case in cases for tu in case.normalized[2]]
         for table, funcs in ((t, envs), (block.images, images)):
-            for p in (1.0, 2.0):
-                np.testing.assert_allclose(
-                    table.axis_norms(p),
-                    [[norms.lp_directional_norm(u, h, p).value
-                      for h in (E1, E2)] for u in funcs], rtol=REL, atol=0)
+            assert_table_norms_are_function_norms(table, funcs)
         np.testing.assert_array_equal(
             t.facet_on_boundary,
             np.concatenate([u.facet_on_boundary for u in envs]))
@@ -498,6 +512,21 @@ def test_table_values_match_per_envelope_functions(seed):
                 np.testing.assert_array_equal(
                     t.min_planes(pts, np.full(len(pts), k)),
                     plane_values(u, pts).min(axis=1))
+
+
+def test_table_norms_match_function_norms_past_pairwise_blocks():
+    # disc(512) search candidates of 512 and more facets, where numpy's
+    # pairwise sum splits a slice past 128 terms, between corpus envelopes
+    # of a few facets and on their own
+    dom = disc(512)
+    descs = [d for d in _candidates(dom, 2.0, E1, E2, 200, 42)
+             if d["kind"] == "envelope"]
+    big = [build_function(dom, d) for d in (descs[0], descs[-1])]
+    assert min(u.n_facets for u in big) > 128
+    small = _case(42, 0).envelopes
+    funcs = [small[0], big[0], small[1], big[1], small[2]]
+    assert_table_norms_are_function_norms(FacetTable(funcs, [1] * 5), funcs)
+    assert_table_norms_are_function_norms(FacetTable(big, [1, 1]), big)
 
 
 @pytest.mark.parametrize("name", list(REFERENCE))
